@@ -41,7 +41,7 @@ from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.log_server import LogServer
 from repro.crypto.keys import PublicKey
 from repro.crypto.keystore import KeyStore
-from repro.crypto.verifypool import VerifyPool
+from repro.crypto.schemes import get_scheme
 
 
 @dataclass
@@ -114,37 +114,25 @@ class _PubView:
 class Auditor:
     """Classifies a log into valid / invalid / hidden (Figure 5).
 
-    :param verify_pool: optional :class:`~repro.crypto.verifypool.VerifyPool`.
-        When given, :meth:`audit` pre-verifies every signature the
-        classification will need as one batch on the pool's worker
-        processes and the phases read the cached booleans; any check the
-        pre-pass did not anticipate falls back to inline verification, so
-        pooled and unpooled audits return identical reports.
+    :meth:`audit` first verifies every distinct ``(key, digest,
+    signature)`` triple the classification will need, one
+    :meth:`~repro.crypto.schemes.SignatureScheme.verify_batch` per scheme,
+    and the phases read the booleans; a check the pre-pass did not
+    anticipate is verified on the spot.  A scheme's batch returns what its
+    single verify returns, so the report is the per-signature one.
     """
 
-    def __init__(
-        self,
-        keystore: KeyStore,
-        topology: Optional[Topology] = None,
-        verify_pool: Optional[VerifyPool] = None,
-    ):
+    def __init__(self, keystore: KeyStore, topology: Optional[Topology] = None):
         self._keystore = keystore
         self._topology = topology
-        self._verify_pool = verify_pool
-        # (serialized key, digest, signature) -> verified?; filled per audit
-        self._verify_cache: Dict[Tuple[bytes, bytes, bytes], bool] = {}
-        # memoized PublicKey.to_bytes(), keyed by object identity (the
-        # keystore hands out the same frozen instance per component)
-        self._key_bytes: Dict[int, bytes] = {}
+        # (key, digest, signature) -> verified?; lives for one audit
+        self._verify_cache: Dict[Tuple[PublicKey, bytes, bytes], bool] = {}
 
     @classmethod
     def for_server(
-        cls,
-        server: LogServer,
-        topology: Optional[Topology] = None,
-        verify_pool: Optional[VerifyPool] = None,
+        cls, server: LogServer, topology: Optional[Topology] = None
     ) -> "Auditor":
-        return cls(server.keystore, topology, verify_pool=verify_pool)
+        return cls(server.keystore, topology)
 
     def audit_server(self, server: LogServer) -> AuditReport:
         """Verify store integrity, then audit all entries."""
@@ -156,8 +144,14 @@ class Auditor:
     def audit(self, entries: List[LogEntry]) -> AuditReport:
         """Run the full classification over ``entries``."""
         topology = self._topology or Topology.from_entries(entries)
-        if self._verify_pool is not None:
+        try:
             self._precompute_verifications(entries, topology)
+            return self._classify(entries, topology)
+        finally:
+            # one audit's booleans never answer the next
+            self._verify_cache = {}
+
+    def _classify(self, entries: List[LogEntry], topology: Topology) -> AuditReport:
         report = AuditReport()
 
         # verdict slot per input entry; filled in phases 1 and 2
@@ -187,39 +181,30 @@ class Auditor:
         report._account()
         return report
 
-    # -- pooled verification -------------------------------------------
-
-    def _serialized(self, key: PublicKey) -> bytes:
-        cached = self._key_bytes.get(id(key))
-        if cached is None:
-            cached = key.to_bytes()
-            self._key_bytes[id(key)] = cached
-        return cached
+    # -- batched verification ------------------------------------------
 
     def _verify(self, key: PublicKey, digest: bytes, signature: bytes) -> bool:
-        """One signature check, served from the pool's batch when it was
-        anticipated by :meth:`_precompute_verifications`, inline otherwise
-        -- so a pool can only speed an audit up, never change its report."""
-        if self._verify_cache:
-            hit = self._verify_cache.get(
-                (self._serialized(key), digest, signature)
-            )
-            if hit is not None:
-                return hit
+        """One signature check: the batch's answer when
+        :meth:`_precompute_verifications` anticipated it."""
+        hit = self._verify_cache.get((key, digest, signature))
+        if hit is not None:
+            return hit
         return key.verify_digest(digest, signature)
 
     def _precompute_verifications(
         self, entries: List[LogEntry], topology: Topology
     ) -> None:
-        """Collect every (digest, sig, key) triple the two phases will
-        check -- own signatures, the publisher signature each IN entry
-        reports, the ACK signature behind each OUT view -- and verify the
-        whole batch on the pool."""
-        wanted: Dict[Tuple[bytes, bytes, bytes], None] = {}
+        """Collect every distinct (key, digest, sig) triple the two phases
+        will check -- own signatures, the publisher signature each IN
+        entry reports, the ACK signature behind each OUT view -- and
+        verify them as one batch per signature scheme."""
+        # scheme name -> its triples, first-seen order (the Ed25519 batch
+        # coefficients depend on it: same log, same batch, same booleans)
+        wanted: Dict[str, Dict[Tuple[PublicKey, bytes, bytes], None]] = {}
 
         def want(key: Optional[PublicKey], digest: bytes, signature: bytes) -> None:
             if key is not None and digest and signature:
-                wanted[(self._serialized(key), digest, signature)] = None
+                wanted.setdefault(key.scheme_name, {})[(key, digest, signature)] = None
 
         for i, entry in enumerate(entries):
             if entry.scheme is not Scheme.ADLP:
@@ -239,11 +224,11 @@ class Auditor:
                             view.peer_hash,
                             view.peer_sig,
                         )
-        triples = [(digest, sig, kb) for kb, digest, sig in wanted]
-        results = self._verify_pool.verify_batch(triples)
-        self._verify_cache = {
-            key: result for key, result in zip(wanted, results)
-        }
+        for scheme_name, triples in wanted.items():
+            results = get_scheme(scheme_name).verify_batch(
+                [(key.numbers, digest, sig) for key, digest, sig in triples]
+            )
+            self._verify_cache.update(zip(triples, results))
 
     # -- phase 1: obvious detection ------------------------------------
 

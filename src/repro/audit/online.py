@@ -31,7 +31,6 @@ from repro.audit.auditor import Auditor, Topology
 from repro.audit.verdicts import AuditReport
 from repro.core.entries import Direction, LogEntry
 from repro.crypto.keystore import KeyStore
-from repro.crypto.verifypool import VerifyPool
 from repro.util.clock import Clock, SystemClock
 
 #: key identifying one transmission: (topic, seq, subscriber)
@@ -237,24 +236,19 @@ class OnlineAuditor:
         for finding in emitted:
             self._on_finding(finding)
 
-    def final_audit(
-        self, verify_pool: Optional[VerifyPool] = None
-    ) -> AuditReport:
+    def final_audit(self) -> AuditReport:
         """Batch-audit *everything* ingested so far (drains pending
         buckets first) and return the full report.
 
         This is the second half of amortized verification: transmissions
-        the sampler skipped inline are verified here, optionally on a
-        :class:`~repro.crypto.verifypool.VerifyPool`.  Findings the
-        inline pass has not already reported are pushed to the callback.
+        the sampler skipped inline are verified here, as one signature
+        batch.  Findings the inline pass has not already reported are
+        pushed to the callback.
         """
         self.drain()
         with self._lock:
             entries = list(self._seen_entries)
-        auditor = Auditor(
-            self._keystore, self._topology, verify_pool=verify_pool
-        )
-        report = auditor.audit(entries)
+        report = Auditor(self._keystore, self._topology).audit(entries)
         candidates = self._findings_from(report)
         with self._lock:
             known = set(self._findings)

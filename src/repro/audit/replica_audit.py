@@ -24,7 +24,6 @@ from repro.audit.auditor import Auditor, Topology
 from repro.audit.verdicts import AuditReport
 from repro.core.log_server import LogServer
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.verifypool import VerifyPool
 from repro.errors import LogIntegrityError, LoggingError, TransportError
 
 #: Records fetched per RPC while pulling a replica's full history.
@@ -97,7 +96,6 @@ def audit_replica_set(
     clients: Sequence,
     topology: Optional[Topology] = None,
     quorum: Optional[int] = None,
-    verify_pool: Optional[VerifyPool] = None,
 ) -> ReplicaSetAudit:
     """Audit a replica set as one logical trusted logger.
 
@@ -108,9 +106,6 @@ def audit_replica_set(
     :param quorum: replicas that must agree on the common prefix;
         defaults to a majority of the *whole* set (crashed replicas count
         against the quorum, as they must).
-    :param verify_pool: optional :class:`~repro.crypto.verifypool.VerifyPool`
-        the quorum view's signature checks are batched onto (the audited
-        history is the biggest single-auditor workload in the system).
     :raises LogIntegrityError: when no quorum of replicas agrees on the
         common prefix -- there is no trustworthy view to audit.
     """
@@ -171,9 +166,7 @@ def audit_replica_set(
     # Audit the longest agreeing history: most entries, most evidence.
     audited_replica = max(agreeing, key=lambda index: len(replicas[index][0]))
     _, server = replicas[audited_replica]
-    report = Auditor.for_server(
-        server, topology, verify_pool=verify_pool
-    ).audit_server(server)
+    report = Auditor.for_server(server, topology).audit_server(server)
     return ReplicaSetAudit(
         report=report,
         audited_replica=audited_replica,

@@ -12,13 +12,11 @@ primitives from scratch:
   exponentiation primitives.
 - :mod:`repro.crypto.pkcs1` -- EMSA-PKCS1-v1_5 signature encoding
   (RFC 8017), the signature scheme the paper uses.
-- :mod:`repro.crypto.ed25519` -- pure-Python RFC 8032 Ed25519, the planned
-  upgrade path.
+- :mod:`repro.crypto.ed25519` -- pure-Python RFC 8032 Ed25519 with batch
+  verification, the upgrade path.
 - :mod:`repro.crypto.schemes` -- the pluggable :class:`SignatureScheme`
   registry binding the two backends to scheme-tagged key encodings.
 - :mod:`repro.crypto.keys` -- key pair objects with serialization.
-- :mod:`repro.crypto.verifypool` -- spawn-context process pool for batched
-  audit-time signature verification.
 - :mod:`repro.crypto.keystore` -- the trusted logger's public-key registry.
 - :mod:`repro.crypto.hashchain` / :mod:`repro.crypto.merkle` --
   tamper-evident structures realizing the paper's trusted-logger assumption.
@@ -42,7 +40,6 @@ from repro.crypto.schemes import (
     register_scheme,
     scheme_names,
 )
-from repro.crypto.verifypool import VerifyPool
 
 __all__ = [
     "sha256",
@@ -65,5 +62,4 @@ __all__ = [
     "get_scheme",
     "register_scheme",
     "scheme_names",
-    "VerifyPool",
 ]

@@ -31,7 +31,7 @@ import abc
 import os
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto import ed25519, pkcs1
 from repro.crypto.hashing import sha256
@@ -90,6 +90,18 @@ class SignatureScheme(abc.ABC):
     ) -> bool:
         """True iff ``signature`` covers ``digest``.  Total: malformed
         signatures return ``False``, they never raise."""
+
+    def verify_batch(
+        self, items: Sequence[Tuple[Any, bytes, bytes]]
+    ) -> List[bool]:
+        """:meth:`verify_digest` for every ``(public material, digest,
+        signature)`` in ``items``, in input order -- the auditor's one
+        verify path.  Schemes with a cheaper combined check override
+        this; the booleans must equal the loop's on every input."""
+        return [
+            self.verify_digest(material, digest, signature)
+            for material, digest, signature in items
+        ]
 
     def sign(self, private_material: Any, message: bytes) -> bytes:
         """Sign ``message`` (hashes internally; same construction for
@@ -231,6 +243,13 @@ class Ed25519Scheme(SignatureScheme):
     ) -> bool:
         return ed25519.verify(public_material.point, digest, signature)
 
+    def verify_batch(
+        self, items: Sequence[Tuple[Ed25519Public, bytes, bytes]]
+    ) -> List[bool]:
+        return ed25519.verify_batch(
+            [(material.point, digest, signature) for material, digest, signature in items]
+        )
+
     def public_to_bytes(self, public_material: Ed25519Public) -> bytes:
         return public_material.point
 
@@ -240,7 +259,7 @@ class Ed25519Scheme(SignatureScheme):
                 f"ed25519 public key must be {ed25519.PUBLIC_SIZE} bytes, "
                 f"got {len(payload)}"
             )
-        if ed25519.point_decompress(payload) is None:
+        if not ed25519.is_valid_public(payload):
             raise DecodingError("ed25519 public key is not a canonical curve point")
         return Ed25519Public(point=bytes(payload))
 

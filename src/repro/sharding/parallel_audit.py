@@ -40,7 +40,6 @@ from repro.audit.causality import (
 )
 from repro.audit.verdicts import AuditReport, HiddenRecord
 from repro.core.log_server import LogCommitment
-from repro.crypto.verifypool import VerifyPool
 from repro.errors import LogIntegrityError
 from repro.sharding.sharded_server import ShardedLogServer, ShardSetCommitment
 
@@ -127,7 +126,6 @@ def _audit_one_shard(
     server: ShardedLogServer,
     shard: int,
     topology: Optional[Topology],
-    verify_pool: Optional[VerifyPool] = None,
 ) -> ShardAuditOutcome:
     shard_server = server.shard(shard)
     outcome = ShardAuditOutcome(shard=shard, entries=len(shard_server))
@@ -138,7 +136,7 @@ def _audit_one_shard(
         outcome.tampered = True
         outcome.error = str(exc)
         return outcome
-    auditor = Auditor(shard_server.keystore, topology, verify_pool=verify_pool)
+    auditor = Auditor(shard_server.keystore, topology)
     outcome.report = auditor.audit(shard_server.entries())
     return outcome
 
@@ -243,7 +241,6 @@ def audit_sharded(
     expected: Optional[ShardSetCommitment] = None,
     chains: Sequence[Sequence[ChainHop]] = (),
     executor: str = "thread",
-    verify_pool: Optional[VerifyPool] = None,
 ) -> ShardedAuditResult:
     """Audit every shard of ``server`` across a worker pool.
 
@@ -263,12 +260,6 @@ def audit_sharded(
         store parent-side) and audits in a spawn-context process pool --
         same verdicts, but the signature checking escapes this process's
         GIL.  Works against both sharding backends.
-    :param verify_pool: optional
-        :class:`~repro.crypto.verifypool.VerifyPool` each shard auditor
-        batches its signature checks onto.  Lets the (GIL-bound) thread
-        executor parallelize the CPU cost without rebuilding shard state
-        in children; ignored under ``executor="process"``, whose workers
-        are already separate interpreters.
     """
     count = server.shard_count
     if workers is None:
@@ -284,8 +275,7 @@ def audit_sharded(
         outcomes = _audit_with_processes(server, topology, workers, count)
     elif workers == 1 or count == 1:
         outcomes = [
-            _audit_one_shard(server, shard, topology, verify_pool)
-            for shard in range(count)
+            _audit_one_shard(server, shard, topology) for shard in range(count)
         ]
     else:
         with ThreadPoolExecutor(
@@ -293,9 +283,7 @@ def audit_sharded(
         ) as pool:
             outcomes = list(
                 pool.map(
-                    lambda shard: _audit_one_shard(
-                        server, shard, topology, verify_pool
-                    ),
+                    lambda shard: _audit_one_shard(server, shard, topology),
                     range(count),
                 )
             )

@@ -216,3 +216,50 @@ class TestReportAccounting:
         )
         reasons = result.report.reasons_for("/sub0")
         assert reasons  # at least one invalidity reason recorded
+
+
+class TestBatchedVerification:
+    """``audit`` verifies once, as a batch, and forgets the booleans."""
+
+    @staticmethod
+    def _pairs(keypool, count):
+        from tests.sharding.workload import honest_pair
+
+        return [
+            entry
+            for seq in range(1, count + 1)
+            for entry in honest_pair(keypool, "/t", seq, b"data-%d" % seq)
+        ]
+
+    def test_pre_pass_answers_every_check(self, server, keypool, monkeypatch):
+        """Every signature the phases ask about was in the batch, also when
+        the keystore hands out a fresh (equal, not identical) key object
+        per lookup: the memo is keyed by the key, not by ``id(key)``."""
+        from repro.crypto.keys import PublicKey
+
+        class FreshKeys:
+            def find(self, component_id):
+                key = server.keystore.find(component_id)
+                return None if key is None else PublicKey(key.numbers, key.scheme_name)
+
+        entries = self._pairs(keypool, 6)
+        singles = []
+        original = PublicKey.verify_digest
+        monkeypatch.setattr(
+            PublicKey, "verify_digest",
+            lambda self, d, s: singles.append(1) or original(self, d, s),
+        )
+        report = Auditor(FreshKeys(), TOPOLOGY).audit(entries)
+        assert len(report.valid_entries()) == len(entries)
+        assert not singles  # the batch goes to the scheme; no per-check fallback
+
+    def test_booleans_do_not_outlive_the_audit(self, server, keypool, monkeypatch):
+        auditor = Auditor(server.keystore, TOPOLOGY)
+        auditor.audit(self._pairs(keypool, 2))
+        assert auditor._verify_cache == {}
+        monkeypatch.setattr(
+            Auditor, "_classify", lambda *args: (_ for _ in ()).throw(RuntimeError("boom"))
+        )
+        with pytest.raises(RuntimeError):
+            auditor.audit(self._pairs(keypool, 2))
+        assert auditor._verify_cache == {}

@@ -16,6 +16,7 @@ from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.protocol import message_digest
 from repro.crypto.keystore import KeyStore
 from repro.util.clock import SimulatedClock
+from tests.audit.reference import per_signature_verification
 
 TOPOLOGY = Topology(publisher_of={"/t": "/pub"})
 
@@ -168,11 +169,12 @@ class TestFinalAudit:
         # re-report the same findings
         assert len(seen) == inline_count
 
-    def test_final_audit_supports_verify_pool(
+    def test_final_audit_equals_inline_verification(
         self, keystore, keypool, deterministic_seed
     ):
-        from repro.crypto.verifypool import VerifyPool
-
+        """Nothing judged inline: the final audit verifies the whole
+        history as one signature batch, and must say what an audit that
+        verifies signature by signature says."""
         entries = self._entries(keypool)
         online = OnlineAuditor(
             keystore, TOPOLOGY, clock=SimulatedClock(),
@@ -180,8 +182,10 @@ class TestFinalAudit:
         )
         for entry in entries:
             online.ingest(entry)
-        with VerifyPool(workers=1) as pool:  # inline path, same verdicts
-            pooled = online.final_audit(verify_pool=pool)
-        batch = Auditor(keystore, TOPOLOGY).audit(entries)
-        assert len(pooled.classified) == len(batch.classified)
-        assert pooled.flagged_components() == batch.flagged_components()
+        batched = online.final_audit()
+        with per_signature_verification():
+            inline = Auditor(keystore, TOPOLOGY).audit(entries)
+        assert [(c.verdict, c.reasons) for c in batched.classified] == [
+            (c.verdict, c.reasons) for c in inline.classified
+        ]
+        assert batched.flagged_components() == inline.flagged_components()

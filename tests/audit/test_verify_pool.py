@@ -1,18 +1,27 @@
-"""The VerifyPool: batched (digest, sig, key) verification.
+"""Batched (key, digest, sig) verification: ``SignatureScheme.verify_batch``.
 
-The pool is a pure accelerator -- these tests pin its contract: results
-come back in input order, malformed key bytes verify False (never
-raise), small batches take the inline path, and wiring it into
-``audit_sharded`` / ``audit_replica_set`` changes no verdict.
+This file pinned the contract of the process pool that used to batch the
+auditor's verifies; the pool is gone and the same contract now holds of
+``verify_batch``, under the same test names: results come back in input
+order, malformed key material verifies False (never raises), a batch of
+any size equals the per-signature loop, concurrent batches share the
+key-table cache safely, and ``audit_sharded`` / ``audit_replica_set``
+report what a signature-by-signature audit reports.
 """
 
-import pytest
+import sys
+import threading
 
+from repro.crypto import ed25519
 from repro.crypto.hashing import sha256
-from repro.crypto.verifypool import MIN_POOL_BATCH, VerifyPool, _verify_chunk
+from repro.crypto.keys import generate_keypair
+from repro.crypto.rsa import RsaPublicNumbers
+from repro.crypto.schemes import Ed25519Public, get_scheme
+from tests.audit.reference import per_signature_verification
 
 
 def _triples(keypool, count, tamper_every=0):
+    """(public material, digest, signature) under the suite's scheme."""
     triples, expected = [], []
     for i in range(count):
         pair = keypool[i % 3]
@@ -24,60 +33,101 @@ def _triples(keypool, count, tamper_every=0):
             corrupted[0] ^= 0x01
             sig = bytes(corrupted)
             ok = False
-        triples.append((digest, sig, pair.public.to_bytes()))
+        triples.append((pair.public.numbers, digest, sig))
         expected.append(ok)
     return triples, expected
+
+
+def _verify_batch(keypool, triples):
+    return keypool[0].public.scheme.verify_batch(triples)
 
 
 class TestChunkKernel:
     def test_verifies_in_order(self, keypool):
         triples, expected = _triples(keypool, 10, tamper_every=3)
-        assert _verify_chunk(triples) == expected
+        assert _verify_batch(keypool, triples) == expected
 
-    def test_bad_key_bytes_verify_false_not_raise(self, keypool):
+    def test_bad_key_bytes_verify_false_not_raise(self, deterministic_seed):
         digest = sha256(b"x")
-        sig = keypool[0].private.sign_digest(digest)
-        assert _verify_chunk([(digest, sig, b"\xa5\x7f junk")]) == [False]
-        assert _verify_chunk([(digest, sig, b"")]) == [False]
+        pair = generate_keypair(seed=deterministic_seed, scheme="ed25519")
+        sig = pair.private.sign_digest(digest)
+        off_curve = (2).to_bytes(32, "little")
+        batch = [
+            (Ed25519Public(point), digest, sig)
+            for point in (b"\xa5\x7f junk", b"", off_curve)
+        ] + [(pair.public.numbers, digest, sig)]
+        assert get_scheme("ed25519").verify_batch(batch) == [False, False, False, True]
+        # RSA: a modulus too short to hold a DigestInfo, and no modulus
+        for numbers in (RsaPublicNumbers(n=(1 << 127) + 1, e=65537),
+                        RsaPublicNumbers(n=0, e=0)):
+            sig = bytes(numbers.byte_size)
+            assert get_scheme("rsa").verify_batch([(numbers, digest, sig)]) == [False]
 
-    def test_key_cache_shares_decodes(self, keypool):
-        # many triples under one key: exercises the worker-side decode cache
+    def test_key_cache_shares_decodes(self, keypool, deterministic_seed):
+        # many triples under few keys: one table per key serves them all
         triples, expected = _triples(keypool, 6)
-        assert _verify_chunk(triples * 3) == expected * 3
+        assert _verify_batch(keypool, triples * 3) == expected * 3
+        # more Ed25519 keys than the cache holds: evicted, rebuilt, bounded
+        digest = sha256(b"evict")
+        pairs = [
+            generate_keypair(seed=deterministic_seed + i, scheme="ed25519")
+            for i in range(ed25519._KEY_CACHE_SIZE + 2)
+        ]
+        batch = [(p.public.numbers, digest, p.private.sign_digest(digest)) for p in pairs]
+        for _ in range(2):
+            assert get_scheme("ed25519").verify_batch(batch) == [True] * len(batch)
+        assert len(ed25519._KEYS) <= ed25519._KEY_CACHE_SIZE
 
 
 class TestPool:
     def test_empty_batch(self):
-        with VerifyPool(workers=1) as pool:
-            assert pool.verify_batch([]) == []
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            VerifyPool(workers=0)
+        for name in ("rsa", "ed25519"):
+            assert get_scheme(name).verify_batch([]) == []
 
     def test_small_batch_inline(self, keypool):
+        # below the bisection leaf: judged one by one, same booleans
         triples, expected = _triples(keypool, 5, tamper_every=2)
-        with VerifyPool(workers=4) as pool:
-            assert pool.verify_batch(triples) == expected
-            assert pool._pool is None  # below MIN_POOL_BATCH: never spawned
+        assert len(triples) < ed25519._BISECT_LEAF
+        assert _verify_batch(keypool, triples) == expected
 
-    def test_large_batch_across_workers(self, keypool):
-        count = MIN_POOL_BATCH * 2
-        triples, expected = _triples(keypool, count, tamper_every=7)
-        with VerifyPool(workers=2) as pool:
-            assert pool.verify_batch(triples) == expected
+    def test_large_batch_across_workers(self, deterministic_seed):
+        """More threads than cores verify the same large Ed25519 batch,
+        racing to fill the module's (emptied) key-table cache; nobody sees
+        a wrong or missing boolean (``audit_sharded`` audits on threads)."""
+        pairs = [
+            generate_keypair(seed=deterministic_seed + 50 + i, scheme="ed25519")
+            for i in range(3)
+        ]
+        triples, expected = _triples(pairs, 64, tamper_every=7)
+        results, errors = {}, []
 
-    def test_closed_pool_rejects_large_batches(self, keypool):
-        pool = VerifyPool(workers=2)
-        pool.close()
-        pool.close()  # idempotent
-        triples, _ = _triples(keypool, MIN_POOL_BATCH)
-        with pytest.raises(RuntimeError):
-            pool.verify_batch(triples)
+        def work(slot):
+            try:
+                results[slot] = _verify_batch(pairs, triples)
+            except Exception as exc:  # surfaced below, with its traceback
+                errors.append(exc)
+
+        with ed25519._KEYS_LOCK:
+            ed25519._KEYS.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert [results[i] for i in range(4)] == [expected] * 4
 
 
 class TestAuditIntegration:
     def test_audit_sharded_with_pool(self, keypool, rng):
+        """Shard auditors on a thread pool, each batching its own
+        verifies, report what signature-by-signature auditing reports."""
         from repro.sharding.parallel_audit import audit_sharded
         from repro.sharding.sharded_server import ShardedLogServer
         from tests.sharding.workload import (
@@ -91,15 +141,13 @@ class TestAuditIntegration:
         register_pair(server, keypool)
         for record in build_stream(keypool, rng):
             server.submit(record)
-        plain = audit_sharded(server, topology=topology_for(), workers=2)
-        with VerifyPool(workers=2) as pool:
-            pooled = audit_sharded(
-                server, topology=topology_for(), workers=2, verify_pool=pool
-            )
-        assert report_summary(plain.report) == report_summary(pooled.report)
-        assert plain.tampered_shards == pooled.tampered_shards == []
+        batched = audit_sharded(server, topology=topology_for(), workers=2)
+        with per_signature_verification():
+            inline = audit_sharded(server, topology=topology_for(), workers=2)
+        assert report_summary(inline.report) == report_summary(batched.report)
+        assert inline.tampered_shards == batched.tampered_shards == []
 
-    def test_audit_replica_set_with_pool(self, keypool, rng):
+    def test_audit_replica_set_equals_inline(self, keypool, rng):
         from repro.audit.replica_audit import audit_replica_set
         from repro.core import LogServer, LogServerEndpoint, RemoteLogger
         from tests.sharding.workload import build_stream, report_summary
@@ -114,13 +162,13 @@ class TestAuditIntegration:
         endpoints = [LogServerEndpoint(s) for s in servers]
         clients = [RemoteLogger(e.address) for e in endpoints]
         try:
-            plain = audit_replica_set(clients)
-            with VerifyPool(workers=2) as pool:
-                pooled = audit_replica_set(clients, verify_pool=pool)
+            batched = audit_replica_set(clients)
+            with per_signature_verification():
+                inline = audit_replica_set(clients)
         finally:
             for client in clients:
                 client.close()
             for endpoint in endpoints:
                 endpoint.close()
-        assert report_summary(plain.report) == report_summary(pooled.report)
-        assert plain.agreeing == pooled.agreeing
+        assert report_summary(inline.report) == report_summary(batched.report)
+        assert inline.agreeing == batched.agreeing

@@ -8,10 +8,10 @@ generates >= 50 PYTEST_SEED-derived randomized workloads, materializes
 each one twice (once per scheme, same structure, scheme-appropriate
 keys), and compares the full audit outcome.
 
-It also pins the two amortization paths to the plain path: an audit run
-through a :class:`~repro.crypto.verifypool.VerifyPool` and a sampled
-:class:`~repro.audit.online.OnlineAuditor` final audit must equal the
-in-process batch audit.
+It also pins the auditor's batched verification to the per-signature
+reference (:mod:`tests.audit.reference`): for either scheme, and for a
+deployment whose components mix the two, the batched audit must equal the
+audit that verifies one signature at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.audit import Auditor, AuditReport, Topology
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.protocol import message_digest
 from repro.crypto.keys import KeyPair, generate_keypair
-from repro.crypto.verifypool import VerifyPool
+from tests.audit.reference import per_signature_verification
 
 #: randomized workloads per scheme pair (the acceptance floor is 50)
 WORKLOADS = 50
@@ -173,13 +173,13 @@ def _signature(report: AuditReport) -> Counter:
     return outcome
 
 
-def _audit(entries, topology, keys, verify_pool=None) -> AuditReport:
+def _audit(entries, topology, keys) -> AuditReport:
     from repro.crypto.keystore import KeyStore
 
     keystore = KeyStore()
     for name, pair in keys.items():
         keystore.register(name, pair.public)
-    return Auditor(keystore, topology, verify_pool=verify_pool).audit(entries)
+    return Auditor(keystore, topology).audit(entries)
 
 
 class TestDifferentialBattery:
@@ -230,11 +230,32 @@ class TestDifferentialBattery:
         ]
         assert bad[0].verdict.name == "INVALID"
 
-    def test_verify_pool_equals_inline(
+    def test_mixed_scheme_components_equal_inline(
         self, deterministic_seed, rsa_keys, ed25519_keys
     ):
-        """A pooled audit of a large mixed workload returns byte-identical
-        verdicts to the in-process audit, for both schemes."""
+        """The battery's workloads with half the components on each
+        scheme: the auditor splits its triples into one batch per scheme
+        and must report what per-signature verification reports."""
+        mixed = {
+            name: (rsa_keys if i % 2 == 0 else ed25519_keys)[name]
+            for i, name in enumerate(COMPONENTS)
+        }
+        mismatches = []
+        for w in range(WORKLOADS):
+            steps = _abstract_workload(deterministic_seed * 1000 + w)
+            entries, topology = _materialize(steps, mixed)
+            batched = _signature(_audit(entries, topology, mixed))
+            with per_signature_verification():
+                inline = _signature(_audit(entries, topology, mixed))
+            if batched != inline:
+                mismatches.append((w, batched - inline, inline - batched))
+        assert not mismatches, f"batched audit diverged in workloads: {mismatches}"
+
+    def test_batch_equals_inline(
+        self, deterministic_seed, rsa_keys, ed25519_keys
+    ):
+        """A batched audit of a large mixed workload returns identical
+        verdicts to the signature-by-signature audit, for both schemes."""
         steps = []
         for w in range(8):
             steps.extend(_abstract_workload(deterministic_seed * 77 + w))
@@ -246,7 +267,7 @@ class TestDifferentialBattery:
         ]
         for keys in (rsa_keys, ed25519_keys):
             entries, topology = _materialize(steps, keys)
-            inline = _audit(entries, topology, keys)
-            with VerifyPool(workers=2) as pool:
-                pooled = _audit(entries, topology, keys, verify_pool=pool)
-            assert _signature(inline) == _signature(pooled)
+            batched = _audit(entries, topology, keys)
+            with per_signature_verification():
+                inline = _audit(entries, topology, keys)
+            assert _signature(inline) == _signature(batched)
