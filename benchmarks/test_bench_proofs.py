@@ -12,23 +12,29 @@ rates bound it:
 
 All three are entry-count-logarithmic or constant, so the numbers here
 are what makes "every client verifies continuously" a defensible
-deployment mode.  Set ``REPRO_BENCH_SMOKE=1`` for a tiny CI-sized
+deployment mode.  ``test_prove_time_size_sweep`` is the evidence for
+"logarithmic": it times one inclusion proof at three log sizes a decade
+apart (1e3 / 1e4 / 1e5) and fails if a hundredfold larger log makes a
+proof ten times slower.  Set ``REPRO_BENCH_SMOKE=1`` for a tiny CI-sized
 workload.
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
 from repro.bench.reporting import Table, save_results
 from repro.core import LogServer
 from repro.core.entries import Direction, LogEntry, Scheme
+from repro.crypto.merkle import MerkleFrontier, MerkleTree
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 ENTRIES = 256 if SMOKE else 4096
 PROOF_ROUNDS = 1 if SMOKE else 3
+SWEEP_SIZES = (250, 1000, 4000) if SMOKE else (1000, 10_000, 100_000)
 
 _results: dict = {}
 
@@ -72,7 +78,12 @@ def test_inclusion_prove_verify_rate(benchmark, signed_server):
 def test_consistency_prove_verify_rate(benchmark, signed_server):
     root = signed_server.merkle_root()
     sizes = list(range(1, ENTRIES, max(1, ENTRIES // 64)))
-    old_roots = {old: signed_server._merkle.root_at(old) for old in sizes}
+    # what a monitor holds: roots it computed itself over the prefix
+    old_roots, prefix = {}, MerkleFrontier()
+    for size, record in enumerate(signed_server.raw_records(0, sizes[-1]), 1):
+        prefix.append(record)
+        if size in sizes:
+            old_roots[size] = prefix.root()
 
     def prove_and_verify():
         for old in sizes:
@@ -85,6 +96,26 @@ def test_consistency_prove_verify_rate(benchmark, signed_server):
     )
 
 
+def test_prove_time_size_sweep(benchmark):
+    """One inclusion proof against the newest root, at three log sizes."""
+    benchmark(lambda: None)
+    tree, per_proof_us = MerkleTree(), {}
+    for size in SWEEP_SIZES:
+        for index in range(len(tree), size):
+            tree.append(b"%0256d" % index)
+        indexes = range(0, size, size // 200)
+        best = float("inf")
+        for _ in range(5):
+            began = time.perf_counter()
+            for index in indexes:
+                tree.prove(index, size)
+            best = min(best, (time.perf_counter() - began) / len(indexes))
+        per_proof_us[size] = best * 1e6
+    _results["prove_us_by_entries"] = per_proof_us
+    smallest, largest = SWEEP_SIZES[0], SWEEP_SIZES[-1]
+    assert per_proof_us[largest] < 10 * per_proof_us[smallest], per_proof_us
+
+
 def test_report_proofs(benchmark, signed_server):
     benchmark(lambda: None)
     table = Table(
@@ -95,6 +126,10 @@ def test_report_proofs(benchmark, signed_server):
     table.add_row("Inclusion prove+verify", _results["inclusion_proofs_per_second"])
     table.add_row("Consistency prove+verify", _results["consistency_proofs_per_second"])
     table.show()
+    sweep = Table("Inclusion proof build time by log size", ["Entries", "us/proof"])
+    for size, value in _results["prove_us_by_entries"].items():
+        sweep.add_row(size, value)
+    sweep.show()
     _results["entries"] = ENTRIES
     save_results("proofs", _results)
     # Proof building is hashing-bound (no RSA): even the smoke workload

@@ -24,12 +24,7 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 from repro.core.entries import Direction, LogEntry
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.keystore import KeyStore
-from repro.crypto.merkle import (
-    MerkleConsistencyProof,
-    MerkleFrontier,
-    MerkleProof,
-    MerkleTree,
-)
+from repro.crypto.merkle import MerkleConsistencyProof, MerkleProof, MerkleTree
 from repro.core.log_store import InMemoryLogStore, LogStore
 from repro.errors import DecodingError, LogIntegrityError, LoggingError
 
@@ -41,8 +36,8 @@ class LogCommitment:
     One replica's answer to "what do you hold?": two replicas holding the
     same entries in the same order agree on every field; any divergence in
     content or order changes ``chain_head`` and ``merkle_root``.  Cheap to
-    take (O(log n) via the Merkle frontier), so replicated deployments can
-    poll it as a health probe.
+    take (the root folds O(log n) stored subtree hashes), so replicated
+    deployments can poll it as a health probe.
     """
 
     entries: int
@@ -70,10 +65,9 @@ class LogServer:
         # `or` would wrongly replace it
         self.store: LogStore = store if store is not None else InMemoryLogStore()
         self._entries: List[LogEntry] = []
+        #: the one commitment structure: roots and proofs at the current
+        #: and every historical size, O(log n) each
         self._merkle = MerkleTree()
-        #: incremental twin of the Merkle tree; O(log n) to snapshot into
-        #: a checkpoint where rebuilding the tree's frontier would be O(n)
-        self._frontier = MerkleFrontier()
         self._by_component: Dict[str, int] = {}
         self._bytes_by_component: Dict[str, int] = {}
         self._observers: List = []
@@ -108,7 +102,6 @@ class LogServer:
                     ) from exc
                 self._entries.append(decoded)
                 self._merkle.append(record)
-                self._frontier.append(record)
                 cid = decoded.component_id
                 self._by_component[cid] = self._by_component.get(cid, 0) + 1
                 self._bytes_by_component[cid] = (
@@ -162,7 +155,7 @@ class LogServer:
                 },
                 "by_component": dict(self._by_component),
                 "bytes_by_component": dict(self._bytes_by_component),
-                "merkle_root": self._frontier.root().hex(),
+                "merkle_root": self._merkle.root().hex(),
             }
 
     # -- observers --------------------------------------------------------
@@ -295,7 +288,6 @@ class LogServer:
         """Fold one accepted entry into the derived state (lock held)."""
         self._entries.append(decoded)
         self._merkle.append(record)
-        self._frontier.append(record)
         cid = decoded.component_id
         self._by_component[cid] = self._by_component.get(cid, 0) + 1
         self._bytes_by_component[cid] = (
@@ -307,7 +299,6 @@ class LogServer:
         state back to ``size`` entries (lock held)."""
         del self._entries[size:]
         self._merkle.truncate(size)
-        self._frontier = self._merkle.frontier()
         for decoded, record in pairs:
             cid = decoded.component_id
             self._by_component[cid] -= 1
@@ -401,15 +392,14 @@ class LogServer:
     def commitment(self) -> LogCommitment:
         """Entry count, chain head, and Merkle root in one lock acquisition.
 
-        Uses the incremental frontier for the root, so the snapshot is
-        O(log n) even mid-ingest -- cheap enough for the ``OP_HEALTH``
-        probe of a replicated deployment to poll continuously.
+        The root is O(log n) even mid-ingest -- cheap enough for the
+        ``OP_HEALTH`` probe of a replicated deployment to poll continuously.
         """
         with self._lock:
             return LogCommitment(
                 entries=len(self._entries),
                 chain_head=self.store.head(),
-                merkle_root=self._frontier.root(),
+                merkle_root=self._merkle.root(),
                 total_bytes=self.store.total_bytes,
             )
 
@@ -456,19 +446,24 @@ class LogServer:
         from repro.gossip.sth import issue_sth
 
         with self._lock:
-            if self._signer is None:
-                raise LoggingError(
-                    "log server has no signer attached; cannot issue a "
-                    "signed tree head"
-                )
-            return issue_sth(
-                self._signer,
-                self.log_id,
-                entries=len(self._entries),
-                chain_head=self.store.head(),
-                merkle_root=self._frontier.root(),
-                timestamp=timestamp,
+            signer, log_id = self._signer, self.log_id
+            head = self.commitment()
+        if signer is None:
+            raise LoggingError(
+                "log server has no signer attached; cannot issue a "
+                "signed tree head"
             )
+        # The signature (milliseconds of RSA) is taken outside the ingest
+        # lock; signer and log id were read together, so a racing
+        # ``attach_signer`` yields one identity or the other, never a mix.
+        return issue_sth(
+            signer,
+            log_id,
+            entries=head.entries,
+            chain_head=head.chain_head,
+            merkle_root=head.merkle_root,
+            timestamp=timestamp,
+        )
 
     def checkpoint(self) -> None:
         """Force a durable checkpoint now (no-op for in-memory stores)."""

@@ -1871,7 +1871,9 @@ class RemoteLogger:
         """Fetch an inclusion proof for the entry at ``index``, against the
         current tree or (``tree_size``) the tree a given STH committed to.
         Raises :class:`~repro.errors.ProofError` on out-of-range input --
-        including locally for negatives, which the wire cannot carry."""
+        including locally for negatives, which the wire cannot carry -- and
+        :class:`~repro.errors.LoggingError` when the reply is for another
+        index or size than the one asked for."""
         if index < 0 or (tree_size is not None and tree_size < 0):
             raise ProofError(
                 f"proof request out of range: index {index}, "
@@ -1892,9 +1894,17 @@ class RemoteLogger:
             raise LoggingError(
                 "malformed inclusion proof: digest/direction length mismatch"
             )
+        proved_index = int(response.proof_index)
+        proved_size = int(response.proof_tree_size)
+        if proved_index != index or (tree_size and proved_size != tree_size):
+            raise LoggingError(
+                f"asked for an inclusion proof of leaf {index} at size "
+                f"{tree_size}, got one for leaf {proved_index} at size "
+                f"{proved_size}"
+            )
         return MerkleProof(
-            leaf_index=int(response.proof_index),
-            tree_size=int(response.proof_tree_size),
+            leaf_index=proved_index,
+            tree_size=proved_size,
             path=tuple(
                 (digest, bool(flag)) for digest, flag in zip(hashes, flags)
             ),
@@ -1923,9 +1933,16 @@ class RemoteLogger:
             ),
             timeout,
         )
+        proved_old = int(response.proof_old_size)
+        proved_new = int(response.proof_tree_size)
+        if proved_old != old_size or (new_size and proved_new != new_size):
+            raise LoggingError(
+                f"asked for a consistency proof {old_size} -> {new_size}, "
+                f"got one for {proved_old} -> {proved_new}"
+            )
         return MerkleConsistencyProof(
-            old_size=int(response.proof_old_size),
-            new_size=int(response.proof_tree_size),
+            old_size=proved_old,
+            new_size=proved_new,
             path=tuple(bytes(digest) for digest in response.proof_hashes),
         )
 

@@ -1,9 +1,17 @@
-"""Merkle tree with inclusion proofs.
+"""RFC 6962 Merkle tree: roots, inclusion proofs, consistency proofs.
 
 Complements the hash chain (related work [27], Crosby & Wallach): the log
-server periodically commits a Merkle root over ingested entries, and a
-third-party investigator can check that a specific log entry is included in
-a committed epoch without downloading the whole log.
+server commits to a Merkle root over ingested entries, and a third-party
+investigator can check that a specific log entry sits at a given index of a
+committed log -- or that one committed log extends another -- without
+downloading the whole log.
+
+:class:`MerkleTree` is the logger's one commitment structure: it keeps the
+hash of every complete subtree, so appends are amortised O(1) and every
+root and proof, at the current or any historical size, is O(log n).
+:class:`MerkleFrontier` is the tree's O(log n)-state summary (its peaks):
+enough to continue the tree and check its root, which is what a durable
+store checkpoints.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.crypto.hashing import sha256
+from repro.crypto.hashing import HASH_LEN, sha256
 from repro.errors import LogIntegrityError, ProofError
 
 # Domain-separation prefixes prevent a leaf from being reinterpreted as an
@@ -39,6 +47,11 @@ class MerkleProof:
     """An inclusion proof: the leaf's index and sibling digests bottom-up.
 
     Each element of :attr:`path` is ``(sibling_digest, sibling_is_right)``.
+    The flags are redundant with ``(leaf_index, tree_size)`` -- RFC 6962
+    section 2.1.1 fixes the side of every sibling -- and :meth:`verify`
+    refuses a proof whose flags or length disagree with them, so a valid
+    proof places the payload *at* :attr:`leaf_index`, not merely somewhere
+    under the root.
     """
 
     leaf_index: int
@@ -46,14 +59,30 @@ class MerkleProof:
     path: Tuple[Tuple[bytes, bool], ...] = field(default_factory=tuple)
 
     def verify(self, payload: bytes, root: bytes) -> bool:
-        """Check that ``payload`` at :attr:`leaf_index` hashes up to ``root``."""
+        """Check that ``payload`` is leaf :attr:`leaf_index` of the
+        :attr:`tree_size`-leaf tree whose root is ``root``."""
+        if not 0 <= self.leaf_index < self.tree_size:
+            return False
+        # ``node`` and ``last`` index this level's nodes; an even ``node``
+        # that is also the last one was promoted and has no sibling here.
+        node, last = self.leaf_index, self.tree_size - 1
         digest = leaf_hash(payload)
         for sibling, sibling_is_right in self.path:
-            if sibling_is_right:
-                digest = node_hash(digest, sibling)
-            else:
+            while node == last and not node & 1:
+                if not last:
+                    return False  # path runs past the root
+                node >>= 1
+                last >>= 1
+            if bool(sibling_is_right) == bool(node & 1):
+                return False  # sibling claimed on the wrong side
+            if node & 1:
                 digest = node_hash(sibling, digest)
-        return digest == root
+            else:
+                digest = node_hash(digest, sibling)
+            node >>= 1
+            last >>= 1
+        # a path that stops below the root leaves ``last`` non-zero
+        return not last and digest == root
 
 
 @dataclass(frozen=True)
@@ -108,100 +137,100 @@ class MerkleConsistencyProof:
         return not path and old_digest == old_root and new_digest == new_root
 
 
-def _mth(leaves: Sequence[bytes]) -> bytes:
-    """Merkle tree head over already-hashed leaves (RFC 6962 MTH)."""
-    n = len(leaves)
-    if n == 0:
-        return EMPTY_ROOT
-    if n == 1:
-        return leaves[0]
-    k = _largest_power_of_two_below(n)
-    return node_hash(_mth(leaves[:k]), _mth(leaves[k:]))
-
-
-def _largest_power_of_two_below(n: int) -> int:
-    """The largest power of two strictly less than ``n`` (n >= 2)."""
-    k = 1
-    while k * 2 < n:
-        k *= 2
-    return k
-
-
-def _subproof(m: int, leaves: Sequence[bytes], complete: bool) -> List[bytes]:
-    """RFC 6962 SUBPROOF(m, D[n], b) over already-hashed leaves."""
-    n = len(leaves)
-    if m == n:
-        return [] if complete else [_mth(leaves)]
-    k = _largest_power_of_two_below(n)
-    if m <= k:
-        return _subproof(m, leaves[:k], complete) + [_mth(leaves[k:])]
-    return _subproof(m - k, leaves[k:], False) + [_mth(leaves[:k])]
-
-
 class MerkleTree:
-    """A Merkle tree over an ordered list of byte records.
+    """An RFC 6962 Merkle tree over an ordered list of byte records.
 
-    Odd nodes are promoted (not duplicated) to the next level, matching
+    The tree keeps the hash of every *complete* subtree it has ever closed:
+    ``_rows[k]`` is one flat ``bytearray`` holding the ``len(self) >> k``
+    complete height-``k`` subtree hashes left to right, 32 bytes each
+    (``_rows[0]`` is the leaf hashes).  Appending hashes the leaf once and
+    merges upward while the new node is a right child -- amortised one node
+    hash per leaf, about 64 bytes per entry resident.  Complete subtrees
+    never change as the log grows, so the same rows answer for *every*
+    historical size: any range ``D[lo:hi]`` the RFC 6962 recursion reaches
+    is a left-to-right run of complete subtrees (the binary decomposition
+    of ``hi - lo``), and roots, inclusion proofs, consistency proofs and the
+    checkpoint frontier are all read off the rows in O(log n) node hashes
+    and zero leaf hashes.  Odd nodes are promoted (not duplicated), which is
     RFC 6962's tree shape for non-power-of-two sizes.
     """
 
-    def __init__(self, payloads: Sequence[bytes] = ()) -> None:
-        self._leaves: List[bytes] = [leaf_hash(p) for p in payloads]
+    def __init__(self, payloads: Iterable[bytes] = ()) -> None:
+        self._rows: List[bytearray] = [bytearray()]
+        self._size = 0
+        for payload in payloads:
+            self.append(payload)
 
     def append(self, payload: bytes) -> int:
         """Append a record; returns its leaf index."""
-        self._leaves.append(leaf_hash(payload))
-        return len(self._leaves) - 1
+        rows = self._rows
+        index = self._size
+        digest = leaf_hash(payload)
+        rows[0] += digest
+        height, position = 0, index
+        while position & 1:
+            # the node just written closes a subtree one level up
+            digest = node_hash(rows[height][-2 * HASH_LEN:-HASH_LEN], digest)
+            height += 1
+            position >>= 1
+            if height == len(rows):
+                rows.append(bytearray())
+            rows[height] += digest
+        self._size = index + 1
+        return index
 
     def truncate(self, size: int) -> None:
         """Drop leaves beyond ``size`` (rollback of a failed append)."""
-        if not 0 <= size <= len(self._leaves):
+        if not 0 <= size <= self._size:
             raise IndexError("truncation size out of range")
-        del self._leaves[size:]
+        for height, row in enumerate(self._rows):
+            del row[(size >> height) * HASH_LEN:]
+        self._size = size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _peaks(self, lo: int, hi: int) -> List[Tuple[int, bytes]]:
+        """The complete subtrees tiling leaves ``[lo, hi)`` left to right,
+        largest first, as ``(leaf_count, digest)``.
+
+        ``lo`` must be a multiple of the smallest power of two >= ``hi -
+        lo``, which holds for every range the RFC 6962 recursion produces.
+        """
+        peaks = []
+        while lo < hi:
+            height = (hi - lo).bit_length() - 1
+            offset = (lo >> height) * HASH_LEN
+            peaks.append(
+                (1 << height, bytes(self._rows[height][offset:offset + HASH_LEN]))
+            )
+            lo += 1 << height
+        return peaks
+
+    def _range_root(self, lo: int, hi: int) -> bytes:
+        """RFC 6962 MTH over the non-empty leaf range ``[lo, hi)``."""
+        return _fold_peaks(self._peaks(lo, hi))
 
     def frontier(self) -> "MerkleFrontier":
         """The compact O(log n) frontier equivalent of this tree."""
-        return MerkleFrontier.from_leaf_hashes(self._leaves)
-
-    def __len__(self) -> int:
-        return len(self._leaves)
-
-    def _levels(self, tree_size: int = -1) -> List[List[bytes]]:
-        """All tree levels bottom-up (levels[0] == leaves).
-
-        ``tree_size`` restricts the tree to its first ``tree_size`` leaves,
-        reconstructing the historical shape at that size.
-        """
-        leaves = self._leaves if tree_size < 0 else self._leaves[:tree_size]
-        levels = [list(leaves)]
-        while len(levels[-1]) > 1:
-            prev = levels[-1]
-            nxt = []
-            for i in range(0, len(prev) - 1, 2):
-                nxt.append(node_hash(prev[i], prev[i + 1]))
-            if len(prev) % 2 == 1:
-                nxt.append(prev[-1])  # promote the odd node
-            levels.append(nxt)
-        return levels
+        return MerkleFrontier(self._peaks(0, self._size))
 
     def root(self) -> bytes:
         """Current root digest (:data:`EMPTY_ROOT` when empty)."""
-        if not self._leaves:
-            return EMPTY_ROOT
-        return self._levels()[-1][0]
+        return self.root_at(self._size)
 
     def root_at(self, tree_size: int) -> bytes:
         """Root digest of the historical tree over the first ``tree_size`` leaves."""
         self._check_size(tree_size)
         if tree_size == 0:
             return EMPTY_ROOT
-        return self._levels(tree_size)[-1][0]
+        return self._range_root(0, tree_size)
 
     def _check_size(self, tree_size: int) -> None:
-        if not 0 <= tree_size <= len(self._leaves):
+        if not 0 <= tree_size <= self._size:
             raise ProofError(
                 "tree size %d out of range for a log of %d entries"
-                % (tree_size, len(self._leaves))
+                % (tree_size, self._size)
             )
 
     def prove(self, leaf_index: int, tree_size: int = -1) -> MerkleProof:
@@ -212,7 +241,7 @@ class MerkleTree:
         a signed tree head of that size committed to).
         """
         if tree_size < 0:
-            tree_size = len(self._leaves)
+            tree_size = self._size
         else:
             self._check_size(tree_size)
         if not 0 <= leaf_index < tree_size:
@@ -220,16 +249,20 @@ class MerkleTree:
                 "leaf index %d out of range for tree size %d"
                 % (leaf_index, tree_size)
             )
+        # RFC 6962 PATH(m, D[n]), walked root-down: at most one sibling (the
+        # ragged right remainder, met on the first left turn) needs hashing;
+        # every other one is a stored complete subtree.
         path: List[Tuple[bytes, bool]] = []
-        index = leaf_index
-        for level in self._levels(tree_size)[:-1]:
-            if index % 2 == 0:
-                if index + 1 < len(level):
-                    path.append((level[index + 1], True))
-                # else: promoted odd node, no sibling at this level
+        lo, hi = 0, tree_size
+        while hi - lo > 1:
+            split = lo + _largest_power_of_two_below(hi - lo)
+            if leaf_index < split:
+                path.append((self._range_root(split, hi), True))
+                hi = split
             else:
-                path.append((level[index - 1], False))
-            index //= 2
+                path.append((self._range_root(lo, split), False))
+                lo = split
+        path.reverse()
         return MerkleProof(
             leaf_index=leaf_index, tree_size=tree_size, path=tuple(path)
         )
@@ -239,7 +272,7 @@ class MerkleTree:
     ) -> MerkleConsistencyProof:
         """Build an RFC 6962 consistency proof between two sizes of this log."""
         if new_size < 0:
-            new_size = len(self._leaves)
+            new_size = self._size
         else:
             self._check_size(new_size)
         if not 0 <= old_size <= new_size:
@@ -250,10 +283,37 @@ class MerkleTree:
         if old_size == new_size or old_size == 0:
             # Equal sizes and the empty prefix verify without any path.
             return MerkleConsistencyProof(old_size=old_size, new_size=new_size)
-        path = _subproof(old_size, self._leaves[:new_size], True)
+        # RFC 6962 SUBPROOF(m, D[n], true), walked root-down like ``prove``.
+        path: List[bytes] = []
+        lo, hi, complete = 0, new_size, True
+        while old_size != hi:
+            split = lo + _largest_power_of_two_below(hi - lo)
+            if old_size <= split:
+                path.append(self._range_root(split, hi))
+                hi = split
+            else:
+                path.append(self._range_root(lo, split))
+                lo, complete = split, False
+        if not complete:
+            path.append(self._range_root(lo, hi))
+        path.reverse()
         return MerkleConsistencyProof(
             old_size=old_size, new_size=new_size, path=tuple(path)
         )
+
+
+def _largest_power_of_two_below(n: int) -> int:
+    """The largest power of two strictly less than ``n`` (n >= 2)."""
+    return 1 << ((n - 1).bit_length() - 1)
+
+
+def _fold_peaks(peaks: Sequence[Tuple[int, bytes]]) -> bytes:
+    """Root over a non-empty run of ``(size, digest)`` peaks, largest first:
+    each peak is the left sibling of everything to its right."""
+    digest = peaks[-1][1]
+    for _, peak in reversed(peaks[:-1]):
+        digest = node_hash(peak, digest)
+    return digest
 
 
 _PEAK = struct.Struct("<Q32s")
@@ -267,10 +327,11 @@ class MerkleFrontier:
     of ``n``.  Appending a leaf pushes a size-1 peak and merges equal-sized
     neighbors; the root folds the peaks right-to-left, which reproduces
     :class:`MerkleTree`'s promote-the-odd-node (RFC 6962) shape for every
-    size.  Because the state is logarithmic and serializable, a checkpoint
-    can commit to the whole log without storing any leaves, and recovery
-    can *continue* the frontier from the checkpoint and verify that
-    appending the replayed tail reproduces the full tree's root.
+    size.  It keeps no history, so it answers no proof; because the state
+    is logarithmic and serializable, a checkpoint can commit to the whole
+    log without storing any leaves, and recovery can *continue* the
+    frontier from the checkpoint and verify that appending the replayed
+    tail reproduces the full tree's root.
     """
 
     def __init__(self, peaks: Sequence[Tuple[int, bytes]] = ()) -> None:
@@ -306,12 +367,7 @@ class MerkleFrontier:
 
     def root(self) -> bytes:
         """Root digest; equals ``MerkleTree(payloads).root()`` at any size."""
-        if not self._peaks:
-            return EMPTY_ROOT
-        digest = self._peaks[-1][1]
-        for _, peak in reversed(self._peaks[:-1]):
-            digest = node_hash(peak, digest)
-        return digest
+        return _fold_peaks(self._peaks) if self._peaks else EMPTY_ROOT
 
     def copy(self) -> "MerkleFrontier":
         return MerkleFrontier(self._peaks)
