@@ -93,26 +93,30 @@ class _UnfaithfulPublisherProtocol(_AdlpPublisherProtocol):
         self._truth: GroundTruth = outer.ground_truth
 
     def make_frame(self, seq: int, payload: bytes) -> bytes:
-        behavior = self._behavior
         frame = super().make_frame(seq, payload)
-
-        if behavior.falsify is not None:
-            # Log D' instead of D; the *sent* frame keeps the true payload
-            # and valid signature.  The liar signs D' for its log so its own
-            # signature verifies ("obvious detection" avoided).
-            forged = behavior.falsify(payload)
-            forged_sig = self._outer.keypair.private.sign_digest(
-                message_digest(seq, forged)
-            )
-            with self._pending_lock:
-                self._pending[seq] = (forged, forged_sig)
-
-        if behavior.send_invalid_signature:
+        if self._behavior.send_invalid_signature:
             # Figure 8 (a): ship a garbage signature with the true payload.
             frame = AdlpMessage(
                 seq=seq, payload=payload, signature=os.urandom(128)
             ).encode()
         return frame
+
+    def _own_evidence(self, seq: int, frame: bytes) -> Tuple[bytes, bytes]:
+        behavior = self._behavior
+        payload, signature = super()._own_evidence(seq, frame)
+        if behavior.falsify is not None:
+            # Log D' instead of D; the *sent* frame keeps the true payload
+            # and valid signature.
+            payload = behavior.falsify(payload)
+        if behavior.falsify is not None or behavior.send_invalid_signature:
+            # The log carries this publisher's real signature over what it
+            # reports: the liar signs D' so its own signature verifies
+            # ("obvious detection" avoided); the garbage signature went out
+            # on the wire only.
+            signature = self._outer.keypair.private.sign_digest(
+                message_digest(seq, payload)
+            )
+        return payload, signature
 
     def on_link_send(
         self, subscriber_id: str, connection: Connection, seq: int, frame: bytes

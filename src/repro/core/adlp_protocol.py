@@ -14,7 +14,10 @@ Per publication of payload ``D`` with sequence number ``seq``:
 3. The publisher's link worker waits for ``M_y`` and only then queues its
    log entry ``L_x`` containing both signatures (step 6).  Until the ACK
    arrives, no further message is sent to that subscriber -- the protocol's
-   penalty against stealthy subscribers (Lemma 2).
+   penalty against stealthy subscribers (Lemma 2).  ``L_x`` is built from
+   the frame the link was handed; the publisher keeps a publication only
+   while a link has moved on without its ACK (the *pending window*), so a
+   late ACK can still be logged.
 
 Everything here lives below the application layer: installing
 :class:`AdlpProtocol` on a node changes no application code.
@@ -28,7 +31,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.logging_thread import LoggingThread
@@ -49,7 +52,7 @@ from repro.util.clock import Clock, SystemClock
 
 logger = logging.getLogger(__name__)
 
-#: Publications a publisher protocol remembers while awaiting ACKs.
+#: Un-ACKed publications a publisher protocol remembers for late ACKs.
 _PENDING_CAPACITY = 1024
 
 #: Recently sent ACKs a subscriber remembers (per publisher link) so a
@@ -196,9 +199,14 @@ class _AdlpPublisherProtocol(PublisherProtocol):
         self._outer = outer
         self._topic = topic
         self._type_name = type_name
-        # seq -> (payload, own signature); bounded so a subscriber that
-        # never ACKs cannot leak memory.
-        self._pending: "OrderedDict[int, Tuple[bytes, bytes]]" = OrderedDict()
+        # seq -> (payload, own signature, subscribers whose link moved on
+        # without their ACK): what a late ACK can still claim.  All links
+        # share one payload object; a publication leaves when its last
+        # owed ACK is logged.  Bounded so a subscriber that never ACKs
+        # cannot leak memory.
+        self._pending: "OrderedDict[int, Tuple[bytes, bytes, Set[str]]]" = (
+            OrderedDict()
+        )
         self._pending_lock = threading.Lock()
         self._evict_warned = False
         self._aggregator: Optional[_AckAggregator] = None
@@ -239,39 +247,24 @@ class _AdlpPublisherProtocol(PublisherProtocol):
         signature = self._outer.keypair.private.sign_digest(digest)
         self._outer.stats.bump("digests")
         self._outer.stats.bump("signatures")
-        evicted = 0
-        with self._pending_lock:
-            self._pending[seq] = (payload, signature)
-            while len(self._pending) > _PENDING_CAPACITY:
-                self._pending.popitem(last=False)
-                evicted += 1
-        if evicted:
-            # An un-ACKed publication fell off the pending window: any ACK
-            # that arrives for it now can no longer be logged, so the
-            # publisher's half of that evidence is gone.  Count it -- a
-            # silent return in _log_publication hid this loss entirely.
-            self._outer.stats.bump("pending_evicted", evicted)
-            if not self._evict_warned:
-                self._evict_warned = True
-                logger.warning(
-                    "publisher %s topic %r evicted an un-ACKed publication "
-                    "from its pending window (capacity %d); its evidence is "
-                    "lost. Further evictions are counted in "
-                    "stats()['pending_evicted'] without this warning.",
-                    self._outer.component_id,
-                    self._topic,
-                    _PENDING_CAPACITY,
-                )
         return AdlpMessage(seq=seq, payload=payload, signature=signature).encode()
 
     # -- once per (publication, subscriber) ---------------------------------
+
+    def _own_evidence(self, seq: int, frame: bytes) -> Tuple[bytes, bytes]:
+        """``(D'_x, s'_x)`` this publisher reports for ``seq``: what the
+        frame it sends carries."""
+        msg = AdlpMessage.decode(frame)
+        return msg.payload, msg.signature
 
     def on_link_send(
         self, subscriber_id: str, connection: Connection, seq: int, frame: bytes
     ) -> None:
         connection.send_frame(frame)
+        payload, signature = self._own_evidence(seq, frame)
         config = self._outer.config
         if not config.require_ack:
+            self._remember_unacked(seq, subscriber_id, payload, signature)
             self._drain_async_acks(subscriber_id, connection)
             return
         # Bounded ACK wait with exponential backoff and capped retransmit:
@@ -299,14 +292,63 @@ class _AdlpPublisherProtocol(PublisherProtocol):
             # Log the publication anyway: the publisher's own record exists
             # even when the subscriber stays stealthy (the missing ACK is
             # itself evidence for the auditor).
-            self._log_publication(seq, subscriber_id, ack=None)
+            self._log_publication(seq, subscriber_id, None, payload, signature)
             if config.drop_unacked_subscriber:
                 raise ConnectionClosed(
                     f"subscriber {subscriber_id} did not acknowledge seq {seq}"
                 )
+            self._remember_unacked(seq, subscriber_id, payload, signature)
             return
         self._outer.stats.bump("acks_received")
-        self._log_publication(seq, subscriber_id, ack=ack)
+        self._log_publication(seq, subscriber_id, ack, payload, signature)
+
+    # -- the pending window ---------------------------------------------------
+
+    def _remember_unacked(
+        self, seq: int, subscriber_id: str, payload: bytes, signature: bytes
+    ) -> None:
+        """This link moves on without ``subscriber_id``'s ACK for ``seq``:
+        keep the publication so a late ACK can still be logged."""
+        evicted = 0
+        with self._pending_lock:
+            pending = self._pending.get(seq)
+            if pending is None:
+                pending = self._pending[seq] = (payload, signature, set())
+            pending[2].add(subscriber_id)
+            while len(self._pending) > _PENDING_CAPACITY:
+                self._pending.popitem(last=False)
+                evicted += 1
+        if evicted:
+            # An un-ACKed publication fell off the pending window: any ACK
+            # that arrives for it now can no longer be logged, so the
+            # publisher's half of that evidence is gone.  Count it.
+            self._outer.stats.bump("pending_evicted", evicted)
+            if not self._evict_warned:
+                self._evict_warned = True
+                logger.warning(
+                    "publisher %s topic %r evicted an un-ACKed publication "
+                    "from its pending window (capacity %d); its evidence is "
+                    "lost. Further evictions are counted in "
+                    "stats()['pending_evicted'] without this warning.",
+                    self._outer.component_id,
+                    self._topic,
+                    _PENDING_CAPACITY,
+                )
+
+    def _claim_unacked(
+        self, seq: int, subscriber_id: str
+    ) -> Optional[Tuple[bytes, bytes]]:
+        """``(payload, signature)`` of a publication still owed
+        ``subscriber_id``'s ACK, released from the window once no link is
+        owed one; ``None`` if it was ACKed in time, evicted or never sent."""
+        with self._pending_lock:
+            payload, signature, owed = self._pending.get(seq, (b"", b"", ()))
+            if subscriber_id not in owed:
+                return None
+            owed.remove(subscriber_id)
+            if not owed:
+                del self._pending[seq]
+            return payload, signature
 
     def _await_ack(
         self, subscriber_id: str, connection: Connection, seq: int, timeout: float
@@ -315,10 +357,11 @@ class _AdlpPublisherProtocol(PublisherProtocol):
 
         An ACK for an *earlier* publication arriving late (after its
         retransmits were exhausted and an unproven entry was logged) is
-        still a valid subscriber signature: if the publication is still in
-        the pending window, the proven entry is submitted instead of the
-        ACK being discarded as stale -- evidence that reached us must not
-        be thrown away.  Truly stale ACKs (evicted seq) are skipped.
+        still a valid subscriber signature: if the pending window still
+        owes this subscriber's ACK for it, the proven entry is submitted
+        instead of the ACK being discarded as stale -- evidence that
+        reached us must not be thrown away.  Truly stale ACKs (evicted,
+        already logged, or never published) are skipped.
         """
         deadline = time.monotonic() + timeout
         while True:
@@ -340,15 +383,12 @@ class _AdlpPublisherProtocol(PublisherProtocol):
                 continue
             if ack.seq == seq:
                 return ack
-            with self._pending_lock:
-                recoverable = ack.seq in self._pending
-            if recoverable:
-                # The entry stays in _pending: other subscriber links may
-                # still be awaiting (or recovering) their own ACKs for it.
+            late = self._claim_unacked(ack.seq, subscriber_id)
+            if late is not None:
                 self._outer.stats.bump("late_acks_recovered")
-                self._log_publication(ack.seq, subscriber_id, ack=ack)
+                self._log_publication(ack.seq, subscriber_id, ack, *late)
                 continue
-            # an old ACK for an evicted publication; ignore and keep reading
+            # an old ACK nothing is owed for; ignore and keep reading
             self._outer.stats.bump("stale_frames")
 
     def _drain_async_acks(self, subscriber_id: str, connection: Connection) -> None:
@@ -367,16 +407,18 @@ class _AdlpPublisherProtocol(PublisherProtocol):
                 self._outer.stats.bump("invalid_frames")
                 continue
             self._outer.stats.bump("acks_received")
-            self._log_publication(ack.seq, subscriber_id, ack=ack)
+            unacked = self._claim_unacked(ack.seq, subscriber_id)
+            if unacked is not None:
+                self._log_publication(ack.seq, subscriber_id, ack, *unacked)
 
     def _log_publication(
-        self, seq: int, subscriber_id: str, ack: Optional[AdlpAck]
+        self,
+        seq: int,
+        subscriber_id: str,
+        ack: Optional[AdlpAck],
+        payload: bytes,
+        signature: bytes,
     ) -> None:
-        with self._pending_lock:
-            pending = self._pending.get(seq)
-        if pending is None:
-            return  # evicted; nothing to log against
-        payload, signature = pending
         entry = LogEntry(
             component_id=self._outer.component_id,
             topic=self._topic,

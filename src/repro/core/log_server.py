@@ -8,11 +8,18 @@ component could depend on, so a logger failure cannot stall the data plane
 
 When backed by a :class:`~repro.storage.durable_store.DurableLogStore` the
 server also survives its *own* death: on construction it replays whatever
-the store recovered -- decoded entries, Merkle tree, per-component
-counters, and the key registry (journaled KEY records plus the checkpoint
-snapshot) -- and cross-checks the rebuilt state against the checkpoint
-commitments, so ``verify_integrity()``, ``merkle_root()``, and every audit
-verdict after a crash equal those of a never-crashed run.
+the store recovered -- Merkle tree, per-component counters, and the key
+registry (journaled KEY records plus the checkpoint snapshot) -- and
+cross-checks the rebuilt state against the checkpoint commitments, so
+``verify_integrity()``, ``merkle_root()``, and every audit verdict after a
+crash equal those of a never-crashed run.
+
+Memory model: the store holds each raw record once and the server holds no
+second form of it.  Every record is fully decoded on the way in (an
+undecodable one is refused, observers see the decoded entry) but the
+object is not kept; :meth:`LogServer.entries` decodes on first read and
+memoises, so an in-process auditor pays for the decoded copy when it asks
+and a remote one never does.
 """
 
 from __future__ import annotations
@@ -64,6 +71,8 @@ class LogServer:
         # identity test: an empty LogStore is falsy (it defines __len__),
         # `or` would wrongly replace it
         self.store: LogStore = store if store is not None else InMemoryLogStore()
+        #: memo of :meth:`entries`: the decoded form of the first
+        #: ``len(self._entries)`` records, extended on read
         self._entries: List[LogEntry] = []
         #: the one commitment structure: roots and proofs at the current
         #: and every historical size, O(log n) each
@@ -89,10 +98,15 @@ class LogServer:
         """Rebuild derived state from a store that recovered from disk."""
         records = self.store.records()
         recovery = getattr(self.store, "recovery", None)
+        anchor = getattr(recovery, "checkpoint_entries", None)
+        # per-component counts of the prefix the checkpoint covered
+        recount: Dict[str, int] = {}
         with self._lock:
             for index, record in enumerate(records):
                 try:
-                    decoded = LogEntry.decode(record)
+                    # no name bound to the decoded entry: it is freed
+                    # before the next record (and its payload) is decoded
+                    self._apply_derived(LogEntry.decode(record), record)
                 except DecodingError as exc:
                     # CRC and chain both passed, so these bytes are what
                     # was originally accepted -- an undecodable record here
@@ -100,13 +114,8 @@ class LogServer:
                     raise LogIntegrityError(
                         f"recovered record {index} does not decode: {exc}"
                     ) from exc
-                self._entries.append(decoded)
-                self._merkle.append(record)
-                cid = decoded.component_id
-                self._by_component[cid] = self._by_component.get(cid, 0) + 1
-                self._bytes_by_component[cid] = (
-                    self._bytes_by_component.get(cid, 0) + len(record)
-                )
+                if index + 1 == anchor:
+                    recount = dict(self._by_component)
             store_root = getattr(self.store, "merkle_root", None)
             if store_root is not None and store_root() != self._merkle.root():
                 raise LogIntegrityError(
@@ -115,7 +124,7 @@ class LogServer:
                 )
             extra = dict(recovery.extra) if recovery is not None else {}
             self._restore_keys(extra)
-            self._check_recovered_counters(extra)
+            self._check_recovered_counters(extra, anchor, recount)
 
     def _restore_keys(self, extra: Dict[str, Any]) -> None:
         keys: Dict[str, bytes] = {}
@@ -125,20 +134,17 @@ class LogServer:
         for component_id, key_bytes in keys.items():
             self.keystore.register(component_id, PublicKey.from_bytes(key_bytes))
 
-    def _check_recovered_counters(self, extra: Dict[str, Any]) -> None:
-        """The checkpoint's counters must match a recount of the prefix it
-        covered -- a mismatch means entries were reordered or substituted
-        in a way that kept the chain intact, which cannot happen short of
-        a broken store implementation, so fail loudly."""
+    @staticmethod
+    def _check_recovered_counters(
+        extra: Dict[str, Any], anchor: Optional[int], recount: Dict[str, int]
+    ) -> None:
+        """The checkpoint's counters must match the replay's recount of the
+        prefix it covered -- a mismatch means entries were reordered or
+        substituted in a way that kept the chain intact, which cannot
+        happen short of a broken store implementation, so fail loudly."""
         snapshot = extra.get("by_component")
-        anchor = getattr(
-            getattr(self.store, "recovery", None), "checkpoint_entries", None
-        )
         if snapshot is None or anchor is None:
             return
-        recount: Dict[str, int] = {}
-        for entry in self._entries[:anchor]:
-            recount[entry.component_id] = recount.get(entry.component_id, 0) + 1
         if recount != {k: int(v) for k, v in snapshot.items()}:
             raise LogIntegrityError(
                 "checkpointed per-component counters disagree with the "
@@ -208,7 +214,7 @@ class LogServer:
             # Derived state first, the store's append last: if the store
             # auto-checkpoints inside ``append``, the checkpoint must see
             # counters that already include this entry.
-            size = len(self._entries)
+            size = len(self._merkle)
             self._apply_derived(decoded, record)
             try:
                 index = self.store.append(record)
@@ -259,7 +265,7 @@ class LogServer:
                         f"undecodable log entry in batch: {exc}"
                     ) from exc
         with self._lock:
-            size = len(self._entries)
+            size = len(self._merkle)
             store_size = len(self.store)
             for decoded, record in pairs:
                 self._apply_derived(decoded, record)
@@ -285,8 +291,8 @@ class LogServer:
         return indices
 
     def _apply_derived(self, decoded: LogEntry, record: bytes) -> None:
-        """Fold one accepted entry into the derived state (lock held)."""
-        self._entries.append(decoded)
+        """Fold one accepted entry into the derived state (lock held);
+        ``decoded`` is read, not kept."""
         self._merkle.append(record)
         cid = decoded.component_id
         self._by_component[cid] = self._by_component.get(cid, 0) + 1
@@ -297,7 +303,6 @@ class LogServer:
     def _rollback_derived(self, size: int, pairs: List) -> None:
         """Undo :meth:`_apply_derived` for ``pairs``, shrinking the derived
         state back to ``size`` entries (lock held)."""
-        del self._entries[size:]
         self._merkle.truncate(size)
         for decoded, record in pairs:
             cid = decoded.component_id
@@ -317,8 +322,16 @@ class LogServer:
         direction: Optional[Direction] = None,
         seq: Optional[int] = None,
     ) -> List[LogEntry]:
-        """Entries matching every given filter, in ingestion order."""
+        """Entries matching every given filter, in ingestion order.
+
+        The first call after an ingest decodes the new records (under the
+        server lock) and memoises them; until an auditor asks, the server
+        holds the raw records only.
+        """
         with self._lock:
+            if len(self._entries) < len(self._merkle):
+                for record in self.store.records()[len(self._entries):]:
+                    self._entries.append(LogEntry.decode(record))
             result = list(self._entries)
         if component_id is not None:
             result = [e for e in result if e.component_id == component_id]
@@ -332,7 +345,7 @@ class LogServer:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._merkle)
 
     @property
     def total_bytes(self) -> int:
@@ -397,7 +410,7 @@ class LogServer:
         """
         with self._lock:
             return LogCommitment(
-                entries=len(self._entries),
+                entries=len(self._merkle),
                 chain_head=self.store.head(),
                 merkle_root=self._merkle.root(),
                 total_bytes=self.store.total_bytes,

@@ -20,6 +20,14 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def sha256_prefixed(prefix: bytes, data: bytes) -> bytes:
+    """SHA-256 of ``prefix || data``, both fed to one hash object: a short
+    prefix never costs a concatenated copy of a large payload."""
+    digest = hashlib.sha256(prefix)
+    digest.update(data)
+    return digest.digest()
+
+
 def sha256_hex(data: bytes) -> str:
     """Return the SHA-256 digest of ``data`` as a hex string."""
     return hashlib.sha256(data).hexdigest()
@@ -40,4 +48,4 @@ def data_digest(seq: int, data: bytes) -> bytes:
         raise ValueError("sequence numbers are non-negative")
     if seq >= 1 << 64:
         raise ValueError("sequence number exceeds 64 bits")
-    return sha256(seq.to_bytes(8, "big") + data)
+    return sha256_prefixed(seq.to_bytes(8, "big"), data)

@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.crypto.hashing import HASH_LEN, sha256
+from repro.crypto.hashing import HASH_LEN, sha256, sha256_prefixed
 from repro.errors import LogIntegrityError, ProofError
 
 # Domain-separation prefixes prevent a leaf from being reinterpreted as an
@@ -34,7 +34,7 @@ EMPTY_ROOT = sha256(b"repro.merkle.empty")
 
 def leaf_hash(payload: bytes) -> bytes:
     """Hash of a leaf record."""
-    return sha256(_LEAF_PREFIX + payload)
+    return sha256_prefixed(_LEAF_PREFIX, payload)
 
 
 def node_hash(left: bytes, right: bytes) -> bytes:

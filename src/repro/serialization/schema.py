@@ -19,11 +19,15 @@ are omitted on the wire; unknown fields are skipped on decode.
 from __future__ import annotations
 
 import enum as _enum
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.errors import DecodingError, SchemaError
 from repro.serialization import wire
 from repro.serialization.wire import WireType
+
+# Value decoders of :meth:`WireMessage.decode`, ordered so one comparison
+# separates the varint-coded kinds from the length-delimited ones.
+_UINT, _SINT, _BOOL, _ENUM, _DOUBLE, _BYTES, _STRING, _MESSAGE = range(8)
 
 
 class Field:
@@ -62,32 +66,34 @@ class Field:
         """Encode tag + value; empty bytes when the value is default."""
         raise NotImplementedError
 
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[Any, int]:
-        """Decode this field's value at ``offset``."""
+    def mismatch(self, wire_type: WireType) -> DecodingError:
+        """The rejection for this field arriving as ``wire_type``."""
         raise NotImplementedError
-
-    def merge(self, old: Any, new: Any) -> Any:
-        """Combine a re-occurring field (repeated fields accumulate)."""
-        return new
 
 
 class _ScalarField(Field):
-    """Shared machinery for the scalar field kinds."""
+    """Shared machinery for the scalar field kinds: ``kind`` names the
+    value decoder, ``tag`` is the encoded field tag, fixed at declaration."""
 
     wire_type: WireType
+    kind: int
 
-    def _check_wire_type(self, wire_type: WireType) -> None:
-        if wire_type is not self.wire_type:
-            raise DecodingError(
-                f"field {self.number} ({self.name}): expected wire type "
-                f"{self.wire_type.name}, got {wire_type.name}"
-            )
+    def __init__(self, number: int, default: Any):
+        super().__init__(number, default)
+        self.tag = wire.encode_tag(number, self.wire_type)
+
+    def mismatch(self, wire_type: WireType) -> DecodingError:
+        return DecodingError(
+            f"field {self.number} ({self.name}): expected wire type "
+            f"{self.wire_type.name}, got {wire_type.name}"
+        )
 
 
 class UInt64Field(_ScalarField):
     """Unsigned 64-bit varint field."""
 
     wire_type = WireType.VARINT
+    kind = _UINT
 
     def __init__(self, number: int):
         super().__init__(number, default=0)
@@ -101,17 +107,14 @@ class UInt64Field(_ScalarField):
     def encode(self, value: int) -> bytes:
         if value == 0:
             return b""
-        return wire.encode_tag(self.number, self.wire_type) + wire.encode_varint(value)
-
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[int, int]:
-        self._check_wire_type(wire_type)
-        return wire.decode_varint(data, offset)
+        return self.tag + wire.encode_varint(value)
 
 
 class SInt64Field(_ScalarField):
     """Signed 64-bit field, zigzag-encoded varint."""
 
     wire_type = WireType.VARINT
+    kind = _SINT
 
     def __init__(self, number: int):
         super().__init__(number, default=0)
@@ -125,20 +128,14 @@ class SInt64Field(_ScalarField):
     def encode(self, value: int) -> bytes:
         if value == 0:
             return b""
-        return wire.encode_tag(self.number, self.wire_type) + wire.encode_varint(
-            wire.zigzag_encode(value)
-        )
-
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[int, int]:
-        self._check_wire_type(wire_type)
-        raw, pos = wire.decode_varint(data, offset)
-        return wire.zigzag_decode(raw), pos
+        return self.tag + wire.encode_varint(wire.zigzag_encode(value))
 
 
 class BoolField(_ScalarField):
     """Boolean field encoded as a 0/1 varint."""
 
     wire_type = WireType.VARINT
+    kind = _BOOL
 
     def __init__(self, number: int):
         super().__init__(number, default=False)
@@ -149,18 +146,14 @@ class BoolField(_ScalarField):
     def encode(self, value: bool) -> bytes:
         if not value:
             return b""
-        return wire.encode_tag(self.number, self.wire_type) + wire.encode_varint(1)
-
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[bool, int]:
-        self._check_wire_type(wire_type)
-        raw, pos = wire.decode_varint(data, offset)
-        return bool(raw), pos
+        return self.tag + b"\x01"
 
 
 class DoubleField(_ScalarField):
     """IEEE-754 double field (I64 wire type)."""
 
     wire_type = WireType.I64
+    kind = _DOUBLE
 
     def __init__(self, number: int):
         super().__init__(number, default=0.0)
@@ -171,17 +164,14 @@ class DoubleField(_ScalarField):
     def encode(self, value: float) -> bytes:
         if value == 0.0:
             return b""
-        return wire.encode_tag(self.number, self.wire_type) + wire.encode_double(value)
-
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[float, int]:
-        self._check_wire_type(wire_type)
-        return wire.decode_double(data, offset)
+        return self.tag + wire.encode_double(value)
 
 
 class BytesField(_ScalarField):
     """Raw bytes field (LEN wire type)."""
 
     wire_type = WireType.LEN
+    kind = _BYTES
 
     def __init__(self, number: int):
         super().__init__(number, default=b"")
@@ -196,15 +186,13 @@ class BytesField(_ScalarField):
     def encode(self, value: bytes) -> bytes:
         if not value:
             return b""
-        return wire.encode_tag(self.number, self.wire_type) + wire.encode_length_delimited(value)
-
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[bytes, int]:
-        self._check_wire_type(wire_type)
-        return wire.decode_length_delimited(data, offset)
+        return self.tag + wire.encode_length_delimited(value)
 
 
 class StringField(BytesField):
     """UTF-8 string field (LEN wire type)."""
+
+    kind = _STRING
 
     def __init__(self, number: int):
         _ScalarField.__init__(self, number, default="")
@@ -217,26 +205,19 @@ class StringField(BytesField):
     def encode(self, value: str) -> bytes:
         if not value:
             return b""
-        return wire.encode_tag(self.number, self.wire_type) + wire.encode_length_delimited(
-            value.encode("utf-8")
-        )
-
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[str, int]:
-        self._check_wire_type(wire_type)
-        payload, pos = wire.decode_length_delimited(data, offset)
-        try:
-            return payload.decode("utf-8"), pos
-        except UnicodeDecodeError as exc:
-            raise DecodingError(f"field {self.number}: invalid UTF-8") from exc
+        return self.tag + wire.encode_length_delimited(value.encode("utf-8"))
 
 
 class EnumField(_ScalarField):
     """Field holding a Python :class:`enum.IntEnum` value as a varint."""
 
     wire_type = WireType.VARINT
+    kind = _ENUM
 
     def __init__(self, number: int, enum_type: Type[_enum.IntEnum]):
         self.enum_type = enum_type
+        #: wire value -> member, so decoding skips the ``Enum`` call machinery
+        self.members = {member.value: member for member in enum_type}
         default = list(enum_type)[0]
         super().__init__(number, default=default)
 
@@ -246,17 +227,7 @@ class EnumField(_ScalarField):
     def encode(self, value: _enum.IntEnum) -> bytes:
         if int(value) == int(self.default):
             return b""
-        return wire.encode_tag(self.number, self.wire_type) + wire.encode_varint(int(value))
-
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[Any, int]:
-        self._check_wire_type(wire_type)
-        raw, pos = wire.decode_varint(data, offset)
-        try:
-            return self.enum_type(raw), pos
-        except ValueError as exc:
-            raise DecodingError(
-                f"field {self.number}: {raw} is not a valid {self.enum_type.__name__}"
-            ) from exc
+        return self.tag + wire.encode_varint(int(value))
 
 
 class MessageField(Field):
@@ -267,9 +238,11 @@ class MessageField(Field):
     """
 
     wire_type = WireType.LEN
+    kind = _MESSAGE
 
     def __init__(self, number: int, message_type):
         super().__init__(number, default=None)
+        self.tag = wire.encode_tag(number, WireType.LEN)
         self._message_type = message_type
 
     @property
@@ -288,15 +261,10 @@ class MessageField(Field):
     def encode(self, value: Optional["WireMessage"]) -> bytes:
         if value is None:
             return b""
-        return wire.encode_tag(self.number, WireType.LEN) + wire.encode_length_delimited(
-            value.encode()
-        )
+        return self.tag + wire.encode_length_delimited(value.encode())
 
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[Any, int]:
-        if wire_type is not WireType.LEN:
-            raise DecodingError(f"field {self.number}: nested messages use LEN")
-        payload, pos = wire.decode_length_delimited(data, offset)
-        return self.message_type.decode(payload), pos
+    def mismatch(self, wire_type: WireType) -> DecodingError:
+        return DecodingError(f"field {self.number}: nested messages use LEN")
 
 
 class RepeatedField(Field):
@@ -347,13 +315,8 @@ class RepeatedField(Field):
         # varint-coded kinds (uint, sint, bool, enum)
         return wire.encode_tag(element.number, WireType.VARINT) + wire.encode_varint(0)
 
-    def decode(self, data: bytes, offset: int, wire_type: WireType) -> Tuple[Any, int]:
-        return self.element.decode(data, offset, wire_type)
-
-    def merge(self, old: Any, new: Any) -> Any:
-        items = list(old) if old else []
-        items.append(new)
-        return items
+    def mismatch(self, wire_type: WireType) -> DecodingError:
+        return self.element.mismatch(wire_type)
 
 
 class WireMessage:
@@ -361,6 +324,11 @@ class WireMessage:
 
     _fields_by_name: Dict[str, Field]
     _fields_by_number: Dict[int, Field]
+    #: fields in number order, the order :meth:`encode` emits them
+    _encode_order: Tuple[Field, ...]
+    #: tag value -> (kind, name, repeated, element field): every tag
+    #: :meth:`decode` accepts; any other tag is skipped or rejected
+    _decode_table: Dict[int, Tuple[int, str, bool, Field]]
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -378,6 +346,15 @@ class WireMessage:
                     fields_by_number[attr.number] = attr
         cls._fields_by_name = fields_by_name
         cls._fields_by_number = fields_by_number
+        cls._encode_order = tuple(
+            sorted(fields_by_number.values(), key=lambda f: f.number)
+        )
+        cls._decode_table = {}
+        for field in cls._encode_order:
+            element = getattr(field, "element", field)
+            cls._decode_table[(field.number << 3) | element.wire_type] = (
+                element.kind, field.name, element is not field, element
+            )
 
     def __init__(self, **kwargs: Any) -> None:
         for name, value in kwargs.items():
@@ -387,28 +364,89 @@ class WireMessage:
 
     def encode(self) -> bytes:
         """Serialize to protobuf wire format (fields in number order)."""
+        values = self.__dict__
         parts = []
-        for field in sorted(self._fields_by_number.values(), key=lambda f: f.number):
-            value = getattr(self, field.name)
-            if field.is_default(value):
+        for field in self._encode_order:
+            value = values.get(field.name)
+            if value is None or field.is_default(value):
                 continue
             parts.append(field.encode(value))
         return b"".join(parts)
 
     @classmethod
     def decode(cls, data: bytes):
-        """Parse an instance from wire format, skipping unknown fields."""
+        """Parse an instance from wire format, skipping unknown fields.
+
+        One loop over :attr:`_decode_table`; ``tests/serialization/
+        reference_decode.py`` holds the field-by-field decoder it must
+        agree with on every input, value or error text.
+        """
         instance = cls()
-        offset = 0
-        while offset < len(data):
-            number, wire_type, offset = wire.decode_tag(data, offset)
-            field = cls._fields_by_number.get(number)
-            if field is None:
-                offset = wire.skip_field(data, offset, wire_type)
+        values = instance.__dict__
+        table = cls._decode_table
+        decode_varint = wire.decode_varint
+        size = len(data)
+        pos = 0
+        while pos < size:
+            start = pos
+            tag = data[pos]
+            if tag < 0x80:
+                pos += 1
+            else:
+                tag, pos = decode_varint(data, pos)
+            entry = table.get(tag)
+            if entry is None:
+                # malformed tag, known field on another wire type, or a
+                # field this schema does not know (skipped)
+                number, wire_type, pos = wire.decode_tag(data, start)
+                field = cls._fields_by_number.get(number)
+                if field is not None:
+                    raise field.mismatch(wire_type)
+                pos = wire.skip_field(data, pos, wire_type)
                 continue
-            value, offset = field.decode(data, offset, wire_type)
-            current = instance.__dict__.get(field.name)
-            instance.__dict__[field.name] = field.merge(current, value)
+            kind, name, repeated, field = entry
+            if kind == _DOUBLE:
+                value, pos = wire.decode_double(data, pos)
+            else:
+                # the value itself, or the length of a LEN payload
+                if pos < size and data[pos] < 0x80:
+                    value = data[pos]
+                    pos += 1
+                else:
+                    value, pos = decode_varint(data, pos)
+                if kind >= _BYTES:
+                    end = pos + value
+                    if end > size:
+                        raise DecodingError("truncated length-delimited payload")
+                    value = data[pos:end]
+                    pos = end
+                    if kind == _STRING:
+                        try:
+                            value = value.decode("utf-8")
+                        except UnicodeDecodeError as exc:
+                            raise DecodingError(
+                                f"field {field.number}: invalid UTF-8"
+                            ) from exc
+                    elif kind == _MESSAGE:
+                        value = field.message_type.decode(value)
+                elif kind == _SINT:
+                    value = wire.zigzag_decode(value)
+                elif kind == _BOOL:
+                    value = bool(value)
+                elif kind == _ENUM:
+                    try:
+                        value = field.members[value]
+                    except KeyError:
+                        raise DecodingError(
+                            f"field {field.number}: {value} is not a valid "
+                            f"{field.enum_type.__name__}"
+                        ) from None
+            if not repeated:
+                values[name] = value
+            elif name in values:
+                values[name].append(value)
+            else:
+                values[name] = [value]
         return instance
 
     def encoded_size(self) -> int:

@@ -6,7 +6,7 @@ between checkpoint temp-write and rename, ...).  Tests *arm* a point by
 name and the next passage either raises :class:`SimulatedCrash` (in-process
 tests) or hard-exits the interpreter without flushing buffers (subprocess
 tests, the closest a cooperative process gets to SIGKILL).  Unarmed points
-cost one dictionary lookup.
+cost one dictionary lookup and take no lock.
 
 This mirrors PR 1's seeded fault schedules: crashes are deterministic,
 nameable, and replayable, so every recovery test pins down exactly which
@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import Callable, Dict, FrozenSet, Optional
 
 #: Exit status used by the ``exit`` action, chosen to mimic SIGKILL (137 =
 #: 128 + 9) so harnesses treat a simulated crash like a real kill.
@@ -98,8 +98,18 @@ def passages(name: str) -> int:
         return arming.passages if arming is not None else 0
 
 
-def crashpoint(name: str) -> None:
-    """Crash here if the point is armed and due; no-op otherwise."""
+def crashpoint(name: str, flush: Optional[Callable[[], None]] = None) -> None:
+    """Crash here if the point is armed and due; no-op otherwise.
+
+    ``flush`` runs on every passage of an *armed* point, before the crash
+    decision: a writer passes its file's ``flush`` so the crash leaves the
+    bytes written so far on disk instead of in a Python buffer, without
+    paying a flush per passage when nothing is armed.
+    """
+    if name not in _armed:
+        return
+    if flush is not None:
+        flush()
     with _lock:
         arming = _armed.get(name)
         if arming is None:

@@ -232,7 +232,7 @@ class DurableLogStore(LogStore):
         with self._lock:
             entry = self._chain.append(record)
             try:
-                self._wal.append(REC_ENTRY, entry.digest + record)
+                self._wal.append(REC_ENTRY, entry.digest, record)
             except BaseException:
                 # Keep memory consistent with disk if the journal write
                 # blew up under us (a crashpoint or a real I/O error).
@@ -268,7 +268,7 @@ class DurableLogStore(LogStore):
                 items = []
                 for record in records:
                     entry = self._chain.append(record)
-                    items.append((REC_ENTRY, entry.digest + record))
+                    items.append((REC_ENTRY, entry.digest, record))
                 self._wal.append_many(items)
             except BaseException:
                 self._chain.truncate(base)

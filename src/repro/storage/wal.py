@@ -78,11 +78,6 @@ def _encode_header(index: int) -> bytes:
     return body + _CRC.pack(_crc(body))
 
 
-def _encode_record(rtype: int, payload: bytes) -> bytes:
-    head = _REC_HEAD.pack(len(payload), rtype)
-    return head + payload + _CRC.pack(_crc(head + payload))
-
-
 @dataclass(frozen=True)
 class WalRecord:
     """One replayed record: its type byte, payload, and home segment."""
@@ -161,7 +156,7 @@ def _scan_segment(path: str, expected_index: int) -> Iterator[WalRecord]:
             crc_raw = f.read(_CRC.size)
             if len(payload) < length or len(crc_raw) < _CRC.size:
                 raise _TornTail(offset, "short record body")
-            if _CRC.unpack(crc_raw)[0] != _crc(head + payload):
+            if _CRC.unpack(crc_raw)[0] != zlib.crc32(payload, zlib.crc32(head)):
                 raise _TornTail(offset, "record checksum mismatch")
             yield WalRecord(rtype=rtype, payload=payload, segment=seg_index)
             offset += _REC_HEAD.size + length + _CRC.size
@@ -293,27 +288,48 @@ class WriteAheadLog:
 
     # -- appending --------------------------------------------------------
 
-    def append(self, rtype: int, payload: bytes) -> None:
-        """Durably append one record (durability per the fsync policy)."""
-        encoded = _encode_record(rtype, payload)
+    def _write_record(self, rtype: int, parts: Sequence[bytes]) -> None:
+        """Buffer one record whose payload is the concatenation of
+        ``parts`` (lock held).  Head, parts and CRC go to the file as
+        separate buffers under a running CRC, so a large part is never
+        copied; the ``wal.mid_record`` crashpoint sits at the byte midpoint
+        of the record and, when armed, flushes first, so it leaves a
+        genuinely torn record on disk rather than an empty Python buffer.
+        """
+        length = 0
+        for part in parts:
+            length += len(part)
+        head = _REC_HEAD.pack(length, rtype)
+        crc = zlib.crc32(head)
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+        total = _REC_HEAD.size + length + _CRC.size
+        write = self._file.write
+        cut = total // 2  # bytes still to write before the midpoint
+        for buffer in (head, *parts, _CRC.pack(crc)):
+            if 0 <= cut < len(buffer):
+                view = memoryview(buffer)
+                write(view[:cut])
+                crashpoint("wal.mid_record", self._file.flush)
+                write(view[cut:])
+            else:
+                write(buffer)
+            cut -= len(buffer)
+        self._segment_bytes += total
+
+    def append(self, rtype: int, *parts: bytes) -> None:
+        """Durably append one record whose payload is ``parts``
+        concatenated (durability per the fsync policy)."""
         with self._lock:
-            # Write in two halves with an intervening flush so the
-            # ``wal.mid_record`` crashpoint leaves a genuinely torn record
-            # on disk rather than an empty Python buffer.
-            half = len(encoded) // 2
-            self._file.write(encoded[:half])
-            self._file.flush()
-            crashpoint("wal.mid_record")
-            self._file.write(encoded[half:])
+            self._write_record(rtype, parts)
             self._file.flush()
             crashpoint("wal.pre_fsync")
             self._maybe_sync()
-            self._segment_bytes += len(encoded)
             if self._segment_bytes >= self.segment_max_bytes:
                 self._rotate()
 
-    def append_many(self, items: Sequence[Tuple[int, bytes]]) -> None:
-        """Durably append ``(rtype, payload)`` records as one group commit.
+    def append_many(self, items: Sequence[Tuple]) -> None:
+        """Durably append ``(rtype, *parts)`` records as one group commit.
 
         The whole batch is written as one burst and synced **once** per the
         fsync policy (one fsync per batch under ``always``, instead of one
@@ -338,21 +354,10 @@ class WriteAheadLog:
             start = self._file.tell()
             segment_bytes = self._segment_bytes
             try:
-                written = 0
-                for rtype, payload in items:
-                    if written:
-                        crashpoint("wal.batch_mid")
-                    encoded = _encode_record(rtype, payload)
-                    # Same two-halves discipline as ``append`` so the
-                    # ``wal.mid_record`` crashpoint tears a batched record
-                    # the way it tears a lone one.
-                    half = len(encoded) // 2
-                    self._file.write(encoded[:half])
-                    self._file.flush()
-                    crashpoint("wal.mid_record")
-                    self._file.write(encoded[half:])
-                    self._segment_bytes += len(encoded)
-                    written += 1
+                for position, (rtype, *parts) in enumerate(items):
+                    if position:
+                        crashpoint("wal.batch_mid", self._file.flush)
+                    self._write_record(rtype, parts)
                 self._file.flush()
                 crashpoint("wal.pre_fsync")
                 self._maybe_sync()

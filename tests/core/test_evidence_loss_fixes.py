@@ -9,7 +9,10 @@ Four fixes, one theme: evidence that exists must not silently evaporate.
    it is now counted (``pending_evicted``) and warned about once.
 3. An ACK arriving after retransmit exhaustion was discarded as stale even
    though its publication was still pending; the proven entry is now
-   submitted (``late_acks_recovered``).
+   submitted (``late_acks_recovered``).  The window holds exactly the
+   publications a link moved past without an ACK (driven here through
+   ``on_link_send`` over a scripted connection): an ACKed publication is
+   logged from its frame and kept nowhere.
 4. The subscriber's ACK cache was bounded by count only; with
    ``ack_returns_data`` each cached ACK embeds the payload, so it is now
    bounded by bytes as well.
@@ -54,6 +57,19 @@ def subscriber_ack(keypool, seq: int, payload: bytes) -> AdlpAck:
     )
 
 
+#: A link that moves on past an un-ACKed publication instead of dropping
+#: the subscriber -- the only configuration in which a late ACK can arrive.
+LENIENT = AdlpConfig(key_bits=512, drop_unacked_subscriber=False)
+
+
+def send(pub_proto, subscriber_id: str, seq: int, payload: bytes, replies=()):
+    """Publish ``payload`` to one subscriber link whose connection answers
+    with ``replies`` and then falls silent (an immediate ACK timeout)."""
+    pub_proto.on_link_send(
+        subscriber_id, FakeConn(replies), seq, pub_proto.make_frame(seq, payload)
+    )
+
+
 class TestAggregatorDeadlineFlush:
     def test_flush_expired_uses_injected_clock(self):
         clock = SimulatedClock()
@@ -87,10 +103,8 @@ class TestAggregatorDeadlineFlush:
         try:
             pub_proto = protocol.publisher_protocol(TOPIC, "std/String")
             payload = b"last message"
-            pub_proto.make_frame(1, payload)
-            pub_proto._log_publication(
-                1, "/sub0", ack=subscriber_ack(keypool, 1, payload)
-            )
+            send(pub_proto, "/sub0", 1, payload,
+                 [subscriber_ack(keypool, 1, payload).encode()])
             # The window has not lapsed and no later ACK will ever arrive.
             assert protocol.flush(2.0)
             assert len(server) == 0
@@ -118,10 +132,8 @@ class TestAggregatorDeadlineFlush:
         try:
             pub_proto = protocol.publisher_protocol(TOPIC, "std/String")
             payload = b"m"
-            pub_proto.make_frame(1, payload)
-            pub_proto._log_publication(
-                1, "/sub0", ack=subscriber_ack(keypool, 1, payload)
-            )
+            send(pub_proto, "/sub0", 1, payload,
+                 [subscriber_ack(keypool, 1, payload).encode()])
             pub_proto.close()  # explicit close flushes regardless of window
             assert protocol.flush(2.0)
             assert len(server) == 1
@@ -133,32 +145,50 @@ class TestPendingEvictionCounted:
     def test_eviction_bumps_counter(self, keypool, monkeypatch):
         monkeypatch.setattr(adlp_module, "_PENDING_CAPACITY", 4)
         server = LogServer()
-        protocol = AdlpProtocol(
-            "/pub", server, config=AdlpConfig(key_bits=512), keypair=keypool[0]
-        )
+        protocol = AdlpProtocol("/pub", server, config=LENIENT, keypair=keypool[0])
         try:
             pub_proto = protocol.publisher_protocol(TOPIC, "std/String")
             for seq in range(1, 5):
-                pub_proto.make_frame(seq, b"m%d" % seq)
+                send(pub_proto, "/sub", seq, b"m%d" % seq)
             assert protocol.stats.pending_evicted == 0
             for seq in range(5, 8):
-                pub_proto.make_frame(seq, b"m%d" % seq)
+                send(pub_proto, "/sub", seq, b"m%d" % seq)
             assert protocol.stats.pending_evicted == 3
             assert "pending_evicted" in protocol.stats.as_dict()
+        finally:
+            protocol.close()
+
+    def test_acked_publications_never_enter_the_window(self, keypool, monkeypatch):
+        """Only what a late ACK can still claim is kept: a publication
+        ACKed in time is logged from its frame and held nowhere, so it is
+        neither counted against the cap nor ever "evicted"."""
+        monkeypatch.setattr(adlp_module, "_PENDING_CAPACITY", 1)
+        server = LogServer()
+        protocol = AdlpProtocol("/pub", server, config=LENIENT, keypair=keypool[0])
+        try:
+            pub_proto = protocol.publisher_protocol(TOPIC, "std/String")
+            for seq in range(1, 6):
+                payload = b"m%d" % seq
+                send(pub_proto, "/sub", seq, payload,
+                     [subscriber_ack(keypool, seq, payload).encode()])
+                assert not pub_proto._pending
+            assert protocol.stats.pending_evicted == 0
+            assert protocol.flush(2.0)
+            entries = server.entries(component_id="/pub")
+            assert [e.seq for e in entries] == [1, 2, 3, 4, 5]
+            assert all(e.peer_id == "/sub" and e.peer_sig for e in entries)
         finally:
             protocol.close()
 
     def test_eviction_warns_once(self, keypool, monkeypatch, caplog):
         monkeypatch.setattr(adlp_module, "_PENDING_CAPACITY", 2)
         server = LogServer()
-        protocol = AdlpProtocol(
-            "/pub", server, config=AdlpConfig(key_bits=512), keypair=keypool[0]
-        )
+        protocol = AdlpProtocol("/pub", server, config=LENIENT, keypair=keypool[0])
         try:
             pub_proto = protocol.publisher_protocol(TOPIC, "std/String")
             with caplog.at_level("WARNING", logger="repro.core.adlp_protocol"):
                 for seq in range(1, 7):
-                    pub_proto.make_frame(seq, b"x")
+                    send(pub_proto, "/sub", seq, b"x")
             warnings = [
                 r for r in caplog.records if "evicted an un-ACKed" in r.message
             ]
@@ -169,20 +199,24 @@ class TestPendingEvictionCounted:
 
     def test_evicted_ack_cannot_be_logged(self, keypool, monkeypatch):
         """The loss the counter makes visible: an ACK for an evicted seq
-        produces no entry (there is nothing to log it against)."""
+        produces no proven entry (there is nothing to log it against)."""
         monkeypatch.setattr(adlp_module, "_PENDING_CAPACITY", 1)
         server = LogServer()
-        protocol = AdlpProtocol(
-            "/pub", server, config=AdlpConfig(key_bits=512), keypair=keypool[0]
-        )
+        protocol = AdlpProtocol("/pub", server, config=LENIENT, keypair=keypool[0])
         try:
             pub_proto = protocol.publisher_protocol(TOPIC, "std/String")
-            pub_proto.make_frame(1, b"one")
-            pub_proto.make_frame(2, b"two")  # evicts seq 1
-            pub_proto._log_publication(1, "/sub", subscriber_ack(keypool, 1, b"one"))
+            send(pub_proto, "/sub", 1, b"one")
+            send(pub_proto, "/sub", 2, b"two")  # evicts seq 1
+            send(pub_proto, "/sub", 3, b"three",
+                 [subscriber_ack(keypool, 1, b"one").encode()])
+            assert protocol.stats.pending_evicted == 2
+            assert protocol.stats.stale_frames == 1
+            assert protocol.stats.late_acks_recovered == 0
             assert protocol.flush(2.0)
-            assert len(server) == 0
-            assert protocol.stats.pending_evicted == 1
+            # one unproven entry per publication, nothing proven
+            entries = server.entries(component_id="/pub")
+            assert [e.seq for e in entries] == [1, 2, 3]
+            assert not any(e.peer_sig for e in entries)
         finally:
             protocol.close()
 
@@ -190,55 +224,63 @@ class TestPendingEvictionCounted:
 class TestLateAckRecovered:
     def test_late_ack_submits_proven_entry(self, keypool):
         server = LogServer()
-        protocol = AdlpProtocol(
-            "/pub", server, config=AdlpConfig(key_bits=512), keypair=keypool[0]
-        )
+        protocol = AdlpProtocol("/pub", server, config=LENIENT, keypair=keypool[0])
         try:
             pub_proto = protocol.publisher_protocol(TOPIC, "std/String")
-            pub_proto.make_frame(1, b"one")
-            pub_proto.make_frame(2, b"two")
-            ack1 = subscriber_ack(keypool, 1, b"one")
-            ack2 = subscriber_ack(keypool, 2, b"two")
-            conn = FakeConn([ack1.encode(), ack2.encode()])
+            send(pub_proto, "/sub", 1, b"one")  # moves on without the ACK
+            assert list(pub_proto._pending) == [1]
             # Awaiting seq 2, the late ACK for the still-pending seq 1
             # arrives first: it must be recovered, not discarded.
-            got = pub_proto._await_ack("/sub", conn, 2, timeout=1.0)
-            assert got is not None and got.seq == 2
+            send(pub_proto, "/sub", 2, b"two", [
+                subscriber_ack(keypool, 1, b"one").encode(),
+                subscriber_ack(keypool, 2, b"two").encode(),
+            ])
             assert protocol.stats.late_acks_recovered == 1
             assert protocol.stats.stale_frames == 0
+            assert protocol.stats.acks_received == 1
+            assert not pub_proto._pending  # claimed: nothing left to hold
             assert protocol.flush(2.0)
-            entries = server.entries(component_id="/pub")
-            assert [e.seq for e in entries] == [1]
+            unproven, proven = server.entries(component_id="/pub", seq=1)
+            assert not unproven.peer_sig
             # The recovered entry is *proven*: it carries the subscriber's
             # signature over the acknowledged hash.
-            assert entries[0].peer_id == "/sub"
-            assert entries[0].peer_hash == message_digest(1, b"one")
-            assert keypool[1].public.verify_digest(
-                entries[0].peer_hash, entries[0].peer_sig
+            assert proven.data == b"one"
+            assert proven.peer_id == "/sub"
+            assert proven.peer_hash == message_digest(1, b"one")
+            assert keypool[1].public.verify_digest(proven.peer_hash, proven.peer_sig)
+            assert keypool[0].public.verify_digest(
+                message_digest(1, b"one"), proven.own_sig
             )
         finally:
             protocol.close()
 
     def test_entry_stays_pending_for_other_links(self, keypool):
-        """Recovery must not pop the publication: another subscriber link
-        may still deliver (or recover) its own ACK for the same seq."""
+        """Recovery by one link must not release the publication: another
+        subscriber link may still recover its own ACK for the same seq.
+        Both links share one payload object while they wait."""
         server = LogServer()
-        protocol = AdlpProtocol(
-            "/pub", server, config=AdlpConfig(key_bits=512), keypair=keypool[0]
-        )
+        protocol = AdlpProtocol("/pub", server, config=LENIENT, keypair=keypool[0])
         try:
             pub_proto = protocol.publisher_protocol(TOPIC, "std/String")
-            pub_proto.make_frame(1, b"one")
-            pub_proto.make_frame(2, b"two")
-            ack1 = subscriber_ack(keypool, 1, b"one")
-            conn_a = FakeConn([ack1.encode(), subscriber_ack(keypool, 2, b"two").encode()])
-            pub_proto._await_ack("/subA", conn_a, 2, timeout=1.0)
-            conn_b = FakeConn([ack1.encode(), subscriber_ack(keypool, 2, b"two").encode()])
-            pub_proto._await_ack("/subB", conn_b, 2, timeout=1.0)
+            frame = pub_proto.make_frame(1, b"one")
+            pub_proto.on_link_send("/subA", FakeConn(), 1, frame)
+            pub_proto.on_link_send("/subB", FakeConn(), 1, frame)
+            assert pub_proto._pending[1][2] == {"/subA", "/subB"}
+            acks = [
+                subscriber_ack(keypool, 1, b"one").encode(),
+                subscriber_ack(keypool, 2, b"two").encode(),
+            ]
+            frame = pub_proto.make_frame(2, b"two")
+            pub_proto.on_link_send("/subA", FakeConn(acks), 2, frame)
+            assert pub_proto._pending[1][2] == {"/subB"}
+            pub_proto.on_link_send("/subB", FakeConn(acks), 2, frame)
+            assert not pub_proto._pending
             assert protocol.stats.late_acks_recovered == 2
             assert protocol.flush(2.0)
             peers = sorted(
-                e.peer_id for e in server.entries(component_id="/pub", seq=1)
+                e.peer_id
+                for e in server.entries(component_id="/pub", seq=1)
+                if e.peer_sig
             )
             assert peers == ["/subA", "/subB"]
         finally:
@@ -246,23 +288,21 @@ class TestLateAckRecovered:
 
     def test_truly_stale_ack_still_dropped(self, keypool):
         server = LogServer()
-        protocol = AdlpProtocol(
-            "/pub", server, config=AdlpConfig(key_bits=512), keypair=keypool[0]
-        )
+        protocol = AdlpProtocol("/pub", server, config=LENIENT, keypair=keypool[0])
         try:
             pub_proto = protocol.publisher_protocol(TOPIC, "std/String")
-            pub_proto.make_frame(2, b"two")
-            # seq 99 was never published (not in the pending window).
+            ack1 = subscriber_ack(keypool, 1, b"one").encode()
+            send(pub_proto, "/sub", 1, b"one", [ack1])
+            # seq 99 was never published, and seq 1 was ACKed in time (a
+            # re-ACK of a retransmitted frame): nothing is owed for either.
             ghost = subscriber_ack(keypool, 99, b"zzz")
-            conn = FakeConn(
-                [ghost.encode(), subscriber_ack(keypool, 2, b"two").encode()]
-            )
-            got = pub_proto._await_ack("/sub", conn, 2, timeout=1.0)
-            assert got is not None and got.seq == 2
-            assert protocol.stats.stale_frames == 1
+            send(pub_proto, "/sub", 2, b"two", [
+                ghost.encode(), ack1, subscriber_ack(keypool, 2, b"two").encode(),
+            ])
+            assert protocol.stats.stale_frames == 2
             assert protocol.stats.late_acks_recovered == 0
             assert protocol.flush(2.0)
-            assert len(server) == 0
+            assert [e.seq for e in server.entries(component_id="/pub")] == [1, 2]
         finally:
             protocol.close()
 
