@@ -13,17 +13,13 @@ pre-envelope discipline of one exchange in flight per connection:
   socket -- the acceptance row (pipelining plus group commit);
 - ``fanin``: how many concurrently connected clients one event-loop
   endpoint holds while answering all of them (the selectors rebuild's
-  claim, counted not asserted-by-vibes);
-- ``sharded``: a cross-shard batch against 4 worker processes whose
-  per-entry ingest cost is a 1 ms stall, submitted shard-at-a-time vs
-  fanned out -- the parent pays max-not-sum when sub-batches overlap.
+  claim, counted not asserted-by-vibes).
 
 Pipelining hides waiting, it does not create CPU: per-entry speedups
 beyond turnaround-hiding need cores, so that assertion is gated on
 :func:`host_cpu_count` and every saved row carries the ``cpu_count`` it
-was measured on.  The batched and sharded bars come from overlapping
-waits (frame turnaround, injected ingest stalls) and hold even on one
-CPU.  Correctness is asserted in ``tests/core/test_remote_pipeline.py``
+was measured on.  The batched bar comes from overlapping waits (frame
+turnaround) and holds even on one CPU.  Correctness is asserted in ``tests/core/test_remote_pipeline.py``
 and ``tests/core/test_fanin_soak.py``; this file measures only speed.
 Set ``REPRO_BENCH_SMOKE=1`` for a tiny CI-sized workload.
 """
@@ -31,17 +27,12 @@ Set ``REPRO_BENCH_SMOKE=1`` for a tiny CI-sized workload.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import threading
-
-import pytest
 
 from repro.bench.reporting import Table, host_cpu_count, save_results
 from repro.core.entries import LogEntry, Scheme
 from repro.core.log_server import LogServer
 from repro.core.remote import LogServerEndpoint, RemoteLogger
-from repro.sharding import ProcessShardedLogServer
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 ENTRIES = 128 if SMOKE else 512
@@ -54,10 +45,6 @@ ROUNDS = 1 if SMOKE else 3
 # round, so the minimum is the least-noise estimate of each mode.
 RPC_ROUNDS = 3 if SMOKE else 5
 FANIN_CLIENTS = 32 if SMOKE else 256
-# One topic per shard at 4 shards (H(topic) % 4 == 0..3 in this order).
-SHARD_TOPICS = ("/shard0", "/shard2", "/shard10", "/shard1")
-SHARD_DELAY = 0.001
-SHARD_BATCH = 64
 
 _results: dict = {}
 
@@ -69,11 +56,11 @@ def _row(value: float) -> dict:
     return {"value": value, "cpu_count": host_cpu_count()}
 
 
-def _entries(count: int, base: int = 0, topic: str = "/t") -> list:
+def _entries(count: int, base: int = 0) -> list:
     return [
         LogEntry(
             component_id="/pub",
-            topic=topic,
+            topic="/t",
             seq=base + i,
             scheme=Scheme.ADLP,
             data=b"x" * 64,
@@ -210,61 +197,6 @@ def test_fanin_connections(benchmark):
     _results["fanin_seconds"] = benchmark.stats.stats.mean
 
 
-# -- sharded fan-out: max-not-sum across worker processes ---------------------
-
-
-@pytest.mark.parametrize("mode", ["serial", "fanout"])
-def test_sharded_submit(benchmark, mode):
-    """Cross-shard acknowledged batches against 4 worker processes with a
-    1 ms per-entry ingest stall (standing in for signature checks and
-    fsync).  ``serial`` submits one shard's sub-batch at a time; ``fanout``
-    hands `submit_batch` a batch spanning all four shards, whose
-    sub-batches the parent pipelines concurrently."""
-    store_dir = tempfile.mkdtemp(prefix=f"bench-async-{mode}-")
-    server = ProcessShardedLogServer(
-        shards=4,
-        store_dir=store_dir,
-        fsync="never",
-        ingest_delay=SHARD_DELAY,
-    )
-    assert {server.shard_of(t) for t in SHARD_TOPICS} == {0, 1, 2, 3}
-    seq = {topic: 0 for topic in SHARD_TOPICS}
-    per_shard = SHARD_BATCH // len(SHARD_TOPICS)
-
-    def next_batches():
-        """Fresh sub-batches, one per shard, ``per_shard`` entries each."""
-        batches = []
-        for topic in SHARD_TOPICS:
-            batches.append(
-                _entries(per_shard, base=seq[topic], topic=topic)
-            )
-            seq[topic] += per_shard
-        return batches
-
-    def serial():
-        for batch in next_batches():
-            server.submit_batch(batch)  # single-shard: nothing overlaps
-
-    def fanout():
-        batches = next_batches()
-        interleaved = [
-            batch[i] for i in range(per_shard) for batch in batches
-        ]
-        server.submit_batch(interleaved)  # spans all 4 shards at once
-
-    try:
-        benchmark.pedantic(
-            serial if mode == "serial" else fanout,
-            rounds=ROUNDS,
-            warmup_rounds=0,
-        )
-        assert len(server) == ROUNDS * SHARD_BATCH
-    finally:
-        server.close()
-        shutil.rmtree(store_dir, ignore_errors=True)
-    _results[f"sharded_{mode}"] = SHARD_BATCH / benchmark.stats.stats.mean
-
-
 # -- report -------------------------------------------------------------------
 
 
@@ -289,20 +221,6 @@ def test_report_async(benchmark):
     data["pipelined_batched_speedup"] = _row(batched_speedup)
     table.show()
 
-    shard_table = Table(
-        f"Sharded fan-out: entries/s, 4 worker processes, "
-        f"{int(SHARD_DELAY * 1000)} ms/entry ingest stall ({cpus} cpus)",
-        ["Mode", "Entries/s", "vs shard-at-a-time"],
-    )
-    shard_serial = _results["sharded_serial"]
-    for mode in ("serial", "fanout"):
-        rate = _results[f"sharded_{mode}"]
-        shard_table.add_row(mode, rate, f"{rate / shard_serial:.2f}x")
-        data[f"sharded_{mode}"] = _row(rate)
-    sharded_speedup = _results["sharded_fanout"] / shard_serial
-    data["sharded_fanout_speedup"] = _row(sharded_speedup)
-    shard_table.show()
-
     fanin = _results["fanin_connections"]
     print(
         f"\nfan-in: {fanin} concurrent connections on one endpoint "
@@ -314,18 +232,12 @@ def test_report_async(benchmark):
     assert all(value > 0 for value in _results.values())
     assert fanin >= FANIN_CLIENTS
     # The acceptance bar: pipelined batched submit at least doubles the
-    # serial-RPC rate.  Both this and the sharded fan-out bar come from
-    # overlapping *waits* (reply turnaround, injected ingest stalls), so
-    # they hold even on one CPU and are not core-gated.
+    # serial-RPC rate.  It comes from overlapping *waits* (reply
+    # turnaround), so it holds even on one CPU and is not core-gated.
     assert batched_speedup >= 2.0, (
         f"pipelined batched submit {batched_speedup:.2f}x serial RPC "
         f"(expected >= 2x on {cpus} cpus)"
     )
-    if not SMOKE:
-        assert sharded_speedup >= 2.0, (
-            f"sharded fan-out {sharded_speedup:.2f}x shard-at-a-time "
-            f"(expected >= 2x with a {SHARD_DELAY * 1000:.0f} ms stall)"
-        )
     # Bare per-entry pipelining only beats serial by more than the
     # turnaround-hiding margin when dispatch can actually run in
     # parallel with the client; that bar needs cores.

@@ -3,22 +3,14 @@
 A single trusted logger funnels every submit through one lock and one
 hash chain, so its ingest rate saturates one core (the ceiling behind the
 paper's Table IV system log rates).  ``ShardedLogServer`` splits the log
-into N share-nothing shards routed by topic; this file measures the two
-axes that sharding opens up:
+into N share-nothing shards routed by topic; this file measures the axis
+that sharding opens up:
 
 - **submit throughput vs shard count**: four submitter threads, each
   owning one topic *group* chosen so the groups split evenly across 4,
   2, and 1 shards.  Payloads are 32 KiB: SHA-256 releases the GIL above
   ~2 KiB, so chain/Merkle hashing of different shards genuinely overlaps
   when the host has cores to run them on.
-- **audit wall-clock vs worker count**: ``audit_sharded`` fans per-shard
-  audits (signature verification and pairwise matching) across a worker
-  pool.
-- **thread vs process backend, batched submit**: the same durable
-  4-shard workload group-committed in 64-entry batches through
-  ``ShardedLogServer`` and ``ProcessShardedLogServer`` -- the row that
-  shows what escaping the GIL buys once each shard hashes in its own
-  interpreter.
 
 Sharding is verdict- and commitment-preserving (asserted by
 ``tests/sharding/``); this file measures only speed.  Scaling assertions
@@ -34,22 +26,13 @@ Set ``REPRO_BENCH_SMOKE=1`` for a tiny CI-sized workload.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import threading
-import time
 
 import pytest
 
 from repro.bench.reporting import Table, host_cpu_count, save_results
 from repro.core.entries import Direction, LogEntry, Scheme
-from repro.core.protocol import message_digest
-from repro.sharding import (
-    ShardRouter,
-    ShardedLogServer,
-    audit_sharded,
-    make_sharded_server,
-)
+from repro.sharding import ShardRouter, ShardedLogServer
 from repro.sharding.router import _ROUTE_PREFIX  # the routing hash domain
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -58,10 +41,6 @@ PER_THREAD = 32 if SMOKE else 150
 PAYLOAD = b"x" * (4096 if SMOKE else 32768)
 ROUNDS = 1 if SMOKE else 3
 SHARD_COUNTS = (1, 2, 4)
-WORKER_COUNTS = (1, 2, 4)
-AUDIT_TRANSMISSIONS = 12 if SMOKE else 48
-BACKENDS = ("thread", "process")
-BATCH = 64
 
 _results: dict = {}
 
@@ -153,107 +132,6 @@ def test_submit_scaling(benchmark, shards):
     )
 
 
-# -- thread vs process backend, batched submit --------------------------------
-
-
-def _interleaved_records() -> list:
-    """The submit workload as encoded records, round-robin across the
-    four topic groups so every 64-entry batch spans every shard (the
-    fan-out the process backend parallelizes)."""
-    records = []
-    for i in range(PER_THREAD):
-        for group in range(THREADS):
-            records.append(WORK[group][i].encode())
-    return records
-
-
-BATCHED_RECORDS = _interleaved_records()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_submit_backends(benchmark, backend):
-    """Group-committed ingest through both sharding backends, durable
-    stores with ``fsync="never"`` for both so the comparison isolates
-    hashing parallelism, not fsync policy."""
-    created = []
-
-    def setup():
-        store_dir = tempfile.mkdtemp(prefix="bench-%s-" % backend)
-        server = make_sharded_server(
-            backend=backend, shards=4, store_dir=store_dir, fsync="never"
-        )
-        created.append((server, store_dir))
-        return (server,), {}
-
-    def hammer(server):
-        for start in range(0, len(BATCHED_RECORDS), BATCH):
-            server.submit_batch(BATCHED_RECORDS[start : start + BATCH])
-        assert len(server) == THREADS * PER_THREAD
-
-    try:
-        benchmark.pedantic(hammer, setup=setup, rounds=ROUNDS, warmup_rounds=0)
-    finally:
-        for server, store_dir in created:
-            server.close()
-            shutil.rmtree(store_dir, ignore_errors=True)
-    _results[f"batched_submit_{backend}"] = (
-        THREADS * PER_THREAD / benchmark.stats.stats.mean
-    )
-
-
-# -- audit wall-clock vs worker count -----------------------------------------
-
-
-def _signed_audit_server(bench_keys) -> ShardedLogServer:
-    """A 4-shard server holding honest signed pairs across every shard
-    (verification work for the audit to parallelize)."""
-    server = ShardedLogServer(shards=4)
-    server.register_key("/pub", bench_keys[0].public)
-    server.register_key("/sub", bench_keys[1].public)
-    topics = list(GROUPS.values())
-    for i in range(AUDIT_TRANSMISSIONS):
-        topic = topics[i % len(topics)]
-        seq = i // len(topics) + 1
-        payload = b"audit-%04d" % i
-        digest = message_digest(seq, payload)
-        s_x = bench_keys[0].private.sign_digest(digest)
-        s_y = bench_keys[1].private.sign_digest(digest)
-        server.submit(
-            LogEntry(
-                component_id="/pub", topic=topic, type_name="std/String",
-                direction=Direction.OUT, seq=seq, scheme=Scheme.ADLP,
-                data=payload, own_sig=s_x,
-                peer_id="/sub", peer_hash=digest, peer_sig=s_y,
-            )
-        )
-        server.submit(
-            LogEntry(
-                component_id="/sub", topic=topic, type_name="std/String",
-                direction=Direction.IN, seq=seq, scheme=Scheme.ADLP,
-                data_hash=digest, own_sig=s_y, peer_id="/pub", peer_sig=s_x,
-            )
-        )
-    return server
-
-
-@pytest.fixture(scope="module")
-def audit_server(bench_keys):
-    return _signed_audit_server(bench_keys)
-
-
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_audit_scaling(benchmark, audit_server, workers):
-    def audited():
-        start = time.perf_counter()
-        result = audit_sharded(audit_server, workers=workers)
-        elapsed = time.perf_counter() - start
-        assert result.clean
-        return elapsed
-
-    benchmark.pedantic(audited, rounds=ROUNDS, warmup_rounds=0)
-    _results[f"audit_{workers}_workers"] = benchmark.stats.stats.mean
-
-
 # -- report -------------------------------------------------------------------
 
 
@@ -279,47 +157,15 @@ def test_report_sharding(benchmark):
     data["submit_speedup_4_shards"] = _row(_results["submit_4_shards"] / base)
     table.show()
 
-    backend_table = Table(
-        f"Batched submit, 4 shards, batch={BATCH}: entries/s by backend "
-        f"({cpus} cpus)",
-        ["Backend", "Entries/s", "vs thread"],
-    )
-    thread_rate = _results["batched_submit_thread"]
-    for backend in BACKENDS:
-        rate = _results[f"batched_submit_{backend}"]
-        backend_table.add_row(backend, rate, f"{rate / thread_rate:.2f}x")
-        data[f"batched_submit_{backend}"] = _row(rate)
-    process_speedup = _results["batched_submit_process"] / thread_rate
-    data["batched_submit_process_speedup"] = _row(process_speedup)
-    backend_table.show()
-
-    audit_table = Table(
-        f"Sharded audit: wall-clock seconds, 4 shards, "
-        f"{2 * AUDIT_TRANSMISSIONS} signed entries",
-        ["Workers", "Seconds", "vs 1 worker"],
-    )
-    audit_base = _results["audit_1_workers"]
-    for workers in WORKER_COUNTS:
-        seconds = _results[f"audit_{workers}_workers"]
-        audit_table.add_row(workers, seconds, f"{audit_base / seconds:.2f}x")
-        data[f"audit_seconds_{workers}_workers"] = _row(seconds)
-    data["audit_speedup_4_workers"] = _row(
-        audit_base / _results["audit_4_workers"]
-    )
-    audit_table.show()
-
     save_results("sharding", data)
     assert all(rate > 0 for rate in _results.values())
-    # The scaling bars only apply where scaling is physically possible:
-    # threaded shards overlap hashing via GIL release, process shards via
-    # separate interpreters -- both need cores to land on.  A 1-CPU host
-    # records honest flat numbers (each row says so via its cpu_count).
+    # The scaling bar only applies where scaling is physically possible:
+    # threaded shards overlap hashing via GIL release, which needs cores
+    # to land on.  A host with fewer records honest flat numbers (each
+    # row says so via its cpu_count).
     if not SMOKE and cpus >= 4:
         speedup = data["submit_speedup_4_shards"]["value"]
         assert speedup >= 2.0, (
             f"4-shard submit speedup {speedup:.2f}x < 2x on {cpus} cpus"
         )
-        assert process_speedup >= 2.0, (
-            f"process backend batched submit {process_speedup:.2f}x the "
-            f"threaded rate on {cpus} cpus (expected >= 2x at 4 shards)"
-        )
+

@@ -85,9 +85,9 @@ class RemoteUnavailable(LoggingError):
 
     A :class:`LoggingError` subclass so existing callers are unaffected,
     but distinguishable from a server that *answered* with a rejection:
-    the process-shard supervisor restarts a worker on this, while a
-    server-side rejection (misroute, undecodable entry) must propagate --
-    restarting would just replay the same refusal.
+    a caller may reconnect and reconcile on this, while a server-side
+    rejection (misroute, undecodable entry) must propagate -- resending
+    would just replay the same refusal.
     """
 
 #: RPC operation codes.
@@ -99,7 +99,6 @@ OP_KEYS = 5
 OP_SUBMIT_BATCH = 6
 OP_CHECKPOINT = 7
 OP_STATS = 8
-OP_VERIFY = 9
 #: Response verdict codes (``LoggerResponse.code``; share the op number
 #: space so a wire trace reads unambiguously).  ``OP_BUSY`` is admission
 #: control refusing sync work -- the response carries the server's queue
@@ -198,9 +197,8 @@ class LoggerRequest(WireMessage):
     shard = uint64(8)
     #: SUBMIT/SUBMIT_BATCH: when set, the server answers with a
     #: :class:`LoggerResponse` whose ``entries`` is its post-ingest entry
-    #: count -- the acknowledged submission mode the process-sharded
-    #: parent uses (the wire default ``0`` keeps classic frames
-    #: fire-and-forget).
+    #: count -- the acknowledged submission mode (the wire default ``0``
+    #: keeps classic frames fire-and-forget).
     sync = boolean(9)
     #: Client-stamped deadline budget in milliseconds for sync submits:
     #: if the server cannot start the expensive work (admission wait
@@ -293,8 +291,9 @@ class _EventConn:
     response bytes to ``out``, which only the loop thread writes to the
     socket.  ``running`` guarantees at most one dispatch worker drains
     this connection at a time -- per-connection FIFO execution is
-    load-bearing (credit syncs and the process-shard crash reconcile both
-    assume this connection's frames are ingested in order)."""
+    load-bearing (credit syncs and the count reconcile of acknowledged
+    submits both assume this connection's frames are ingested in
+    order)."""
 
     __slots__ = (
         "connection",
@@ -327,7 +326,7 @@ class _EventConn:
 class LogServerEndpoint:
     """Serves a :class:`LogServer` over a transport listener.
 
-    Socket-backed transports (TCP, unix) are served by a single
+    Socket-backed transports (TCP) are served by a single
     ``selectors`` event loop with non-blocking sockets: one thread
     multiplexes reads, frame reassembly, and per-connection write queues
     across every connection, so fan-in scales to thousands of clients
@@ -402,7 +401,7 @@ class LogServerEndpoint:
     @staticmethod
     def _raw_socket(connection: Connection) -> Optional[socket.socket]:
         """The connection's underlying socket, when it has one the event
-        loop can own (TCP and unix connections); ``None`` sends the
+        loop can own (TCP connections); ``None`` sends the
         connection down the thread-per-connection fallback."""
         sock = getattr(connection, "_sock", None)
         return sock if isinstance(sock, socket.socket) else None
@@ -863,8 +862,8 @@ class LogServerEndpoint:
         fallback -- the caller holds the batch and learns exactly what
         happened, so a refusal is *reported* (``ok=False`` plus the
         server's unchanged count) instead of being partially absorbed.
-        The count is what lets the process-shard parent reconcile after a
-        crash: the server ingests this connection's frames in order, so
+        The count is what lets a caller reconcile after a lost reply:
+        the server ingests this connection's frames in order, so
         ``entries`` tells the caller precisely which prefix of its
         submissions has been accepted (and, with a durable store, made
         crash-durable) so far.
@@ -970,8 +969,7 @@ class LogServerEndpoint:
                 )
             if request.op == OP_CHECKPOINT:
                 # Force a durable checkpoint now (no-op for in-memory
-                # stores) -- how the process-shard parent fans its own
-                # ``checkpoint()`` out to worker subprocesses.
+                # stores).
                 self.server.checkpoint()
                 return LoggerResponse(ok=True)
             if request.op == OP_STATS:
@@ -992,13 +990,6 @@ class LogServerEndpoint:
                     entries=len(self.server),
                     stats_json=json.dumps(data, sort_keys=True),
                 )
-            if request.op == OP_VERIFY:
-                # Tamper-evidence check of the server's *actual* store
-                # (the durable WAL bytes for a durable store) -- fetching
-                # records and re-chaining them client-side would only
-                # prove transit integrity.
-                self.server.verify_integrity()
-                return LoggerResponse(ok=True, entries=len(self.server))
             return LoggerResponse(ok=False, error=f"unknown op {request.op}")
         except Exception as exc:
             return LoggerResponse(ok=False, error=str(exc))
@@ -1148,7 +1139,7 @@ class LogServerEndpoint:
         except ProofError as exc:
             # The request was malformed (range), not the server broken:
             # answer with a typed verdict the client maps back to
-            # ProofError -- a clean refusal, never a worker traceback.
+            # ProofError -- a clean refusal, never a server traceback.
             return LoggerResponse(ok=False, error=str(exc), code=OP_PROOF_RANGE)
         except Exception as exc:
             return LoggerResponse(ok=False, error=str(exc))
@@ -2014,13 +2005,13 @@ class RemoteLogger:
         after the whole batch is ingested (and, on a durable server,
         journaled).
 
-        The process-sharded parent's submission mode: nothing is spilled
-        or retried here -- :class:`RemoteUnavailable` means the caller
-        does not know how much of the batch landed and must reconcile
-        against the server's count after reconnecting (frames on one
-        connection are ingested in order, so the count identifies the
-        accepted prefix exactly); a plain :class:`LoggingError` means the
-        server answered and refused (nothing was ingested).
+        Nothing is spilled or retried here -- :class:`RemoteUnavailable`
+        means the caller does not know how much of the batch landed and
+        must reconcile against the server's count after reconnecting
+        (frames on one connection are ingested in order, so the count
+        identifies the accepted prefix exactly); a plain
+        :class:`LoggingError` means the server answered and refused
+        (nothing was ingested).
 
         Chunks of one oversized batch are exchanged serially on purpose:
         the accepted-prefix property depends on stop-on-refusal, and a
@@ -2085,22 +2076,11 @@ class RemoteLogger:
 
     def server_stats(self, timeout: float = 5.0) -> Dict[str, int]:
         """The server's flat counters (entry/byte/rejection totals plus
-        whatever its ``stats()`` contributes, e.g. a shard worker's
-        recovery summary)."""
+        whatever its ``stats()`` contributes)."""
         response = self._rpc(LoggerRequest(op=OP_STATS), timeout=timeout)
         if not response.ok:
             raise LoggingError(f"stats probe rejected: {response.error}")
         return json.loads(response.stats_json) if response.stats_json else {}
-
-    def verify_remote(self, timeout: float = 60.0) -> int:
-        """Run the server's tamper-evidence verification (its actual
-        store, WAL bytes included); returns its entry count.  Raises
-        :class:`LoggingError` with the server's integrity error when the
-        store fails verification."""
-        response = self._rpc(LoggerRequest(op=OP_VERIFY), timeout=timeout)
-        if not response.ok:
-            raise LoggingError(f"remote store failed verification: {response.error}")
-        return int(response.entries)
 
     def submit(self, entry: Union[LogEntry, bytes]) -> int:
         """Fire-and-forget submission; returns 0 (no server-side index).

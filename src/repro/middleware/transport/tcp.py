@@ -50,8 +50,7 @@ class TcpConnection(Connection):
         sock: socket.socket,
         send_timeout: Optional[float] = DEFAULT_SEND_TIMEOUT,
     ):
-        # The framing/locking/timeout logic is family-agnostic, so the unix
-        # transport reuses this class; Nagle only exists for TCP sockets.
+        # Nagle only exists for TCP sockets.
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if send_timeout is not None:

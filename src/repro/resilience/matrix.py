@@ -7,9 +7,8 @@ never produces a false verdict**.  This module turns that sentence into
 an executable grid.  A :class:`ScenarioCell` names one combination of
 
 - **backend**: ``plain`` (one in-memory ``LogServer`` behind an
-  endpoint), ``sharded`` (the threaded shard set behind one endpoint),
-  ``process`` (worker subprocesses over unix sockets), ``replicated``
-  (fan-out over two endpoints with spill + catch-up);
+  endpoint), ``sharded`` (the shard set behind one endpoint),
+  ``replicated`` (fan-out over two endpoints with spill + catch-up);
 - **fault**: a transport fault profile from the PR-1 fault injector
   (``drop`` / ``delay`` / ``disconnect`` / ``truncate``), ``none``,
   ``overload`` -- a slowed ingest path plus a concurrent fire-and-forget
@@ -20,8 +19,8 @@ an executable grid.  A :class:`ScenarioCell` names one combination of
   :data:`EQUIVOCATION_ROUND_BOUND` rounds while every honest plain cell
   (which runs the same gossip machinery against its honest logger)
   reports zero evidence;
-- **churn**: ``none`` or ``restart`` (endpoint bounce, worker SIGKILL,
-  or replica bounce + catch-up, whichever the backend calls a restart);
+- **churn**: ``none`` or ``restart`` (endpoint bounce, or replica
+  bounce + catch-up, whichever the backend calls a restart);
 - **load**: ``light`` or ``flood`` (transmission count scales, and the
   overload cells' noise flood scales with it).
 
@@ -39,11 +38,10 @@ Not every fault crosses every backend.  ``dup`` and ``reorder`` are
 excluded everywhere *by design*: a duplicated submission frame is an
 auditable replay (the protocol's own tamper signal, tested in the
 adversary suite), and reorder breaks the FIFO count-reconcile contract
-the acknowledged submitters depend on.  Transport faults do not cross
-the process backend (its unix-socket hop has no injector seam) and the
-fire-and-forget replicated path excludes silent frame loss (``drop`` /
-``truncate``): an unacked dropped frame is invisible to the client, so
-"no acked loss" would hold vacuously while evidence leaked.  Overload
+the acknowledged submitters depend on.  The fire-and-forget
+replicated path excludes silent frame loss (``drop`` / ``truncate``):
+an unacked dropped frame is invisible to the client, so "no acked
+loss" would hold vacuously while evidence leaked.  Overload
 cells pin ``churn=none``: their concurrent noise flood breaks the
 single-writer count arithmetic that restart reconciliation leans on.
 
@@ -53,9 +51,7 @@ that ``repro.core`` can import the package without a cycle.
 
 from __future__ import annotations
 
-import os
 import random
-import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -74,16 +70,14 @@ from repro.errors import LoggingError, ServerBusy
 from repro.gossip import GossipRelay, gossip_round
 from repro.middleware.transport.faulty import FaultyTransport
 from repro.middleware.transport.inproc import InprocTransport
-from repro.middleware.transport.unix import UnixTransport, unix_sockets_supported
 from repro.replication import ReplicatedLogger
 from repro.core.policy import ReplicationConfig
 from repro.resilience.admission import AdmissionConfig, AdmissionController
 from repro.resilience.flow import FlowControlConfig
 from repro.resilience.overload import OverloadInjector
-from repro.sharding.factory import make_sharded_server
-from repro.sharding.router import ShardRouter
+from repro.sharding.sharded_server import ShardedLogServer
 
-BACKENDS = ("plain", "sharded", "process", "replicated")
+BACKENDS = ("plain", "sharded", "replicated")
 FAULTS = (
     "none", "drop", "delay", "disconnect", "truncate", "overload",
     "equivocation",
@@ -100,7 +94,6 @@ LOADS = ("light", "flood")
 FAULTS_BY_BACKEND: Dict[str, Tuple[str, ...]] = {
     "plain": FAULTS,
     "sharded": ("none", "drop", "delay", "disconnect", "truncate", "overload"),
-    "process": ("none", "overload"),
     "replicated": ("none", "delay", "disconnect", "overload"),
 }
 
@@ -264,7 +257,7 @@ def enumerate_cells(full: bool = False) -> List[ScenarioCell]:
             ScenarioCell("plain", "drop", "none", "light"),
             ScenarioCell("plain", "equivocation", "none", "light"),
             ScenarioCell("sharded", "overload", "none", "flood"),
-            ScenarioCell("process", "none", "restart", "light"),
+            ScenarioCell("sharded", "none", "restart", "light"),
             ScenarioCell("replicated", "disconnect", "none", "light"),
         ]
     cells: List[ScenarioCell] = []
@@ -316,12 +309,9 @@ def _build_records(
     keys: Tuple[KeyPair, KeyPair],
     topics: Sequence[str],
     transmissions: int,
-    seq_base: int = 0,
 ) -> List[bytes]:
-    """A shuffled honest workload; ``seq_base`` keeps two streams over
-    the same topics (the sync workload and the noise flood) from ever
-    colliding on ``(topic, seq)``."""
-    seqs = {t: seq_base for t in topics}
+    """A shuffled honest workload."""
+    seqs = {t: 0 for t in topics}
     records: List[bytes] = []
     for _ in range(transmissions):
         topic = rng.choice(list(topics))
@@ -750,7 +740,7 @@ def _run_equivocation_cell(
 def _run_endpoint_cell(
     cell: ScenarioCell, seed: int, result: CellResult
 ) -> None:
-    """The plain and (threaded) sharded backends: one endpoint, one
+    """The plain and sharded backends: one endpoint, one
     acknowledged client, transport faults or an overload flood."""
     if cell.fault == "equivocation":
         _run_equivocation_cell(cell, seed, result)
@@ -763,7 +753,7 @@ def _run_endpoint_cell(
     result.submitted = len(records)
 
     if cell.backend == "sharded":
-        server = make_sharded_server("thread", shards=4)
+        server = ShardedLogServer(shards=4)
     else:
         server = LogServer()
     server.register_key("/pub", keys[0].public)
@@ -905,159 +895,6 @@ def _run_endpoint_cell(
         server.close()
 
 
-def _run_process_cell(
-    cell: ScenarioCell, seed: int, result: CellResult
-) -> None:
-    """The process-sharded backend: SIGKILL churn rides the parent's
-    crash-reconcile; overload drives one worker's admission controller
-    directly over its unix socket."""
-    if not unix_sockets_supported():
-        result.failures.append("platform lacks AF_UNIX sockets")
-        return
-    rng = random.Random(seed)
-    keys = _cell_keys(seed)
-    overload = cell.fault == "overload"
-    shards = 2
-    if overload:
-        # Everything targets shard 0's worker: the matrix talks straight
-        # to its socket, so entries must actually route there.  Candidate
-        # names are minted until four route to shard 0 (sha256 routing
-        # puts ~half of all names there, so this terminates immediately).
-        router = ShardRouter(shards)
-        topics, i = [], 0
-        while len(topics) < 4:
-            candidate = f"/m/x{i}"
-            i += 1
-            if router.shard_of(candidate) == 0:
-                topics.append(candidate)
-    else:
-        topics = _TOPICS
-    records = _build_records(
-        rng, keys, topics[: max(2, len(topics) // 2)], TRANSMISSIONS[cell.load]
-    )
-    result.submitted = len(records)
-
-    server = make_sharded_server(
-        "process",
-        shards=shards,
-        probe_interval=0.1,
-        admission=_ADMISSION if overload else None,
-        ingest_delay=_INGEST_DELAY if overload else 0.0,
-        restart_backoff_base=0.05,
-        restart_backoff_max=0.5,
-    )
-    noise: Optional[_NoiseFlood] = None
-    deadline = time.monotonic() + CELL_TIMEOUT
-    started = time.monotonic()
-    try:
-        server.register_key("/pub", keys[0].public)
-        server.register_key("/sub", keys[1].public)
-        noise_records: List[bytes] = []
-        if overload:
-            socket_path = server.worker_socket_path(0)
-            # Same shard-0 topics, disjoint sequence range: no collision
-            # with the sync workload's ``(topic, seq)`` space.
-            noise_records = _build_records(
-                rng, keys, topics, NOISE_ENTRIES[cell.load] // 2,
-                seq_base=10_000,
-            )
-            result.submitted += len(noise_records)
-            client_ref: Dict[str, RemoteLogger] = {
-                "client": RemoteLogger(
-                    ("unix", socket_path),
-                    transport=UnixTransport(),
-                    shard=0,
-                    rng=random.Random(seed + 7),
-                )
-            }
-            noise = _NoiseFlood(
-                lambda i: RemoteLogger(
-                    ("unix", socket_path),
-                    transport=UnixTransport(),
-                    shard=0,
-                    spill_capacity=100_000,
-                    flow_control=_NOISE_FLOW,
-                    rng=random.Random(seed + 100 + i),
-                ),
-                noise_records,
-            )
-            noise.start()
-            driver = _SyncDriver(
-                client_ref, result, count_exact=False, deadline=deadline
-            )
-            acked_sync = driver.run(records)
-            result.acked = acked_sync
-            must_have = list(records[:acked_sync])
-            trouble = noise.drain(deadline)
-            if trouble is None:
-                result.acked += len(noise_records)
-                must_have += noise_records
-            else:
-                result.failures.append(trouble)
-            busy, shed, syncs, retries = noise.stats()
-            result.busy_responses += busy
-            result.shed_entries += shed
-            result.credit_syncs += syncs
-            result.retransmits += retries
-            client_ref["client"].close()
-            if cell.load == "flood" and result.busy_responses == 0:
-                result.failures.append(
-                    "overload flood never tripped the worker's admission "
-                    "control"
-                )
-        else:
-            confirmed = 0
-            churned = cell.churn != "restart"
-            chunk = 8
-            while confirmed < len(records):
-                if time.monotonic() > deadline:
-                    result.failures.append(
-                        f"cell timed out with {len(records) - confirmed} "
-                        f"entries unsubmitted"
-                    )
-                    break
-                if not churned and confirmed >= len(records) // 2:
-                    churned = True
-                    pid = server.worker_pid(0)
-                    if pid is not None:
-                        os.kill(pid, signal.SIGKILL)
-                try:
-                    server.submit_batch(records[confirmed:confirmed + chunk])
-                except LoggingError as exc:
-                    result.failures.append(
-                        f"acknowledged submission failed: {exc}"
-                    )
-                    break
-                confirmed += min(chunk, len(records) - confirmed)
-            result.acked = confirmed
-            result.retransmits += server.stats().get("resubmitted", 0)
-            must_have = list(records[:confirmed])
-        result.elapsed = time.monotonic() - started
-
-        delivered = [
-            bytes(r)
-            for s in range(server.shard_count)
-            for r in server.shard_raw_records(s)
-        ]
-        deduped = _check_delivery(
-            result,
-            must_have,
-            list(records) + noise_records,
-            delivered,
-            allow_duplicates=False,
-        )
-        try:
-            server.verify_integrity()
-        except Exception as exc:
-            result.failures.append(f"store failed verification: {exc}")
-        _audit(result, keys, topics, deduped)
-        _check_budget(result)
-    finally:
-        if noise is not None:
-            noise.close()
-        server.close()
-
-
 def _run_replicated_cell(
     cell: ScenarioCell, seed: int, result: CellResult
 ) -> None:
@@ -1183,7 +1020,6 @@ def _run_replicated_cell(
 _RUNNERS = {
     "plain": _run_endpoint_cell,
     "sharded": _run_endpoint_cell,
-    "process": _run_process_cell,
     "replicated": _run_replicated_cell,
 }
 

@@ -1,42 +1,31 @@
-"""Topic-sharded trusted logger with parallel audit.
+"""Topic-sharded trusted logger with per-shard audit.
 
 Partitions the log by topic across N independent shards -- each with its
-own lock, hash chain, Merkle frontier, and (when durable) WAL + checkpoint
-directory -- so submits to different shards no longer contend, while a
-single :class:`ShardSetCommitment` (Merkle root over the ordered shard
-roots) still pins the entire log.  Two interchangeable backends exist
-behind :func:`make_sharded_server`: shards as threads in this interpreter
-(:class:`ShardedLogServer`) or shards as supervised worker subprocesses
-(:class:`ProcessShardedLogServer`), commitment-equivalent by construction.
-``audit_sharded`` fans per-shard audits across a thread or process pool
-and localizes tampering to the shard it lives in.
+own lock, hash chain, Merkle tree, and (when durable) WAL + checkpoint
+directory -- while a single :class:`ShardSetCommitment` (Merkle root over
+the ordered shard roots) still pins the entire log.  ``audit_sharded``
+audits the shards one by one and localizes tampering to the shard it
+lives in.
 """
 
-from repro.sharding.factory import BACKENDS, make_sharded_server
 from repro.sharding.parallel_audit import (
     ShardAuditOutcome,
     ShardedAuditResult,
     audit_sharded,
 )
-from repro.sharding.process_server import ProcessShardedLogServer
 from repro.sharding.router import ShardRouter
 from repro.sharding.sharded_server import (
     ShardedLogServer,
     ShardSetCommitment,
     shard_dirname,
 )
-from repro.sharding.worker import ShardWorkerServer
 
 __all__ = [
-    "BACKENDS",
-    "ProcessShardedLogServer",
     "ShardAuditOutcome",
     "ShardRouter",
     "ShardSetCommitment",
-    "ShardWorkerServer",
     "ShardedAuditResult",
     "ShardedLogServer",
     "audit_sharded",
-    "make_sharded_server",
     "shard_dirname",
 ]

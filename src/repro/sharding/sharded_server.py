@@ -394,13 +394,6 @@ class ShardedLogServer:
             for index, server in enumerate(self._servers)
         ]
 
-    def shard_audit_payload(self, shard: int) -> Tuple[List[bytes], Dict[str, bytes]]:
-        """One shard's raw records and the key registry, as plain
-        picklable values -- what a process-pool auditor ships to a child
-        interpreter (both sharding backends expose this)."""
-        server = self._servers[shard]
-        return server.raw_records(), server.keys_snapshot()
-
     # -- integrity ---------------------------------------------------------
 
     def verify_shard(self, shard: int) -> None:

@@ -61,18 +61,6 @@ class RecoveryInfo:
     truncated_bytes: int  #: torn tail bytes discarded from the last segment
     extra: Dict[str, Any] = field(default_factory=dict)  #: checkpoint extra
 
-    def summary(self) -> Dict[str, int]:
-        """Flat integer counters for stats/observability surfaces (the
-        shard worker reports these to its supervising parent, which is
-        how a crash-restarted worker's recovery becomes visible without
-        reading its log files)."""
-        return {
-            "recovered_entries": self.entries,
-            "recovered_from_checkpoint": self.checkpoint_entries or 0,
-            "recovered_replayed": self.replayed,
-            "recovered_truncated_bytes": self.truncated_bytes,
-        }
-
 
 def _encode_key_record(component_id: str, key_bytes: bytes) -> bytes:
     raw_id = component_id.encode("utf-8")

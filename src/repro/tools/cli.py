@@ -8,7 +8,6 @@
                                   [--shard I]
     python -m repro.tools audit   CASE_DIR | --store STORE_DIR [--shards N]
                                   [--publisher TOPIC=COMPONENT ...]
-                                  [--workers N] [--backend thread|process]
     python -m repro.tools trace   CASE_DIR TOPIC SEQ
     python -m repro.tools recover STORE_DIR [--shards N | --shard I]
     python -m repro.tools health  HOST:PORT [HOST:PORT ...]
@@ -183,12 +182,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         )
         print(f"registered keys: {summary}")
     if isinstance(server, ShardedLogServer):
-        result = audit_sharded(
-            server,
-            topology=topology,
-            workers=getattr(args, "workers", None),
-            executor=getattr(args, "backend", "thread"),
-        )
+        result = audit_sharded(server, topology=topology)
         for outcome in result.outcomes:
             if outcome.tampered:
                 print(f"shard {outcome.shard}: TAMPERED ({outcome.error})")
@@ -563,20 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="declare a topic's unique publisher (repeatable)",
     )
     p_audit.add_argument("--max-findings", type=int, default=20)
-    p_audit.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pool size for a sharded audit (default: min(shards, cpus))",
-    )
-    p_audit.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="thread",
-        help="sharded-audit pool: threads in this process, or a "
-        "spawn-context process pool (signature checks escape the GIL)",
-    )
     p_audit.set_defaults(func=_cmd_audit)
 
     p_trace = sub.add_parser("trace", help="provenance lineage of one datum")

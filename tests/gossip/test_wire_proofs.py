@@ -3,8 +3,8 @@
 A client must never have to trust the transport or parse a server
 traceback: heads arrive signed, proofs verify locally against those
 heads, and a malformed request comes back as a typed
-:class:`~repro.errors.ProofError` across every backend (plain, threaded
-shards, process shards).
+:class:`~repro.errors.ProofError` across every backend (plain and
+sharded).
 """
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from repro.core import LogServer, LogServerEndpoint
 from repro.core.remote import RemoteLogger
 from repro.errors import LogIntegrityError, LoggingError, ProofError
-from repro.sharding import ShardedLogServer, make_sharded_server
+from repro.sharding import ShardedLogServer
 
 from tests.sharding.workload import (
     GOLDEN_SHARDS_4,
@@ -216,39 +216,3 @@ class TestTypedErrorsSharded:
             client.prove_inclusion(0, shard=9)
         with pytest.raises(ProofError):
             client.prove_inclusion(99, shard=0)
-
-
-class TestTypedErrorsProcess:
-    def test_worker_range_error_crosses_the_boundary(self, tmp_path, keypool):
-        """An out-of-range proof request against a process shard comes
-        back as a typed ProofError relayed through parent and endpoint --
-        never a worker traceback or a dead connection."""
-        server = make_sharded_server(
-            backend="process", shards=2, store_dir=str(tmp_path / "wire")
-        )
-        server.attach_signer(keypool[2].private, log_id="wire-proc")
-        register_pair(server, keypool)
-        endpoint = LogServerEndpoint(server)
-        client = RemoteLogger(endpoint.address)
-        try:
-            records = _stream(keypool, count=4)
-            for record in records:
-                server.submit(record)
-            with pytest.raises(ProofError):
-                client.prove_inclusion(99, shard=0)
-            with pytest.raises(ProofError):
-                client.prove_consistency(7, 9, shard=1)
-            # The connection survives the refusal: a good proof still works.
-            for shard in range(2):
-                sth = client.fetch_sth(shard=shard)
-                assert sth.verify(keypool[2].public)
-                if sth.entries:
-                    proof = client.prove_inclusion(
-                        0, tree_size=sth.entries, shard=shard
-                    )
-                    fetched = client.fetch_records(0, 1, shard=shard)
-                    assert proof.verify(fetched[0], sth.merkle_root)
-        finally:
-            client.close()
-            endpoint.close()
-            server.close()

@@ -17,7 +17,7 @@ from repro.core.remote import (
     LoggerRequest,
     _raise_for_verdict,
 )
-from repro.errors import DeadlineExceeded, LoggingError, ServerBusy
+from repro.errors import DeadlineExceeded, ServerBusy
 from repro.middleware.transport.inproc import InprocTransport
 from repro.resilience import (
     AdmissionConfig,
@@ -241,77 +241,6 @@ class TestEndpointBusyWire:
         finally:
             client.close()
             endpoint.close()
-
-
-class TestProcessParentBusyPath:
-    """The process-sharded parent's cooperative BUSY handling: honor the
-    hint, reconcile the landed prefix by count, never double-ingest."""
-
-    @pytest.fixture(autouse=True)
-    def _unix_only(self):
-        from repro.middleware.transport.unix import unix_sockets_supported
-
-        if not unix_sockets_supported():
-            pytest.skip("needs AF_UNIX sockets")
-
-    def test_parent_honors_busy_and_resends_only_the_suffix(self, tmp_path):
-        from repro.sharding.process_server import ProcessShardedLogServer
-
-        server = ProcessShardedLogServer(
-            shards=1,
-            store_dir=str(tmp_path / "shards"),
-            supervise=False,
-            rpc_timeout=5.0,
-        )
-        try:
-            server.register_key("/p", _keypair().public)
-            handle = server._handles[0]
-            real = handle.client.submit_batch_sync
-            calls = {"n": 0}
-
-            def busy_after_landing(entries, shard=None, timeout=30.0):
-                # First call: the batch lands, but the response is a BUSY
-                # (as if a later frame of a multi-frame batch was
-                # refused).  The parent must reconcile by count and
-                # resend nothing.
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    real(entries, shard=shard, timeout=timeout)
-                    raise ServerBusy(retry_after=0.01, queue_depth=99)
-                return real(entries, shard=shard, timeout=timeout)
-
-            handle.client.submit_batch_sync = busy_after_landing
-            batch = [entry(seq) for seq in range(1, 9)]
-            server.submit_batch(batch)
-            handle.client.submit_batch_sync = real
-
-            assert len(server) == 8  # exactly once, no duplicates
-            assert server.stats()["busy_backoffs"] >= 1
-            server.verify_integrity()
-        finally:
-            server.close()
-
-    def test_parent_gives_up_on_a_permanently_busy_worker(self, tmp_path):
-        from repro.sharding.process_server import ProcessShardedLogServer
-
-        server = ProcessShardedLogServer(
-            shards=1,
-            store_dir=str(tmp_path / "shards"),
-            supervise=False,
-            rpc_timeout=0.1,  # bounds busy-waiting at 2x this
-        )
-        try:
-            server.register_key("/p", _keypair().public)
-            handle = server._handles[0]
-
-            def always_busy(entries, shard=None, timeout=30.0):
-                raise ServerBusy(retry_after=0.02, queue_depth=1)
-
-            handle.client.submit_batch_sync = always_busy
-            with pytest.raises(LoggingError, match="stayed busy"):
-                server.submit_batch([entry(1)])
-        finally:
-            server.close()
 
 
 def _keypair():

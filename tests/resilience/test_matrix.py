@@ -1,8 +1,8 @@
 """Tier-1 smoke slice of the churn x fault x overload scenario matrix.
 
-One cell per backend, covering a lossy transport, an admission-control
-overload, a SIGKILL worker restart and a replica disconnect between
-them.  The full grid runs under the ``overload`` marker (see
+At least one cell per backend, covering a lossy transport, an
+equivocating logger, an admission-control overload, an endpoint restart
+and a replica disconnect between them.  The full grid runs under the ``overload`` marker (see
 ``test_overload_soak.py``); this slice is the always-on regression bar:
 every cell must hold the invariant -- no acknowledged evidence lost, no
 false audit verdicts.
@@ -63,11 +63,8 @@ class TestScenarioCellValidation:
 
     def test_rejects_unsound_fault_backend_combos(self):
         # dup/reorder are excluded everywhere by design (see matrix.py);
-        # the process backend has no transport-fault seam and the
-        # replicated backend cannot prove "no acked loss" under silent
-        # fire-and-forget drop/truncate.
-        with pytest.raises(ValueError):
-            ScenarioCell("process", "drop", "none", "light")
+        # the replicated backend cannot prove "no acked loss" under
+        # silent fire-and-forget drop/truncate.
         with pytest.raises(ValueError):
             ScenarioCell("replicated", "truncate", "none", "light")
 
@@ -82,12 +79,12 @@ class TestScenarioCellValidation:
         with pytest.raises(ValueError):
             ScenarioCell("sharded", "equivocation", "none", "light")
         with pytest.raises(ValueError):
-            ScenarioCell("process", "equivocation", "none", "light")
+            ScenarioCell("replicated", "equivocation", "none", "light")
 
     def test_full_grid_enumerates_only_sound_cells(self):
         cells = enumerate_cells(full=True)
         assert len(cells) == len(set(cells))  # no duplicates
-        assert len(cells) == 66
+        assert len(cells) == 60
         for cell in cells:
             assert ScenarioCell(
                 cell.backend, cell.fault, cell.churn, cell.load

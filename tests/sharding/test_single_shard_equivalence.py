@@ -2,9 +2,9 @@
 ``LogServer`` fed the same stream -- chain head, Merkle root, raw records,
 and audit verdicts -- on randomized workloads, per-entry and batched.
 
-A multi-shard section widens the claim: at ``shards=4`` the *verdicts*
+A multi-shard section widens the claim: at 2 and 4 shards the *verdicts*
 (order-independent) still equal the unsharded audit's, which is what makes
-the parallel audit exact rather than approximate.
+the shard-by-shard audit exact rather than approximate.
 """
 
 import pytest
@@ -103,7 +103,7 @@ class TestSingleShardByteIdentity:
 
 
 class TestMultiShardVerdictEquivalence:
-    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_verdict_multiset_matches_unsharded_audit(
         self, keypool, rng, stream, plain, shards
     ):
@@ -114,7 +114,7 @@ class TestMultiShardVerdictEquivalence:
 
         topology = topology_for()
         plain_report = Auditor(plain.keystore, topology).audit(plain.entries())
-        result = audit_sharded(sharded, topology=topology, workers=2)
+        result = audit_sharded(sharded, topology=topology)
         assert not result.tampered_shards
         assert report_summary(result.report) == report_summary(plain_report)
 
@@ -128,13 +128,3 @@ class TestMultiShardVerdictEquivalence:
             for record in sharded.shard_raw_records(shard)
         ]
         assert sorted(scattered) == sorted(plain.raw_records())
-
-    def test_parallel_and_serial_audit_agree(self, keypool, stream):
-        sharded = ShardedLogServer(shards=4)
-        register_pair(sharded, keypool)
-        feed_per_entry(sharded, stream)
-        topology = topology_for()
-        serial = audit_sharded(sharded, topology=topology, workers=1)
-        parallel = audit_sharded(sharded, topology=topology, workers=4)
-        assert report_summary(serial.report) == report_summary(parallel.report)
-        assert serial.commitment.root == parallel.commitment.root

@@ -141,15 +141,6 @@ class TestAudit:
         assert out.count("intact") == SHARDS
         assert "FLAGGED" not in out
 
-    def test_workers_flag_accepted(self, layout, capsys):
-        assert (
-            main(
-                ["audit", "--store", layout, "--shards", str(SHARDS),
-                 "--workers", "2"]
-            )
-            == 0
-        )
-
     def test_forged_entry_exits_one(self, tmp_path, keypool, capsys):
         layout = build_layout(tmp_path, keypool, dirty=True)
         assert main(["audit", "--store", layout, "--shards", str(SHARDS)]) == 1
