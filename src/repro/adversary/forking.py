@@ -168,8 +168,13 @@ class _LoggerFace:
     def commitment(self) -> LogCommitment:
         return self._view.commitment()
 
-    def raw_records(self, start: int = 0, count: Optional[int] = None):
-        return self._view.raw_records(start, count)
+    def raw_records(
+        self,
+        start: int = 0,
+        count: Optional[int] = None,
+        max_bytes: Optional[int] = None,
+    ):
+        return self._view.raw_records(start, count, max_bytes)
 
     def entries(self, *args, **kwargs):
         return self._view.entries(*args, **kwargs)

@@ -14,11 +14,16 @@ cross-checks the rebuilt state against the checkpoint commitments, so
 ``verify_integrity()``, ``merkle_root()``, and every audit verdict after a
 crash equal those of a never-crashed run.
 
-Memory model: the store holds each raw record once and the server holds no
-second form of it.  Every record is fully decoded on the way in (an
+Memory model: the store holds each raw record once -- a durable store on
+disk only -- and the server holds no form of it, only the Merkle tree's
+32-byte hashes.  Every record is fully decoded on the way in (an
 undecodable one is refused, observers see the decoded entry) but the
-object is not kept; :meth:`LogServer.entries` decodes on first read and
-memoises, so an in-process auditor pays for the decoded copy when it asks
+object is not kept.  Reads stream from the store: recovery, :meth:`raw_records`
+and :meth:`entries` take one record at a time, and every record served is
+checked against the server's own Merkle leaf hash, so bytes altered in the
+store since ingest raise :class:`~repro.errors.LogIntegrityError` instead
+of being served as evidence.  :meth:`LogServer.entries` memoises what it
+decodes, so an in-process auditor pays for the decoded copy when it asks
 and a remote one never does.
 """
 
@@ -26,12 +31,18 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Union
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.core.entries import Direction, LogEntry
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.keystore import KeyStore
-from repro.crypto.merkle import MerkleConsistencyProof, MerkleProof, MerkleTree
+from repro.crypto.merkle import (
+    MerkleConsistencyProof,
+    MerkleProof,
+    MerkleTree,
+    leaf_hash,
+)
 from repro.core.log_store import InMemoryLogStore, LogStore
 from repro.errors import DecodingError, LogIntegrityError, LoggingError
 
@@ -96,17 +107,18 @@ class LogServer:
 
     def _recover_from_store(self) -> None:
         """Rebuild derived state from a store that recovered from disk."""
-        records = self.store.records()
         recovery = getattr(self.store, "recovery", None)
         anchor = getattr(recovery, "checkpoint_entries", None)
         # per-component counts of the prefix the checkpoint covered
         recount: Dict[str, int] = {}
         with self._lock:
-            for index, record in enumerate(records):
+            for record in self.store.iter_records():
+                index = len(self._merkle)
                 try:
-                    # no name bound to the decoded entry: it is freed
-                    # before the next record (and its payload) is decoded
-                    self._apply_derived(LogEntry.decode(record), record)
+                    # decoded over a view (no copy of the data field)
+                    self._apply_derived(
+                        LogEntry.decode(memoryview(record)), record
+                    )
                 except DecodingError as exc:
                     # CRC and chain both passed, so these bytes are what
                     # was originally accepted -- an undecodable record here
@@ -114,6 +126,9 @@ class LogServer:
                     raise LogIntegrityError(
                         f"recovered record {index} does not decode: {exc}"
                     ) from exc
+                # one record in memory at a time (hence no enumerate():
+                # its result tuple holds the last record during the read)
+                del record
                 if index + 1 == anchor:
                     recount = dict(self._by_component)
             store_root = getattr(self.store, "merkle_root", None)
@@ -324,14 +339,13 @@ class LogServer:
     ) -> List[LogEntry]:
         """Entries matching every given filter, in ingestion order.
 
-        The first call after an ingest decodes the new records (under the
-        server lock) and memoises them; until an auditor asks, the server
-        holds the raw records only.
+        The first call after an ingest reads the new records from the
+        store and decodes them (under the server lock) and memoises them;
+        until an auditor asks, nothing decoded is held.
         """
         with self._lock:
-            if len(self._entries) < len(self._merkle):
-                for record in self.store.records()[len(self._entries):]:
-                    self._entries.append(LogEntry.decode(record))
+            for record in self._served(len(self._entries), len(self._merkle)):
+                self._entries.append(LogEntry.decode(record))
             result = list(self._entries)
         if component_id is not None:
             result = [e for e in result if e.component_id == component_id]
@@ -361,19 +375,45 @@ class LogServer:
         with self._lock:
             return dict(self._bytes_by_component)
 
-    def raw_records(self, start: int = 0, count: Optional[int] = None) -> List[bytes]:
+    def raw_records(
+        self,
+        start: int = 0,
+        count: Optional[int] = None,
+        max_bytes: Optional[int] = None,
+    ) -> List[bytes]:
         """Encoded records ``[start, start + count)`` in ingestion order.
 
         The fetch side of anti-entropy: a lagging replica replays exactly
         these bytes, so its hash chain and Merkle tree land on the same
-        commitments as the donor's.
+        commitments as the donor's.  With ``max_bytes`` the range stops
+        before the record that would take it past that many bytes, but
+        never before its first record.
         """
+        if start < 0 or (count is not None and count < 0):
+            raise ValueError("start and count must be non-negative")
+        records: List[bytes] = []
+        size = 0
         with self._lock:
-            records = self.store.records()
-        if start < 0:
-            raise ValueError("start must be non-negative")
-        end = len(records) if count is None else start + count
-        return records[start:end]
+            end = len(self._merkle)
+            if count is not None:
+                end = min(end, start + count)
+            for record in self._served(start, end):
+                size += len(record)
+                if records and max_bytes is not None and size > max_bytes:
+                    break
+                records.append(record)
+        return records
+
+    def _served(self, start: int, end: int) -> Iterator[bytes]:
+        """Records ``[start, end)`` read from the store, each checked
+        against its Merkle leaf hash (lock held)."""
+        records = islice(self.store.iter_records(start), max(0, end - start))
+        for index, record in enumerate(records, start):
+            if leaf_hash(record) != self._merkle.leaf(index):
+                raise LogIntegrityError(
+                    f"stored record {index} no longer matches its Merkle leaf"
+                )
+            yield record
 
     def components(self) -> List[str]:
         """All component ids that have registered a key."""

@@ -15,9 +15,14 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Tuple
 
-from repro.crypto.hashchain import HashChain, chain_digest, GENESIS
+from repro.crypto.hashchain import (
+    GENESIS,
+    HashChain,
+    chain_digest,
+    verify_chain,
+)
 from repro.errors import LogIntegrityError
 
 _FRAME = struct.Struct("<I")
@@ -45,6 +50,15 @@ class LogStore:
         """All records in append order."""
         raise NotImplementedError
 
+    def iter_records(self, start: int = 0) -> Iterator[bytes]:
+        """Records from index ``start`` on, in append order.
+
+        The read path every consumer of a whole log uses; a store that
+        keeps its records out of memory streams them instead of building
+        :meth:`records`' list.
+        """
+        return iter(self.records()[start:])
+
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -70,30 +84,32 @@ class InMemoryLogStore(LogStore):
 
     def __init__(self) -> None:
         self._chain = HashChain()
+        #: ``(record, chain digest)`` in append order
+        self._records: List[Tuple[bytes, bytes]] = []
         self._bytes = 0
         self._lock = threading.Lock()
 
     def append(self, record: bytes) -> int:
         with self._lock:
-            entry = self._chain.append(record)
+            self._records.append((record, self._chain.append(record)))
             self._bytes += len(record)
-            return entry.index
+            return len(self._records) - 1
 
     def append_batch(self, records: List[bytes]) -> List[int]:
         with self._lock:
-            base = len(self._chain)
+            base = len(self._records)
             for record in records:
-                self._chain.append(record)
+                self._records.append((record, self._chain.append(record)))
                 self._bytes += len(record)
             return list(range(base, base + len(records)))
 
     def records(self) -> List[bytes]:
         with self._lock:
-            return self._chain.payloads()
+            return [record for record, _ in self._records]
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._chain)
+            return len(self._records)
 
     @property
     def total_bytes(self) -> int:
@@ -102,7 +118,11 @@ class InMemoryLogStore(LogStore):
 
     def verify(self) -> None:
         with self._lock:
-            self._chain.verify()
+            ok, index = verify_chain(self._records)
+            if not ok:
+                raise LogIntegrityError(f"hash chain broken at entry {index}")
+            if self._records and self._records[-1][1] != self._chain.head:
+                raise LogIntegrityError("chain head disagrees with records")
 
     def head(self) -> bytes:
         with self._lock:
@@ -112,10 +132,7 @@ class InMemoryLogStore(LogStore):
         """**Test helper**: overwrite a record in place, simulating an
         attacker modifying stored logs.  :meth:`verify` must detect this."""
         with self._lock:
-            old = self._chain[index]
-            self._chain._entries[index] = type(old)(
-                index=old.index, payload=record, digest=old.digest
-            )
+            self._records[index] = (record, self._records[index][1])
 
 
 class FileLogStore(LogStore):

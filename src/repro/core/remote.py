@@ -1036,7 +1036,10 @@ class LogServerEndpoint:
         )
 
     def _fetch_records(self, shard_tag: int, start: int, count: int) -> List[bytes]:
-        """Raw-record range, shard-aware.
+        """Raw-record range, shard-aware, of at most
+        :data:`BATCH_FRAME_BYTES` (but at least one record) -- a fetch
+        of image-sized records must fit a frame; clients loop on short
+        batches.
 
         A sharded server's record indexes are per shard, so fetches
         against one MUST carry a shard tag -- an untargeted fetch would
@@ -1045,11 +1048,12 @@ class LogServerEndpoint:
         log) for symmetry with :meth:`_submit_one`.
         """
         shard_fetch = getattr(self.server, "shard_raw_records", None)
+        limit = BATCH_FRAME_BYTES
         if shard_tag:
             if shard_fetch is not None:
-                return shard_fetch(shard_tag - 1, start, count)
+                return shard_fetch(shard_tag - 1, start, count, limit)
             if shard_tag == 1:
-                return self.server.raw_records(start, count)
+                return self.server.raw_records(start, count, max_bytes=limit)
             raise LoggingError(
                 f"shard {shard_tag - 1} fetched from an unsharded server"
             )
@@ -1058,7 +1062,7 @@ class LogServerEndpoint:
                 "a sharded log server requires a shard id for FETCH "
                 "(per-shard record indexes; fetch each shard separately)"
             )
-        return self.server.raw_records(start, count)
+        return self.server.raw_records(start, count, max_bytes=limit)
 
     # -- proof plane (signed tree heads + Merkle proofs) -------------------
 

@@ -31,7 +31,7 @@ from repro.crypto.hashing import (
 from repro.crypto.keys import KeyPair, PublicKey, PrivateKey, generate_keypair
 from repro.crypto.keystore import KeyStore
 from repro.crypto.pkcs1 import sign as pkcs1_sign, verify as pkcs1_verify
-from repro.crypto.hashchain import HashChain, ChainEntry
+from repro.crypto.hashchain import HashChain
 from repro.crypto.merkle import MerkleTree, MerkleProof
 from repro.crypto.schemes import (
     SignatureScheme,
@@ -54,7 +54,6 @@ __all__ = [
     "pkcs1_sign",
     "pkcs1_verify",
     "HashChain",
-    "ChainEntry",
     "MerkleTree",
     "MerkleProof",
     "SignatureScheme",

@@ -5,16 +5,18 @@ in place [7], [15] for the protection of log integrity" (Section II-A).  This
 module realizes that assumption with the classic Schneier-Kelsey style hash
 chain: each appended record is bound to the digest of everything before it,
 so any retroactive modification, deletion, or reordering of records changes
-every subsequent chain digest and is detected by :meth:`HashChain.verify`.
+every subsequent chain digest and is detected by :func:`verify_chain`.
+
+:class:`HashChain` is the running state only -- head digest and length.
+The records and their per-record digests live wherever the store keeps
+them (a list in memory, the WAL on disk).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro.crypto.hashing import sha256
-from repro.errors import LogIntegrityError
 
 #: Well-known digest anchoring the start of every chain.
 GENESIS = sha256(b"repro.hashchain.genesis")
@@ -30,51 +32,33 @@ def chain_digest(prev_digest: bytes, payload: bytes) -> bytes:
     return sha256(prev_digest + sha256(payload))
 
 
-@dataclass(frozen=True)
-class ChainEntry:
-    """One record in the chain: its position, payload, and chained digest."""
-
-    index: int
-    payload: bytes
-    digest: bytes
-
-
 class HashChain:
-    """An append-only sequence of byte records with verifiable integrity."""
+    """The head and length of an append-only chain of byte records."""
 
-    def __init__(self) -> None:
-        self._entries: List[ChainEntry] = []
-        self._head = GENESIS
+    def __init__(self, head: bytes = GENESIS, length: int = 0) -> None:
+        self._head = head
+        self._length = length
 
-    def append(self, payload: bytes) -> ChainEntry:
-        """Append ``payload`` and return the new chained entry."""
-        digest = chain_digest(self._head, payload)
-        entry = ChainEntry(index=len(self._entries), payload=payload, digest=digest)
-        self._entries.append(entry)
-        self._head = digest
-        return entry
+    def append(self, payload: bytes) -> bytes:
+        """Chain ``payload`` onto the head; returns its chain digest."""
+        self._head = chain_digest(self._head, payload)
+        self._length += 1
+        return self._head
 
-    def adopt(self, payload: bytes, digest: bytes) -> ChainEntry:
-        """Append a record whose chain digest was computed in an earlier
-        life of this chain, without recomputing it.
+    def adopt(self, digest: bytes) -> None:
+        """Advance over a record whose chain digest was computed in an
+        earlier life of this chain, without recomputing it.
 
         This is the recovery fast path: a durable store replaying a WAL
-        prefix that a checkpoint already anchors adopts the stored digests
-        and only recomputes the post-checkpoint tail.  :meth:`verify`
-        still recomputes everything, so adoption never weakens the tamper
-        check -- it only defers it.
+        prefix that a checkpoint anchors adopts the stored digests and
+        checks only where they lead (the checkpointed head).
         """
-        entry = ChainEntry(index=len(self._entries), payload=payload, digest=digest)
-        self._entries.append(entry)
         self._head = digest
-        return entry
+        self._length += 1
 
-    def truncate(self, size: int) -> None:
-        """Drop entries beyond ``size`` (rollback of a failed append)."""
-        if not 0 <= size <= len(self._entries):
-            raise IndexError("truncation size out of range")
-        del self._entries[size:]
-        self._head = self._entries[-1].digest if self._entries else GENESIS
+    def copy(self) -> "HashChain":
+        """An independent chain at the same head and length."""
+        return HashChain(self._head, self._length)
 
     @property
     def head(self) -> bytes:
@@ -82,37 +66,11 @@ class HashChain:
         return self._head
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[ChainEntry]:
-        return iter(self._entries)
-
-    def __getitem__(self, index: int) -> ChainEntry:
-        return self._entries[index]
-
-    def payloads(self) -> List[bytes]:
-        """All payloads in append order."""
-        return [e.payload for e in self._entries]
-
-    def verify(self) -> None:
-        """Recompute the whole chain; raise :class:`LogIntegrityError` if any
-        stored digest disagrees with the recomputation."""
-        ok, index = verify_chain(
-            [(e.payload, e.digest) for e in self._entries]
-        )
-        if not ok:
-            raise LogIntegrityError(f"hash chain broken at entry {index}")
-
-    def verify_against(self, expected_head: bytes) -> None:
-        """Verify internal consistency *and* that the head matches a
-        previously published commitment (e.g. one the auditor noted down)."""
-        self.verify()
-        if self._head != expected_head:
-            raise LogIntegrityError("chain head does not match commitment")
+        return self._length
 
 
 def verify_chain(
-    records: Sequence[Tuple[bytes, bytes]], genesis: bytes = GENESIS
+    records: Iterable[Tuple[bytes, bytes]], genesis: bytes = GENESIS
 ) -> Tuple[bool, Optional[int]]:
     """Check a ``(payload, digest)`` sequence for chain consistency.
 

@@ -190,6 +190,11 @@ class MerkleTree:
     def __len__(self) -> int:
         return self._size
 
+    def leaf(self, index: int) -> bytes:
+        """The leaf hash of record ``index``."""
+        self._check_size(index + 1)
+        return bytes(self._rows[0][index * HASH_LEN:(index + 1) * HASH_LEN])
+
     def _peaks(self, lo: int, hi: int) -> List[Tuple[int, bytes]]:
         """The complete subtrees tiling leaves ``[lo, hi)`` left to right,
         largest first, as ``(leaf_count, digest)``.

@@ -422,7 +422,9 @@ class WireMessage:
                     pos = end
                     if kind == _STRING:
                         try:
-                            value = value.decode("utf-8")
+                            # str(), not .decode(): a decode over a
+                            # memoryview slices memoryviews
+                            value = str(value, "utf-8")
                         except UnicodeDecodeError as exc:
                             raise DecodingError(
                                 f"field {field.number}: invalid UTF-8"

@@ -346,13 +346,17 @@ class ShardedLogServer:
         return sum(server.total_bytes for server in self._servers)
 
     def shard_raw_records(
-        self, shard: int, start: int = 0, count: Optional[int] = None
+        self,
+        shard: int,
+        start: int = 0,
+        count: Optional[int] = None,
+        max_bytes: Optional[int] = None,
     ) -> List[bytes]:
         """Encoded records ``[start, start+count)`` of one shard -- the
         fetch side of per-shard anti-entropy (a merged index space would
         not be stable under interleaved submits, so fetches are per
         shard)."""
-        return self._servers[shard].raw_records(start, count)
+        return self._servers[shard].raw_records(start, count, max_bytes)
 
     def components(self) -> List[str]:
         return self._servers[0].components()

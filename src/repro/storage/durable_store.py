@@ -2,10 +2,12 @@
 
 :class:`DurableLogStore` implements the :class:`~repro.core.log_store.LogStore`
 interface on top of the write-ahead log of :mod:`repro.storage.wal` and the
-checkpoints of :mod:`repro.storage.checkpoint`.  Records are served from
-memory (like :class:`~repro.core.log_store.InMemoryLogStore`) while every
-append is durably journaled first, so a process crash at any instant
-recovers to a consistent *prefix* of the accepted log:
+checkpoints of :mod:`repro.storage.checkpoint`.  A record's bytes live in
+the WAL only: memory holds the chain head, the Merkle frontier, and one
+8-byte WAL location per record, and reads come back from the segment
+files.  Every append is durably journaled before the store counts it, so a
+process crash at any instant recovers to a consistent *prefix* of the
+accepted log:
 
 - the WAL record of entry ``i`` carries its chain digest, so recovery
   rebuilds the identical hash chain and Merkle commitment a never-crashed
@@ -15,7 +17,17 @@ recovers to a consistent *prefix* of the accepted log:
   before it is lost;
 - the latest checkpoint bounds both recovery work (only the tail after the
   checkpoint is chain-re-verified on open) and silent truncation (a WAL
-  shorter than its checkpoint is evidence loss and raises).
+  shorter than its checkpoint is evidence loss and raises);
+- recovery streams: one record is in memory at a time.
+
+Reads (:meth:`DurableLogStore.iter_records`) run under the store lock and
+cover the first ``len(store)`` records only -- each was flushed to the OS
+before its append returned, sealed segments never change, and the
+in-process failure path of a batch truncates under the same lock.  Each
+record read is CRC-checked; one altered on disk *and* re-checksummed is
+caught by :meth:`DurableLogStore.verify` (and, behind a
+:class:`~repro.core.log_server.LogServer`, by its Merkle leaf check on
+every record it serves).
 
 Key registrations are journaled as unchained KEY records so the trusted
 logger's registry survives a restart without perturbing the hash chain or
@@ -31,11 +43,12 @@ from __future__ import annotations
 
 import os
 import threading
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.log_store import LogStore
-from repro.crypto.hashchain import GENESIS, HashChain, chain_digest
+from repro.crypto.hashchain import GENESIS, HashChain
 from repro.crypto.merkle import MerkleFrontier
 from repro.errors import LogIntegrityError
 from repro.storage.checkpoint import Checkpoint, CheckpointManager
@@ -46,6 +59,10 @@ REC_ENTRY = 1  # 32-byte chain digest || encoded log entry
 REC_KEY = 2  # uint16 component-id length || id utf-8 || public key bytes
 
 _DIGEST_SIZE = 32
+
+#: a record's WAL location is ``segment << _SEGMENT_SHIFT | offset``
+_SEGMENT_SHIFT = 40
+_OFFSET_MASK = (1 << _SEGMENT_SHIFT) - 1
 
 WAL_SUBDIR = "wal"
 CHECKPOINT_SUBDIR = "checkpoints"
@@ -110,6 +127,8 @@ class DurableLogStore(LogStore):
         self._lock = threading.RLock()
         self._chain = HashChain()
         self._frontier = MerkleFrontier()
+        #: WAL location of record ``i`` (segment and offset, packed)
+        self._locations = array("Q")
         self._bytes = 0
         self._keys: Dict[str, bytes] = {}
         self._checkpoint_every = checkpoint_every
@@ -126,8 +145,11 @@ class DurableLogStore(LogStore):
     def _recover(self, fsync, segment_max_bytes) -> RecoveryInfo:
         checkpoint = self._checkpoints.load_latest()
         anchor = checkpoint.entry_count if checkpoint is not None else 0
-
-        state = {"bytes": 0}
+        if checkpoint is not None:
+            # continued over the replayed tail
+            self._frontier = checkpoint.frontier.copy()
+        # chain head and byte total where the checkpoint says they are
+        prefix = {"head": GENESIS, "bytes": 0}
 
         def sink(record: WalRecord) -> None:
             if record.rtype == REC_KEY:
@@ -140,21 +162,26 @@ class DurableLogStore(LogStore):
                 )
             if len(record.payload) < _DIGEST_SIZE:
                 raise LogIntegrityError("ENTRY record shorter than its digest")
-            digest = record.payload[:_DIGEST_SIZE]
-            payload = record.payload[_DIGEST_SIZE:]
+            view = memoryview(record.payload)
+            digest = bytes(view[:_DIGEST_SIZE])
+            payload = view[_DIGEST_SIZE:]
             index = len(self._chain)
             if index < anchor:
                 # Pre-checkpoint prefix: adopt the stored digest; the
                 # checkpoint head check below anchors the whole prefix.
-                self._chain.adopt(payload, digest)
+                self._chain.adopt(digest)
             else:
-                expected = chain_digest(self._chain.head, payload)
-                if digest != expected:
+                if self._chain.append(payload) != digest:
                     raise LogIntegrityError(
                         f"chain broken at recovered entry {index}"
                     )
-                self._chain.append(payload)
-            state["bytes"] += len(payload)
+                self._frontier.append(payload)
+            self._bytes += len(payload)
+            if index + 1 == anchor:
+                prefix["head"], prefix["bytes"] = digest, self._bytes
+            self._locations.append(
+                record.segment << _SEGMENT_SHIFT | record.offset
+            )
 
         wal = WriteAheadLog(
             os.path.join(self.path, WAL_SUBDIR),
@@ -163,7 +190,6 @@ class DurableLogStore(LogStore):
             replay_sink=sink,
         )
         self._wal = wal
-        self._bytes = state["bytes"]
 
         if checkpoint is not None:
             if len(self._chain) < anchor:
@@ -172,31 +198,16 @@ class DurableLogStore(LogStore):
                     f"checkpoint covers {anchor}: the journal lost "
                     f"checkpointed evidence"
                 )
-            prefix_head = (
-                self._chain[anchor - 1].digest if anchor else GENESIS
-            )
-            if prefix_head != checkpoint.chain_head:
+            if prefix["head"] != checkpoint.chain_head:
                 raise LogIntegrityError(
                     "recovered WAL prefix does not reach the checkpointed "
                     "chain head"
                 )
-            prefix_bytes = sum(
-                len(entry.payload) for entry in list(self._chain)[:anchor]
-            )
-            if prefix_bytes != checkpoint.total_bytes:
+            if prefix["bytes"] != checkpoint.total_bytes:
                 raise LogIntegrityError(
                     "recovered WAL prefix disagrees with the checkpointed "
                     "byte total"
                 )
-            # Continue the checkpointed frontier over the replayed tail.
-            restored = checkpoint.frontier.copy()
-            for entry in list(self._chain)[anchor:]:
-                restored.append(entry.payload)
-            self._frontier = restored
-        else:
-            self._frontier = MerkleFrontier.from_leaf_hashes(
-                _leaf_hashes(self._chain.payloads())
-            )
 
         if len(self._frontier) != len(self._chain):
             raise LogIntegrityError("frontier size disagrees with chain")
@@ -218,23 +229,11 @@ class DurableLogStore(LogStore):
 
     def append(self, record: bytes) -> int:
         with self._lock:
-            entry = self._chain.append(record)
-            try:
-                self._wal.append(REC_ENTRY, entry.digest, record)
-            except BaseException:
-                # Keep memory consistent with disk if the journal write
-                # blew up under us (a crashpoint or a real I/O error).
-                self._chain.truncate(entry.index)
-                raise
-            self._frontier.append(record)
-            self._bytes += len(record)
-            self._appends_since_checkpoint += 1
-            if (
-                self._checkpoint_every
-                and self._appends_since_checkpoint >= self._checkpoint_every
-            ):
-                self.checkpoint()
-            return entry.index
+            chain = self._chain.copy()
+            digest = chain.append(record)
+            segment, offset = self._wal.append(REC_ENTRY, digest, record)
+            self._commit(chain, segment, (offset,), (record,))
+            return len(self._chain) - 1
 
     def append_batch(self, records: List[bytes]) -> List[int]:
         """Group-commit ``records``: one WAL write burst, one fsync.
@@ -242,39 +241,69 @@ class DurableLogStore(LogStore):
         The chain digests are computed exactly as ``append`` would, so the
         resulting chain head, frontier, and on-disk bytes are byte-identical
         to appending the records one at a time -- only the fsync count
-        changes (one per batch under the ``always`` policy).  If the WAL
-        burst fails partway, the in-memory chain is rolled back for the
-        whole batch so the live store never claims more than one consistent
-        prefix; a crash mid-burst recovers the records written before the
-        tear, exactly like a torn per-entry tail.
+        changes (one per batch under the ``always`` policy).  The digests
+        are computed on a copy of the chain and committed once the WAL
+        burst has succeeded, so a burst that fails partway leaves the live
+        store untouched; a crash mid-burst recovers the records written
+        before the tear, exactly like a torn per-entry tail.
         """
         if not records:
             return []
         with self._lock:
+            chain = self._chain.copy()
+            items = [
+                (REC_ENTRY, chain.append(record), record) for record in records
+            ]
+            segment, offsets = self._wal.append_many(items)
             base = len(self._chain)
-            try:
-                items = []
-                for record in records:
-                    entry = self._chain.append(record)
-                    items.append((REC_ENTRY, entry.digest, record))
-                self._wal.append_many(items)
-            except BaseException:
-                self._chain.truncate(base)
-                raise
-            for record in records:
-                self._frontier.append(record)
-                self._bytes += len(record)
-            self._appends_since_checkpoint += len(records)
-            if (
-                self._checkpoint_every
-                and self._appends_since_checkpoint >= self._checkpoint_every
-            ):
-                self.checkpoint()
+            self._commit(chain, segment, offsets, records)
             return list(range(base, base + len(records)))
 
-    def records(self) -> List[bytes]:
+    def _commit(
+        self,
+        chain: HashChain,
+        segment: int,
+        offsets: Sequence[int],
+        records: Sequence[bytes],
+    ) -> None:
+        """Count records the WAL now holds as stored (lock held)."""
+        self._chain = chain
+        base = segment << _SEGMENT_SHIFT
+        self._locations.extend(base | offset for offset in offsets)
+        for record in records:
+            self._frontier.append(record)
+            self._bytes += len(record)
+        self._appends_since_checkpoint += len(records)
+        if (
+            self._checkpoint_every
+            and self._appends_since_checkpoint >= self._checkpoint_every
+        ):
+            self.checkpoint()
+
+    def iter_records(self, start: int = 0) -> Iterator[bytes]:
+        """Records ``start .. len(self)`` (length taken at the first read),
+        each read back from its WAL segment under the store lock."""
         with self._lock:
-            return self._chain.payloads()
+            end = len(self._locations)
+        for index in range(start, end):
+            yield self._read(index)
+
+    def _read(self, index: int) -> bytes:
+        with self._lock:
+            location = self._locations[index]
+            rtype, _, payload = self._wal.read(
+                location >> _SEGMENT_SHIFT,
+                location & _OFFSET_MASK,
+                _DIGEST_SIZE,
+            )
+        if rtype != REC_ENTRY:
+            raise LogIntegrityError(
+                f"WAL record of entry {index} has type {rtype}"
+            )
+        return payload
+
+    def records(self) -> List[bytes]:
+        return list(self.iter_records())
 
     def __len__(self) -> int:
         with self._lock:
@@ -347,34 +376,36 @@ class DurableLogStore(LogStore):
         """
         with self._lock:
             self._wal.flush()
-            records, _ = scan(os.path.join(self.path, WAL_SUBDIR), strict=True)
             checkpoints = {
                 c.entry_count: c for c in self._checkpoints.load_all_strict()
             }
-            head = GENESIS
+            chain = HashChain()
             frontier = MerkleFrontier()
-            count = 0
             total = 0
-            self._check_checkpoint(checkpoints.get(0), head, frontier, 0)
-            for record in records:
+            self._check_checkpoint(checkpoints.get(0), GENESIS, frontier, 0)
+
+            def check(record: WalRecord) -> None:
+                nonlocal total
                 if record.rtype == REC_KEY:
-                    continue
+                    return
                 if record.rtype != REC_ENTRY:
                     raise LogIntegrityError(
                         f"unknown WAL record type {record.rtype}"
                     )
-                digest = record.payload[:_DIGEST_SIZE]
-                payload = record.payload[_DIGEST_SIZE:]
-                expected = chain_digest(head, payload)
-                if digest != expected:
-                    raise LogIntegrityError(f"chain broken at record {count}")
-                head = expected
+                view = memoryview(record.payload)
+                payload = view[_DIGEST_SIZE:]
+                if chain.append(payload) != view[:_DIGEST_SIZE]:
+                    raise LogIntegrityError(
+                        f"chain broken at record {len(chain) - 1}"
+                    )
                 frontier.append(payload)
-                count += 1
                 total += len(payload)
                 self._check_checkpoint(
-                    checkpoints.get(count), head, frontier, total
+                    checkpoints.get(len(chain)), chain.head, frontier, total
                 )
+
+            scan(os.path.join(self.path, WAL_SUBDIR), strict=True, sink=check)
+            count, head = len(chain), chain.head
             unseen = [n for n in checkpoints if n > count]
             if unseen:
                 raise LogIntegrityError(
@@ -426,10 +457,3 @@ class DurableLogStore(LogStore):
         harness calls this after a :class:`SimulatedCrash` so the dead
         store object cannot interfere with the recovered one."""
         self._wal.abandon()
-
-
-def _leaf_hashes(payloads: List[bytes]):
-    from repro.crypto.merkle import leaf_hash
-
-    for payload in payloads:
-        yield leaf_hash(payload)

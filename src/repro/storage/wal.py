@@ -28,6 +28,9 @@ Two read paths with deliberately different strictness:
   any short read or CRC mismatch anywhere raises
   :class:`~repro.errors.LogIntegrityError`.  A store believed intact has
   no torn tail to excuse.
+- **Random access** (:meth:`WriteAheadLog.read`) reads one record back at
+  the ``(segment, offset)`` its append reported, CRC-checked like any
+  other read.
 
 The fsync policy bounds what a crash can lose: ``always`` fsyncs every
 record (lose nothing), ``interval`` fsyncs at most every
@@ -80,11 +83,13 @@ def _encode_header(index: int) -> bytes:
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One replayed record: its type byte, payload, and home segment."""
+    """One replayed record: its type byte, payload, home segment, and the
+    offset of its header within that segment."""
 
     rtype: int
     payload: bytes
     segment: int
+    offset: int
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,38 @@ class _TornTail(Exception):
         self.reason = reason
 
 
+def _corrupt(path: str, tear: _TornTail) -> LogIntegrityError:
+    return LogIntegrityError(
+        f"corrupt WAL record in {os.path.basename(path)} at offset "
+        f"{tear.offset}: {tear.reason}"
+    )
+
+
+def _read_record(
+    read: Callable[[int, int], bytes], offset: int, split: int = 0
+) -> Optional[Tuple[int, bytes, bytes]]:
+    """The record at ``offset`` as ``(rtype, payload[:split],
+    payload[split:])``, read in order through ``read(size, position)``;
+    ``None`` at a clean end of the segment.  Raises :class:`_TornTail` on a
+    short or CRC-invalid read.  Reading the two parts separately keeps a
+    large payload in the one buffer it was read into."""
+    head = read(_REC_HEAD.size + split, offset)
+    if not head:
+        return None
+    if len(head) < _REC_HEAD.size + split:
+        raise _TornTail(offset, "short record header")
+    length, rtype = _REC_HEAD.unpack_from(head)
+    if not split <= length <= MAX_RECORD_BYTES:
+        raise _TornTail(offset, "implausible record length")
+    rest = read(length - split, offset + len(head))
+    crc_raw = read(_CRC.size, offset + _REC_HEAD.size + length)
+    if len(rest) < length - split or len(crc_raw) < _CRC.size:
+        raise _TornTail(offset, "short record body")
+    if _CRC.unpack(crc_raw)[0] != zlib.crc32(rest, zlib.crc32(head)):
+        raise _TornTail(offset, "record checksum mismatch")
+    return rtype, head[_REC_HEAD.size :], rest
+
+
 def _scan_segment(path: str, expected_index: int) -> Iterator[WalRecord]:
     """Yield records of one segment; raise :class:`_TornTail` on a short or
     CRC-invalid read (the caller decides whether that is torn or tamper)."""
@@ -143,23 +180,41 @@ def _scan_segment(path: str, expected_index: int) -> Iterator[WalRecord]:
                 f"expected {expected_index}"
             )
         offset = SEGMENT_HEADER_SIZE
+
+        def read(size: int, position: int) -> bytes:
+            return f.read(size)  # records are read in order: f is there
+
         while True:
-            head = f.read(_REC_HEAD.size)
-            if not head:
+            record = _read_record(read, offset)
+            if record is None:
                 return
-            if len(head) < _REC_HEAD.size:
-                raise _TornTail(offset, "short record header")
-            length, rtype = _REC_HEAD.unpack(head)
-            if length > MAX_RECORD_BYTES:
-                raise _TornTail(offset, "implausible record length")
-            payload = f.read(length)
-            crc_raw = f.read(_CRC.size)
-            if len(payload) < length or len(crc_raw) < _CRC.size:
-                raise _TornTail(offset, "short record body")
-            if _CRC.unpack(crc_raw)[0] != zlib.crc32(payload, zlib.crc32(head)):
-                raise _TornTail(offset, "record checksum mismatch")
-            yield WalRecord(rtype=rtype, payload=payload, segment=seg_index)
-            offset += _REC_HEAD.size + length + _CRC.size
+            rtype, _, payload = record
+            start = offset
+            offset += _REC_HEAD.size + len(payload) + _CRC.size
+            # nothing here holds the record while the next one is read
+            del record
+            yield WalRecord(
+                rtype=rtype, payload=payload, segment=seg_index, offset=start
+            )
+            del payload
+
+
+def _scan_segments(
+    pairs: List[Tuple[int, str]], sink: Callable[[WalRecord], None]
+) -> Optional[_TornTail]:
+    """Hand every record of the ``(index, path)`` segments to ``sink``.  A
+    tear in a sealed segment is tampering and raises; one in the last
+    segment ends the scan and is returned."""
+    for position, (index, path) in enumerate(pairs):
+        try:
+            for record in _scan_segment(path, index):
+                sink(record)
+                del record  # freed before the next record is read
+        except _TornTail as tear:
+            if position < len(pairs) - 1:
+                raise _corrupt(path, tear) from None
+            return tear
+    return None
 
 
 def segment_paths(directory: str) -> List[Tuple[int, str]]:
@@ -182,7 +237,9 @@ def segment_paths(directory: str) -> List[Tuple[int, str]]:
 
 
 def scan(
-    directory: str, strict: bool = True
+    directory: str,
+    strict: bool = True,
+    sink: Optional[Callable[[WalRecord], None]] = None,
 ) -> Tuple[List[WalRecord], int]:
     """Read every record in the WAL directory.
 
@@ -190,24 +247,19 @@ def scan(
     check) any corruption raises :class:`LogIntegrityError` and
     ``torn_bytes`` is always 0; with ``strict=False`` a torn tail in the
     last segment is *reported* (records up to the tear, plus the count of
-    unreadable tail bytes) but the files are not modified.
+    unreadable tail bytes) but the files are not modified.  With a
+    ``sink`` each record is handed to it instead of being collected (the
+    list comes back empty), so a pass over the whole log holds one record
+    at a time.
     """
     records: List[WalRecord] = []
-    torn_bytes = 0
     pairs = segment_paths(directory)
-    for position, (index, path) in enumerate(pairs):
-        last = position == len(pairs) - 1
-        try:
-            for record in _scan_segment(path, index):
-                records.append(record)
-        except _TornTail as tear:
-            if strict or not last:
-                raise LogIntegrityError(
-                    f"corrupt WAL record in {os.path.basename(path)} at "
-                    f"offset {tear.offset}: {tear.reason}"
-                ) from None
-            torn_bytes = os.path.getsize(path) - tear.offset
-    return records, torn_bytes
+    tear = _scan_segments(pairs, sink or records.append)
+    if tear is None:
+        return records, 0
+    if strict:
+        raise _corrupt(pairs[-1][1], tear)
+    return records, os.path.getsize(pairs[-1][1]) - tear.offset
 
 
 class WriteAheadLog:
@@ -232,6 +284,8 @@ class WriteAheadLog:
         self.segment_max_bytes = segment_max_bytes
         self.truncated_bytes = 0
         self._lock = threading.Lock()
+        #: ``(segment, fd)`` of the segment :meth:`read` last opened
+        self._reader: Optional[Tuple[int, int]] = None
         self._last_sync = time.monotonic()
         os.makedirs(directory, exist_ok=True)
         self._replay(replay_sink)
@@ -243,23 +297,10 @@ class WriteAheadLog:
         if not pairs:
             self._create_segment(1)
             return
-        truncate_at: Optional[int] = None
-        for position, (index, path) in enumerate(pairs):
-            last = position == len(pairs) - 1
-            try:
-                for record in _scan_segment(path, index):
-                    if sink is not None:
-                        sink(record)
-            except _TornTail as tear:
-                if not last:
-                    raise LogIntegrityError(
-                        f"corrupt WAL record in sealed segment "
-                        f"{os.path.basename(path)} at offset {tear.offset}: "
-                        f"{tear.reason}"
-                    ) from None
-                truncate_at = tear.offset
+        tear = _scan_segments(pairs, sink or (lambda record: None))
         index, path = pairs[-1]
-        if truncate_at is not None:
+        if tear is not None:
+            truncate_at = tear.offset
             size = os.path.getsize(path)
             self.truncated_bytes = size - truncate_at
             if truncate_at < SEGMENT_HEADER_SIZE:
@@ -317,19 +358,24 @@ class WriteAheadLog:
             cut -= len(buffer)
         self._segment_bytes += total
 
-    def append(self, rtype: int, *parts: bytes) -> None:
+    def append(self, rtype: int, *parts: bytes) -> Tuple[int, int]:
         """Durably append one record whose payload is ``parts``
-        concatenated (durability per the fsync policy)."""
+        concatenated (durability per the fsync policy); returns the
+        ``(segment, offset)`` it was written at."""
         with self._lock:
+            where = (self._segment_index, self._segment_bytes)
             self._write_record(rtype, parts)
             self._file.flush()
             crashpoint("wal.pre_fsync")
             self._maybe_sync()
             if self._segment_bytes >= self.segment_max_bytes:
                 self._rotate()
+            return where
 
-    def append_many(self, items: Sequence[Tuple]) -> None:
-        """Durably append ``(rtype, *parts)`` records as one group commit.
+    def append_many(self, items: Sequence[Tuple]) -> Tuple[int, List[int]]:
+        """Durably append ``(rtype, *parts)`` records as one group commit;
+        returns the segment they were written to and their offsets in it
+        (a batch never straddles a rotation).
 
         The whole batch is written as one burst and synced **once** per the
         fsync policy (one fsync per batch under ``always``, instead of one
@@ -348,15 +394,18 @@ class WriteAheadLog:
         wedging recovery permanently.  The live store and the segment must
         agree on the same prefix, so the leaked prefix has to go.
         """
-        if not items:
-            return
         with self._lock:
+            segment = self._segment_index
+            offsets: List[int] = []
+            if not items:
+                return segment, offsets
             start = self._file.tell()
             segment_bytes = self._segment_bytes
             try:
                 for position, (rtype, *parts) in enumerate(items):
                     if position:
                         crashpoint("wal.batch_mid", self._file.flush)
+                    offsets.append(self._segment_bytes)
                     self._write_record(rtype, parts)
                 self._file.flush()
                 crashpoint("wal.pre_fsync")
@@ -371,6 +420,7 @@ class WriteAheadLog:
                 raise
             if self._segment_bytes >= self.segment_max_bytes:
                 self._rotate()
+            return segment, offsets
 
     def _maybe_sync(self) -> None:
         policy = self.fsync_policy
@@ -391,6 +441,45 @@ class WriteAheadLog:
         self._file.close()
         crashpoint("wal.pre_rotate")
         self._create_segment(self._segment_index + 1)
+
+    # -- reading ----------------------------------------------------------
+
+    def read(
+        self, segment: int, offset: int, split: int
+    ) -> Tuple[int, bytes, bytes]:
+        """The record an append reported at ``(segment, offset)``, as
+        ``(rtype, payload[:split], payload[split:])``: positioned reads
+        (no buffer of our own; the OS page cache is the cache), CRC-checked
+        like every other read, so anything but an intact record there
+        raises :class:`LogIntegrityError`.  An append has flushed its
+        record to the OS before returning, so this handle sees it."""
+        path = os.path.join(self.directory, _segment_name(segment))
+        with self._lock:
+            if self._reader is None or self._reader[0] != segment:
+                self._close_reader()
+                try:
+                    self._reader = (segment, os.open(path, os.O_RDONLY))
+                except FileNotFoundError:
+                    raise LogIntegrityError(
+                        f"WAL segment {path} is missing"
+                    ) from None
+            fd = self._reader[1]
+            try:
+                record = _read_record(
+                    lambda size, position: os.pread(fd, size, position),
+                    offset,
+                    split,
+                )
+                if record is None:
+                    raise _TornTail(offset, "no record there")
+            except _TornTail as tear:
+                raise _corrupt(path, tear) from None
+            return record
+
+    def _close_reader(self) -> None:
+        if self._reader is not None:
+            os.close(self._reader[1])
+            self._reader = None
 
     # -- maintenance ------------------------------------------------------
 
@@ -414,6 +503,7 @@ class WriteAheadLog:
 
     def close(self) -> None:
         with self._lock:
+            self._close_reader()
             if not self._file.closed:
                 self._file.flush()
                 os.fsync(self._file.fileno())
@@ -424,5 +514,6 @@ class WriteAheadLog:
         half-dead store object cannot later flush bytes into a directory a
         recovered store has already reopened."""
         with self._lock:
+            self._close_reader()
             if not self._file.closed:
                 self._file.close()

@@ -64,7 +64,7 @@ def export_case(server: LogServer, path: str) -> str:
         raise FileExistsError(f"case already contains {entries_path}")
 
     store = FileLogStore(entries_path)
-    for record in server.store.records():
+    for record in server.store.iter_records():
         store.append(record)
     head = store.head()
     store.close()

@@ -115,6 +115,52 @@ class TestIntegrity:
         assert server.merkle_root() != r0
 
 
+class TestRawRecords:
+    def _server(self, n=6):
+        server = LogServer()
+        records = [entry(seq=i + 1, data=b"d" * i).encode() for i in range(n)]
+        for record in records:
+            server.submit(record)
+        return server, records
+
+    def test_ranges(self):
+        server, records = self._server()
+        assert server.raw_records() == records
+        assert server.raw_records(2, 3) == records[2:5]
+        assert server.raw_records(5, 10) == records[5:]
+        assert server.raw_records(6, 1) == []
+        assert server.raw_records(9) == []
+        assert server.raw_records(0, 0) == []
+
+    def test_negative_start_or_count_refused(self):
+        server, _ = self._server()
+        with pytest.raises(ValueError):
+            server.raw_records(0, -1)
+        with pytest.raises(ValueError):
+            server.raw_records(-1)
+        with pytest.raises(ValueError):
+            server.raw_records(-1, 2)
+
+    def test_max_bytes_stops_early_but_never_empty(self):
+        server, records = self._server()
+        two = len(records[0]) + len(records[1])
+        assert server.raw_records(0, 6, max_bytes=two) == records[:2]
+        assert server.raw_records(0, 6, max_bytes=two + 1) == records[:2]
+        assert server.raw_records(3, 6, max_bytes=1) == records[3:4]
+
+    def test_altered_record_is_refused_not_served(self):
+        """Every served record is checked against the server's Merkle
+        leaf: bytes altered in the store since ingest raise instead of
+        reaching an auditor or a replica."""
+        server, records = self._server()
+        server.store.tamper(3, entry(seq=99).encode())
+        assert server.raw_records(0, 3) == records[:3]
+        with pytest.raises(LogIntegrityError, match="record 3"):
+            server.raw_records(2, 2)
+        with pytest.raises(LogIntegrityError, match="record 3"):
+            server.entries()
+
+
 class TestCheckpointConcurrency:
     def test_checkpoint_during_live_submits_does_not_deadlock(self, tmp_path):
         """Regression: ``LogServer.checkpoint`` used to enter the durable

@@ -1,5 +1,7 @@
 """The remote log server: registration, submission, failure tolerance."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -11,10 +13,23 @@ from repro.core import (
     RemoteLogger,
 )
 from repro.core.entries import LogEntry, Scheme
+from repro.core.remote import BATCH_FRAME_BYTES
 from repro.errors import LoggingError
 from repro.middleware import Master, Node
 from repro.middleware.msgtypes import StringMsg
+from repro.storage.durable_store import DurableLogStore
 from repro.util.concurrency import wait_for
+
+#: the paper's Image message (Table I)
+IMAGE_BYTES = 921_641
+
+
+def image_records(count):
+    """``count`` Image-sized log records, made one at a time."""
+    data = random.Random(5).randbytes(IMAGE_BYTES)
+    for seq in range(count):
+        yield LogEntry(component_id="/camera", topic="/image", seq=seq,
+                       scheme=Scheme.ADLP, data=data).encode()
 
 
 @pytest.fixture()
@@ -316,6 +331,30 @@ class TestLoggerRpcSurface:
         assert client.fetch_records(4, 2) == records[4:]
         assert client.fetch_records(6, 10) == []  # past the end: empty
         client.close()
+
+    def test_fetch_of_image_records_stays_within_a_frame(self, tmp_path):
+        """80 Image records are ~74 MB, past the transport's 64 MiB frame
+        cap: a fetch returns what fits in ``BATCH_FRAME_BYTES`` and the
+        client's loop over short batches gets every record, in order."""
+        server = LogServer(DurableLogStore(str(tmp_path), fsync="never"))
+        for record in image_records(80):
+            server.submit(record)
+        ep = LogServerEndpoint(server)
+        client = RemoteLogger(ep.address)
+        try:
+            expected = image_records(80)
+            batches = []
+            while sum(batches) < 80:
+                batch = client.fetch_records(sum(batches), 80 - sum(batches))
+                assert sum(map(len, batch)) <= BATCH_FRAME_BYTES
+                for record in batch:
+                    assert record == next(expected)
+                batches.append(len(batch))
+            assert len(batches) > 1 and min(batches) >= 1
+        finally:
+            client.close()
+            ep.close()
+            server.close()
 
     def test_fetch_keys_roundtrip(self, endpoint, keypool):
         server, ep = endpoint

@@ -1,5 +1,7 @@
 """Anti-entropy catch-up: replay, chain verification, fork refusal."""
 
+import random
+
 import pytest
 
 from repro.core import LogServer, LogServerEndpoint
@@ -7,6 +9,7 @@ from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.policy import ReplicationConfig
 from repro.errors import LoggingError
 from repro.replication import ReplicatedLogger
+from repro.storage.durable_store import DurableLogStore
 from repro.util.concurrency import wait_for
 
 FAST = ReplicationConfig(
@@ -207,3 +210,33 @@ class TestCatchUp:
         assert results[0].ok
         assert len(servers[2]) == 6  # exactly the canonical history
         assert servers[0].commitment() == servers[2].commitment()
+
+
+class TestCatchUpOfImageRecords:
+    def test_replica_lagging_by_80_image_records_catches_up(self, tmp_path):
+        """~74 MB of lag at the default ``fetch_batch``: the donor answers
+        each fetch within one frame and the replay still lands
+        commitment-identical."""
+        data = random.Random(3).randbytes(921_641)  # the paper's Image
+        servers = [
+            LogServer(DurableLogStore(str(tmp_path / f"r{i}"), fsync="never"))
+            for i in range(3)
+        ]
+        for seq in range(80):
+            record = LogEntry(component_id="/camera", topic="/image", seq=seq,
+                              scheme=Scheme.ADLP, data=data).encode()
+            servers[1].submit(record)
+            servers[2].submit(record)
+        endpoints = [LogServerEndpoint(server) for server in servers]
+        rlogger = ReplicatedLogger([e.address for e in endpoints])
+        try:
+            results = rlogger.catch_up(replica=0)
+            assert results[0].ok, results
+            assert results[0].replayed == 80
+            assert servers[0].commitment() == servers[1].commitment()
+        finally:
+            rlogger.close()
+            for endpoint in endpoints:
+                endpoint.close()
+            for server in servers:
+                server.close()
