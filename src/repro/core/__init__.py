@@ -19,12 +19,7 @@ prototype structure:
 
 from repro.core.entries import Direction, Scheme, LogEntry
 from repro.core.protocol import AdlpMessage, AdlpAck, message_digest
-from repro.core.policy import (
-    AdlpConfig,
-    AdmissionConfig,
-    FlowControlConfig,
-    ReplicationConfig,
-)
+from repro.core.policy import AdlpConfig, ReplicationConfig
 from repro.core.log_server import LogCommitment, LogServer
 from repro.core.log_store import InMemoryLogStore, FileLogStore
 from repro.core.dedup_store import DedupLogStore
@@ -45,8 +40,6 @@ __all__ = [
     "AdlpAck",
     "message_digest",
     "AdlpConfig",
-    "AdmissionConfig",
-    "FlowControlConfig",
     "ReplicationConfig",
     "LogServer",
     "LogCommitment",

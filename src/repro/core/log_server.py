@@ -260,7 +260,7 @@ class LogServer:
         byte-identical to per-entry submission of the same stream.
 
         Subclasses or wrappers that intercept :meth:`submit` (outage
-        simulation, admission control, ...) must intercept this method
+        simulation, fault injection, ...) must intercept this method
         too: batched submission does NOT route through :meth:`submit`.
         """
         if not entries:

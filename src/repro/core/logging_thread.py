@@ -23,18 +23,10 @@ import time
 from typing import Callable, List, Optional, Union
 
 from repro.core.entries import LogEntry
-from repro.errors import ServerBusy
 from repro.util.concurrency import StoppableThread
 
 #: Entries buffered before the submitting thread blocks (backpressure).
 _QUEUE_CAPACITY = 4096
-
-#: BUSY verdicts tolerated per submission before the ordinary retry
-#: ladder takes over.  BUSY is the server *cooperating* (admission
-#: control asked us to wait), so honoring its retry-after hint this many
-#: times does not burn ``max_retries`` -- but a server that stays busy
-#: forever must not wedge the worker, hence the separate bound.
-_BUSY_RETRY_LIMIT = 8
 
 
 class LoggingThread:
@@ -91,8 +83,6 @@ class LoggingThread:
         self.batched = 0
         #: Grouped ``submit_batch`` calls issued.
         self.batches = 0
-        #: BUSY-driven waits honored (server-side admission backpressure).
-        self.busy_backoffs = 0
         self._worker = StoppableThread(
             name=f"logging-{component_id}", target=self._run
         )
@@ -154,31 +144,13 @@ class LoggingThread:
         except Exception:
             pass  # maintenance trouble must not kill the submit loop
 
-    def _busy_wait(self, exc: ServerBusy, busy_waits: int) -> bool:
-        """Honor a BUSY verdict's retry-after hint; ``False`` once the
-        separate busy bound is spent (fall through to the retry ladder)."""
-        if busy_waits >= _BUSY_RETRY_LIMIT or self._worker.stopped():
-            return False
-        self.busy_backoffs += 1
-        time.sleep(max(exc.retry_after, self._retry_backoff))
-        return True
-
     def _submit_with_retries(self, entry: LogEntry) -> None:
         backoff = self._retry_backoff
-        busy_waits = 0
         attempt = 0
         while attempt <= self._max_retries:
             try:
                 self._submit(entry)
                 return
-            except ServerBusy as exc:
-                # Admission backpressure: wait the hinted time without
-                # burning an ordinary retry (the server is cooperating,
-                # not failing), up to the busy bound.
-                if self._busy_wait(exc, busy_waits):
-                    busy_waits += 1
-                    continue
-                attempt += 1
             except Exception:
                 # The logger is outside the node's failure domain; errors
                 # are tolerated (and visible in server-side counts).
@@ -201,7 +173,6 @@ class LoggingThread:
         instead of losing the whole batch.
         """
         backoff = self._retry_backoff
-        busy_waits = 0
         attempt = 0
         while attempt <= self._max_retries:
             try:
@@ -209,11 +180,6 @@ class LoggingThread:
                 self.batched += len(batch)
                 self.batches += 1
                 return
-            except ServerBusy as exc:
-                if self._busy_wait(exc, busy_waits):
-                    busy_waits += 1
-                    continue
-                attempt += 1
             except Exception:
                 attempt += 1
                 if attempt > self._max_retries or self._worker.stopped():

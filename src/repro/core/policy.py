@@ -23,16 +23,8 @@ from typing import Optional, Tuple
 from repro.crypto.keys import DEFAULT_KEY_BITS
 from repro.crypto.schemes import default_scheme_name, get_scheme
 
-# Overload-protection configs live with their mechanisms in
-# ``repro.resilience`` (stdlib-only modules, so this import direction is
-# cycle-free); re-exported here because callers treat them as policy.
-from repro.resilience.admission import AdmissionConfig
-from repro.resilience.flow import FlowControlConfig
-
 __all__ = [
     "AdlpConfig",
-    "AdmissionConfig",
-    "FlowControlConfig",
     "ReplicationConfig",
 ]
 
@@ -192,14 +184,15 @@ class ReplicationConfig:
     #: commitment comparison uses the shard-set root.
     shards: int = 0
 
-    #: Client-side overload protection applied to every replica handle
-    #: (credit window, retry budget, BUSY-driven shedding).  ``None``
-    #: keeps the pre-overload behavior.
-    flow_control: Optional[FlowControlConfig] = None
+    #: Credit window of every replica handle: outstanding fire-and-forget
+    #: bytes before a credit sync (see ``RemoteLogger``).  ``None`` = off.
+    window_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.shards < 0:
             raise ValueError("shards must be non-negative")
+        if self.window_bytes is not None and self.window_bytes < 1:
+            raise ValueError("window_bytes must be >= 1")
         if self.quorum is not None and self.quorum < 1:
             raise ValueError("quorum must be at least 1")
         if self.breaker_failure_threshold < 1:

@@ -46,18 +46,10 @@ from repro.errors import (
     DeadlineExceeded,
     LoggingError,
     ProofError,
-    ServerBusy,
     TransportError,
 )
 from repro.gossip.monitor import TreeHeadMonitor
 from repro.gossip.sth import SignedTreeHead
-from repro.resilience.admission import AdmissionController
-from repro.resilience.flow import (
-    CreditWindow,
-    FlowControlConfig,
-    RetryBudget,
-    full_jitter,
-)
 from repro.middleware.transport import framing
 from repro.middleware.transport.base import (
     Connection,
@@ -99,20 +91,18 @@ OP_KEYS = 5
 OP_SUBMIT_BATCH = 6
 OP_CHECKPOINT = 7
 OP_STATS = 8
-#: Response verdict codes (``LoggerResponse.code``; share the op number
-#: space so a wire trace reads unambiguously).  ``OP_BUSY`` is admission
-#: control refusing sync work -- the response carries the server's queue
-#: depth and retry-after hint; ``OP_DEADLINE_EXPIRED`` is a request whose
+#: Response verdict code (``LoggerResponse.code``; shares the op number
+#: space so a wire trace reads unambiguously): a request whose
 #: client-stamped budget ran out before the expensive work (the entry was
-#: NOT ingested).  Pre-overload clients skip the unknown fields and see an
-#: ordinary ``ok=False`` rejection, which is safe (the work did not land).
-OP_BUSY = 10
+#: NOT ingested).  Old clients skip the unknown field and see an ordinary
+#: ``ok=False`` rejection, which is safe (the work did not land).  Code 10
+#: was the retired admission-control BUSY verdict; it is never reused, and
+#: a reply still carrying it is a plain rejection.
 OP_DEADLINE_EXPIRED = 11
 #: Proof-plane ops (split-view detection): ``OP_STH`` fetches the signed
 #: tree head, ``OP_PROVE_INCLUSION`` / ``OP_PROVE_CONSISTENCY`` fetch
 #: Merkle proofs a client verifies against the heads it holds.  All three
-#: are shard-tagged, deadline-aware, and admission-controlled like every
-#: other sync op (a proof storm must shed before it starves ingest).
+#: are shard-tagged and deadline-aware like every other sync op.
 OP_STH = 12
 OP_PROVE_INCLUSION = 13
 OP_PROVE_CONSISTENCY = 14
@@ -129,46 +119,68 @@ FETCH_BATCH_LIMIT = 4096
 #: for image-sized entries).
 BATCH_FRAME_BYTES = 8 * 1024 * 1024
 
-#: Minimum client-side shed window, seconds.  A BUSY verdict whose
-#: ``retry_after_ms`` hint is 0 (a server with a zero-configured or
-#: truncated-to-zero hint) would otherwise open a zero-length shed window
-#: and turn every refusal into a hot retry spin; the floor (jittered up to
-#: 2x so a fleet's retries decorrelate) bounds the per-client retry rate
-#: no matter what the server says.
-MIN_SHED_FLOOR = 0.02
-
-_floor_rng = random.Random()
+#: Bound on the round trip of one credit sync (see
+#: :meth:`RemoteLogger._credit_sync`), seconds: as long as the TCP
+#: transport lets a blocked send wait.  A sync that gives up sooner lets
+#: the client outrun a slow server, and on a connection that has not yet
+#: seen a reply it also drops the connection while its frames are still
+#: queued at the server.
+CREDIT_SYNC_TIMEOUT = 30.0
 
 
-def _floor_retry_after(hint: float, rng: Optional[random.Random] = None) -> float:
-    """Floor a server retry-after hint at :data:`MIN_SHED_FLOOR`, with
-    full jitter on the floored value (uniform in [floor, 2*floor))."""
-    if hint >= MIN_SHED_FLOOR:
-        return hint
-    return MIN_SHED_FLOOR + full_jitter(MIN_SHED_FLOOR, rng or _floor_rng)
-
-
-def _raise_for_verdict(
-    response: "LoggerResponse", rng: Optional[random.Random] = None
-) -> None:
-    """Translate overload verdict codes on a failed response into typed
-    exceptions (:class:`ServerBusy` / :class:`DeadlineExceeded`); plain
-    rejections fall through to the caller's generic handling."""
-    if response.ok:
-        return
-    code = int(response.code)
-    if code == OP_BUSY:
-        raise ServerBusy(
-            str(response.error) or "log server is overloaded",
-            retry_after=_floor_retry_after(
-                int(response.retry_after_ms) / 1000.0, rng
-            ),
-            queue_depth=int(response.queue_depth),
-        )
-    if code == OP_DEADLINE_EXPIRED:
+def _raise_for_verdict(response: "LoggerResponse") -> None:
+    """Raise :class:`DeadlineExceeded` for a deadline verdict; any other
+    failed response falls through to the caller's generic handling."""
+    if not response.ok and int(response.code) == OP_DEADLINE_EXPIRED:
         raise DeadlineExceeded(
             str(response.error) or "deadline expired server-side"
         )
+
+
+def full_jitter(cap: float, rng: Optional[random.Random] = None) -> float:
+    """AWS-style full jitter: ``uniform(0, cap)``.
+
+    Decorrelates clients that all hit the same failure at the same time;
+    pass a seeded ``rng`` in tests for determinism.
+    """
+    if cap <= 0:
+        return 0.0
+    r = rng.random() if rng is not None else random.random()
+    return cap * r
+
+
+class CreditWindow:
+    """Outstanding-bytes gauge for one fire-and-forget connection.
+
+    Fire-and-forget submission has no per-request ack, so a client could
+    stuff an unbounded number of bytes into a socket whose far end has
+    stopped draining.  The window caps *outstanding* (sent but
+    unconfirmed) bytes: ``charge`` returns ``True`` once they reach
+    ``window_bytes`` and a credit sync should be issued; ``settle``
+    resets after the sync round trip proved the server drained
+    everything prior.  Not thread-safe on its own -- the owning
+    :class:`RemoteLogger` is single-submitter per node.
+    """
+
+    def __init__(self, window_bytes: int):
+        if window_bytes < 1:
+            raise ValueError("window_bytes must be >= 1")
+        self.window_bytes = window_bytes
+        self.outstanding = 0
+        self.credit_syncs = 0
+
+    def charge(self, nbytes: int) -> bool:
+        self.outstanding += max(0, nbytes)
+        return self.outstanding >= self.window_bytes
+
+    def settle(self) -> None:
+        self.outstanding = 0
+        self.credit_syncs += 1
+
+    def reset(self) -> None:
+        """Connection dropped: outstanding bytes are moot (the client
+        re-reconciles through its spill/replay machinery)."""
+        self.outstanding = 0
 
 
 #: Suggested ``idle_timeout`` for endpoints serving many short-lived or
@@ -201,8 +213,8 @@ class LoggerRequest(WireMessage):
     #: keeps classic frames fire-and-forget).
     sync = boolean(9)
     #: Client-stamped deadline budget in milliseconds for sync submits:
-    #: if the server cannot start the expensive work (admission wait
-    #: included) within this budget of receiving the frame, it answers
+    #: if the server cannot start the expensive work within this budget
+    #: of receiving the frame, it answers
     #: ``OP_DEADLINE_EXPIRED`` instead of doing work whose caller has
     #: already given up on it.  0 (the wire default) = no deadline.
     deadline_ms = uint64(10)
@@ -243,16 +255,13 @@ class LoggerResponse(WireMessage):
     #: field per counter would couple the wire format to every backend's
     #: counter set; stats are observability, not evidence).
     stats_json = string(11)
-    #: Response verdict: 0 = plain ok/error, :data:`OP_BUSY` = admission
-    #: control refused (see ``queue_depth`` / ``retry_after_ms``),
-    #: :data:`OP_DEADLINE_EXPIRED` = the request's deadline budget ran
-    #: out server-side.  Old clients skip this field and treat both as
-    #: ordinary rejections.
+    #: Response verdict: 0 = plain ok/error, :data:`OP_DEADLINE_EXPIRED`
+    #: = the request's deadline budget ran out server-side.  Old clients
+    #: skip this field and treat it as an ordinary rejection.
     code = uint64(12)
-    #: OP_BUSY: the server's ingest depth when it refused.
-    queue_depth = uint64(13)
-    #: OP_BUSY: suggested client backoff before retrying, milliseconds.
-    retry_after_ms = uint64(14)
+    #: Fields 13 and 14 carried the retired BUSY verdict's queue depth and
+    #: retry-after hint.  They are never reused: the decoder skips them
+    #: when an old server still sends them.
     #: OP_STH: the encoded :class:`~repro.gossip.sth.SignedTreeHead`.
     sth_bytes = bytes_(15)
     #: OP_PROVE_*: proof path digests in verification order.
@@ -350,7 +359,6 @@ class LogServerEndpoint:
         server: LogServer,
         transport: Optional[Transport] = None,
         idle_timeout: Optional[float] = None,
-        admission: Optional[AdmissionController] = None,
         dispatch_workers: Optional[int] = None,
     ):
         self.server = server
@@ -359,15 +367,14 @@ class LogServerEndpoint:
         self._connections: List[Connection] = []
         self._lock = threading.Lock()
         self._idle_timeout = idle_timeout
-        #: Admission control (overload protection).  ``None`` keeps the
-        #: pre-overload behavior: every frame is ingested unconditionally.
-        self.admission = admission
         #: Submission frames received / rejected by the server (observability
         #: for chaos runs; rejection never propagates to the component).
         self.submissions = 0
         self.rejected = 0
         #: Connections closed by the idle reaper (observability).
         self.reaped = 0
+        #: Sync requests refused with ``OP_DEADLINE_EXPIRED`` (observability).
+        self.deadline_rejections = 0
         # -- event loop plumbing ------------------------------------------
         self._selector = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
@@ -689,22 +696,12 @@ class LogServerEndpoint:
                 )
                 response.corr_id = request.corr_id
                 return response
-            admission = self.admission
-            if admission is not None:
-                # Fire-and-forget work is never refused (no response
-                # channel = refusal would be silent evidence loss); it
-                # is force-admitted so the depth gauge stays honest
-                # and *sync* traffic sheds on its behalf.
-                admission.force_admit(1)
             try:
                 self._submit_one(request.entry_bytes, request.shard)
             except LoggingError:
                 # fire-and-forget: bad entries are dropped server-side
                 with self._lock:
                     self.rejected += 1
-            finally:
-                if admission is not None:
-                    admission.release(1)
             return None
         if request.op == OP_SUBMIT_BATCH:
             batch = [bytes(record) for record in request.entry_batch]
@@ -719,14 +716,7 @@ class LogServerEndpoint:
                 )
                 response.corr_id = request.corr_id
                 return response
-            admission = self.admission
-            if admission is not None:
-                admission.force_admit(len(batch))
-            try:
-                self._ingest_batch(batch, shard_tag=request.shard)
-            finally:
-                if admission is not None:
-                    admission.release(len(batch))
+            self._ingest_batch(batch, shard_tag=request.shard)
             return None
         if request.op in (OP_STH, OP_PROVE_INCLUSION, OP_PROVE_CONSISTENCY):
             response = self._answer_proof(request, arrival=arrival)
@@ -848,6 +838,27 @@ class LogServerEndpoint:
                 with self._lock:
                     self.rejected += 1
 
+    def _deadline_verdict(
+        self, deadline_ms: int, arrival: Optional[float], work: str
+    ) -> Optional[LoggerResponse]:
+        """The ``OP_DEADLINE_EXPIRED`` refusal when the client-stamped
+        budget ran out while the frame waited (``None`` = go ahead)."""
+        if not deadline_ms or arrival is None:
+            return None
+        elapsed_ms = (time.monotonic() - arrival) * 1000.0
+        if elapsed_ms <= deadline_ms:
+            return None
+        with self._lock:
+            self.deadline_rejections += 1
+        return LoggerResponse(
+            ok=False,
+            error=(
+                f"deadline of {deadline_ms} ms expired "
+                f"({elapsed_ms:.0f} ms elapsed) before {work}"
+            ),
+            code=OP_DEADLINE_EXPIRED,
+        )
+
     def _ingest_sync(
         self,
         batch: List[bytes],
@@ -868,54 +879,15 @@ class LogServerEndpoint:
         submissions has been accepted (and, with a durable store, made
         crash-durable) so far.
 
-        Overload protection (sync-only, both opt-in): with an
-        :class:`AdmissionController` installed, a busy server answers
-        ``OP_BUSY`` (depth + retry-after hint) *before* any expensive
-        work -- the count in that response is still exact, so even a
-        refused credit sync settles the client's outstanding-bytes
-        window.  With ``deadline_ms`` stamped by the client, a budget
-        that expired while the frame waited (admission wait included)
-        answers ``OP_DEADLINE_EXPIRED`` instead of doing work the caller
-        has already abandoned; the entry is NOT ingested.
+        With ``deadline_ms`` stamped by the client, a budget that expired
+        while the frame waited answers ``OP_DEADLINE_EXPIRED`` instead of
+        doing work the caller has already abandoned; the entry is NOT
+        ingested, and the count in that response is still exact.
         """
-        admission = self.admission
-        if admission is not None:
-            decision = admission.try_admit(len(batch))
-            if decision is not None:
-                return LoggerResponse(
-                    ok=False,
-                    error=(
-                        "server busy: ingest depth "
-                        f"{decision.queue_depth}"
-                    ),
-                    entries=len(self.server),
-                    code=OP_BUSY,
-                    queue_depth=decision.queue_depth,
-                    retry_after_ms=int(decision.retry_after * 1000),
-                )
-        try:
-            if deadline_ms and arrival is not None:
-                elapsed_ms = (time.monotonic() - arrival) * 1000.0
-                if elapsed_ms > deadline_ms:
-                    if admission is not None:
-                        admission.note_deadline_rejection()
-                    return LoggerResponse(
-                        ok=False,
-                        error=(
-                            f"deadline of {deadline_ms} ms expired "
-                            f"({elapsed_ms:.0f} ms elapsed) before ingest"
-                        ),
-                        entries=len(self.server),
-                        code=OP_DEADLINE_EXPIRED,
-                    )
-            return self._ingest_sync_admitted(batch, shard_tag)
-        finally:
-            if admission is not None:
-                admission.release(len(batch))
-
-    def _ingest_sync_admitted(
-        self, batch: List[bytes], shard_tag: int
-    ) -> LoggerResponse:
+        expired = self._deadline_verdict(deadline_ms, arrival, "ingest")
+        if expired is not None:
+            expired.entries = len(self.server)
+            return expired
         try:
             if shard_tag:
                 submit_batch_to_shard = getattr(
@@ -983,8 +955,7 @@ class LogServerEndpoint:
                 stats = getattr(self.server, "stats", None)
                 if callable(stats):
                     data.update(stats())
-                if self.admission is not None:
-                    data.update(self.admission.stats())
+                data["deadline_rejections"] = self.deadline_rejections
                 return LoggerResponse(
                     ok=True,
                     entries=len(self.server),
@@ -1069,45 +1040,13 @@ class LogServerEndpoint:
     def _answer_proof(
         self, request: LoggerRequest, arrival: Optional[float] = None
     ) -> LoggerResponse:
-        """Serve a proof-plane op under the same overload discipline as
-        sync ingest: admission first (OP_BUSY), then the client-stamped
-        deadline (OP_DEADLINE_EXPIRED), then the actual work.  Proof
-        building walks the Merkle tree, so an unmetered proof storm could
-        starve ingest -- auditors must shed like everyone else.
-        """
-        admission = self.admission
-        if admission is not None:
-            decision = admission.try_admit(1)
-            if decision is not None:
-                return LoggerResponse(
-                    ok=False,
-                    error=f"server busy: ingest depth {decision.queue_depth}",
-                    code=OP_BUSY,
-                    queue_depth=decision.queue_depth,
-                    retry_after_ms=int(decision.retry_after * 1000),
-                )
-        try:
-            deadline_ms = int(request.deadline_ms)
-            if deadline_ms and arrival is not None:
-                elapsed_ms = (time.monotonic() - arrival) * 1000.0
-                if elapsed_ms > deadline_ms:
-                    admission_ = self.admission
-                    if admission_ is not None:
-                        admission_.note_deadline_rejection()
-                    return LoggerResponse(
-                        ok=False,
-                        error=(
-                            f"deadline of {deadline_ms} ms expired "
-                            f"({elapsed_ms:.0f} ms elapsed) before proving"
-                        ),
-                        code=OP_DEADLINE_EXPIRED,
-                    )
-            return self._proof_response(request)
-        finally:
-            if admission is not None:
-                admission.release(1)
-
-    def _proof_response(self, request: LoggerRequest) -> LoggerResponse:
+        """Serve a proof-plane op: the client-stamped deadline first
+        (``OP_DEADLINE_EXPIRED``), then the actual work."""
+        expired = self._deadline_verdict(
+            int(request.deadline_ms), arrival, "proving"
+        )
+        if expired is not None:
+            return expired
         try:
             if request.op == OP_STH:
                 sth = self._issue_sth(request.shard)
@@ -1316,19 +1255,22 @@ class RemoteLogger:
     same server restart does not rejoin in lockstep.  The node keeps
     running throughout (the paper's no-single-point-of-failure property).
 
-    With a :class:`~repro.resilience.flow.FlowControlConfig` the stub
-    additionally (1) caps outstanding fire-and-forget bytes with a credit
-    window -- crossing it forces an empty synchronous batch round trip
-    whose reply proves the server drained every earlier frame on this
-    connection; (2) honors the server's ``OP_BUSY`` verdicts by entering
-    a *shed* window: submissions divert to the spill queue (delayed, not
-    lost -- counted in :attr:`shed_entries`) and drain resumes with
-    paced, jittered retries once the window expires; (3) bounds
-    retransmit amplification with a gRPC-style retry budget: spill-drain
-    batches each spend a token, tokens are minted by acked successes
-    (plus a slow time trickle for liveness), so retries can never exceed
-    a configured fraction of goodput.
+    ``window_bytes`` (off by default) bounds the fire-and-forget bytes
+    this stub may have outstanding: once that many are sent but not yet
+    confirmed, the next submit first makes a *credit sync*, an empty
+    synchronous batch round trip.  The endpoint ingests one connection's
+    frames in order, so the sync's reply proves the server drained every
+    earlier frame and the window settles.  A flooding node therefore
+    cannot queue more than about ``window_bytes`` in front of the server,
+    so the server's backlog and memory stay bounded.
     """
+
+    #: Always 0: the server no longer refuses work with a BUSY verdict, so
+    #: nothing is ever shed.  Kept only because the spine's
+    #: ``Spine.counters`` (benchmarks/spine/workloads.py:185-186) still
+    #: reads both.
+    busy_responses = 0
+    shed_entries = 0
 
     def __init__(
         self,
@@ -1340,7 +1282,7 @@ class RemoteLogger:
         spill_path: Optional[str] = None,
         submit_batch_max: int = 64,
         shard: Optional[int] = None,
-        flow_control: Optional[FlowControlConfig] = None,
+        window_bytes: Optional[int] = None,
         rng: Optional[random.Random] = None,
     ):
         if submit_batch_max < 1:
@@ -1380,19 +1322,9 @@ class RemoteLogger:
         self.retries = 0
         #: Jitter source (seedable so chaos tests are reproducible).
         self._rng = rng or random.Random()
-        #: Client-side overload machinery; ``None`` = pre-overload
-        #: behavior (no credit window, no shed mode, unbounded drain).
-        self._flow = flow_control
-        self._credit: Optional[CreditWindow] = None
-        self._retry_budget: Optional[RetryBudget] = None
-        self._shed_until = 0.0
-        self._shed_pause = 0.0
-        self._unacked = 0
-        #: OP_BUSY verdicts observed (sync + credit-sync paths).
-        self.busy_responses = 0
-        #: Entries diverted to the spill queue by shed mode (delayed, not
-        #: lost -- the audit-facing complement of :attr:`dropped`).
-        self.shed_entries = 0
+        self._credit: Optional[CreditWindow] = (
+            CreditWindow(window_bytes) if window_bytes is not None else None
+        )
         #: Responses whose RPC had already timed out (or arrived with no
         #: matching waiter): discarded by correlation id instead of
         #: poisoning the next exchange or killing the connection.
@@ -1405,14 +1337,6 @@ class RemoteLogger:
         #: :meth:`enable_sth_verification`): the logger's public key plus
         #: a verified-head cache with append-only consistency checking.
         self._sth_monitor: Optional[TreeHeadMonitor] = None
-        if flow_control is not None:
-            self._credit = CreditWindow(flow_control.window_bytes)
-            self._retry_budget = RetryBudget(
-                capacity=flow_control.retry_budget,
-                token_ratio=flow_control.retry_token_ratio,
-                time_refill=flow_control.retry_time_refill,
-            )
-            self._shed_pause = flow_control.shed_min_pause
 
     @property
     def address(self):
@@ -1434,20 +1358,9 @@ class RemoteLogger:
                 pending += len(self._disk)
             return pending
 
-    @property
-    def shedding(self) -> bool:
-        """Whether submissions are currently diverting to the spill queue
-        because the server said BUSY (shed = delayed, never lost)."""
-        return self._flow is not None and time.monotonic() < self._shed_until
-
     def stats(self) -> Dict[str, int]:
-        """Loss/overflow counters, for merging into protocol ``stats()``.
-
-        With flow control enabled the counters also separate *shed*
-        (diverted to spill on BUSY -- delayed) from *dropped* (lost), so
-        an audit reading these numbers can tell backpressure from
-        evidence loss.
-        """
+        """Loss/overflow counters, for merging into protocol ``stats()``
+        (plus the credit window's gauge when one is configured)."""
         with self._lock:
             data = {
                 "dropped": self.dropped,
@@ -1458,15 +1371,9 @@ class RemoteLogger:
                 "late_replies_discarded": self.late_replies_discarded,
                 "peer_close_respills": self.peer_close_respills,
             }
-        if self._flow is not None:
-            data["busy_responses"] = self.busy_responses
-            data["shed_entries"] = self.shed_entries
-            data["shedding"] = int(self.shedding)
-            if self._credit is not None:
-                data["outstanding_bytes"] = self._credit.outstanding
-                data["credit_syncs"] = self._credit.credit_syncs
-            if self._retry_budget is not None:
-                data["retry_budget_exhausted"] = self._retry_budget.exhausted
+        if self._credit is not None:
+            data["outstanding_bytes"] = self._credit.outstanding
+            data["credit_syncs"] = self._credit.credit_syncs
         return data
 
     def _connect(self) -> Optional[Connection]:
@@ -1840,7 +1747,7 @@ class RemoteLogger:
         if not response.ok:
             if int(response.code) == OP_PROOF_RANGE:
                 raise ProofError(str(response.error) or "proof request refused")
-            _raise_for_verdict(response, self._rng)
+            _raise_for_verdict(response)
             raise LoggingError(f"proof request rejected: {response.error}")
         return response
 
@@ -2065,9 +1972,7 @@ class RemoteLogger:
                 )
             response = self._rpc(request, timeout=timeout)
             if not response.ok:
-                if int(response.code) == OP_BUSY:
-                    self.busy_responses += 1
-                _raise_for_verdict(response, self._rng)
+                _raise_for_verdict(response)
                 raise LoggingError(f"batch submission rejected: {response.error}")
             count = int(response.entries)
         return count
@@ -2090,15 +1995,9 @@ class RemoteLogger:
         """Fire-and-forget submission; returns 0 (no server-side index).
 
         Never raises: on connection trouble the encoded entry is spilled
-        and retried on a later call (or via :meth:`flush_spill`); while
-        shed mode is active (the server said BUSY recently) the entry is
-        spilled immediately instead of adding load.
+        and retried on a later call (or via :meth:`flush_spill`).
         """
         record = entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
-        if self.shedding:
-            self.shed_entries += 1
-            self._spill_entry(record)
-            return 0
         connection = self._connect()
         if connection is None:
             self._spill_entry(record)
@@ -2162,11 +2061,6 @@ class RemoteLogger:
         ]
         if not records:
             return []
-        if self.shedding:
-            self.shed_entries += len(records)
-            for record in records:
-                self._spill_entry(record)
-            return [0] * len(records)
         connection = self._connect()
         if connection is None or not self._drain_spill(connection):
             for record in records:
@@ -2217,62 +2111,35 @@ class RemoteLogger:
         connection.send_frame(request.encode())
 
     def _after_send(self, records: List[bytes]) -> None:
-        """Flow-control bookkeeping after fire-and-forget sends landed on
-        the socket: charge the credit window and, when it fills, force a
-        credit sync before stuffing more unconfirmed bytes in."""
-        if self._credit is None:
-            return
-        self._unacked += len(records)
-        if self._credit.charge(sum(len(record) for record in records)):
+        """Charge fire-and-forget sends to the credit window and, when it
+        fills, credit-sync before stuffing more unconfirmed bytes in."""
+        if self._credit is not None and self._credit.charge(
+            sum(len(record) for record in records)
+        ):
             self._credit_sync()
 
     def _credit_sync(self) -> None:
         """One empty synchronous batch round trip.
 
         TCP delivers this connection's frames in order and the endpoint
-        serves them serially, so *any* answer -- including a BUSY refusal
-        -- proves every earlier fire-and-forget frame was ingested: the
-        window settles and the retry budget collects the acked entries'
-        tokens.  A BUSY answer additionally opens a shed window.  Never
+        serves them serially, so *any* answer proves every earlier
+        fire-and-forget frame was ingested and the window settles.  Never
         raises (fire-and-forget callers sit above this).
         """
-        flow = self._flow
-        assert flow is not None and self._credit is not None
         request = LoggerRequest(
             op=OP_SUBMIT_BATCH,
             shard=self._shard_tag(None),
             sync=True,
-            deadline_ms=max(1, int(flow.credit_timeout * 1000)),
+            deadline_ms=int(CREDIT_SYNC_TIMEOUT * 1000),
         )
         try:
-            response = self._rpc(request, timeout=flow.credit_timeout)
+            self._rpc(request, timeout=CREDIT_SYNC_TIMEOUT)
         except LoggingError:
             # Unreachable / timed out: outstanding bytes are moot, the
             # spill/drain machinery owns recovery from here.
             self._credit.reset()
             return
-        acked, self._unacked = self._unacked, 0
         self._credit.settle()
-        if self._retry_budget is not None and acked:
-            self._retry_budget.deposit(acked)
-        if not response.ok and int(response.code) == OP_BUSY:
-            self.busy_responses += 1
-            self._enter_shed(int(response.retry_after_ms) / 1000.0)
-        else:
-            self._shed_pause = flow.shed_min_pause
-
-    def _enter_shed(self, hint: float) -> None:
-        """Open (or extend) the shed window: at least the server's
-        retry-after hint, escalating exponentially on consecutive BUSY
-        verdicts, with full jitter so a fleet's drain attempts spread."""
-        flow = self._flow
-        assert flow is not None
-        pause = max(hint, self._shed_pause, flow.shed_min_pause)
-        pause = min(pause, flow.shed_max_pause)
-        self._shed_until = time.monotonic() + pause + full_jitter(
-            pause, self._rng
-        )
-        self._shed_pause = min(pause * 2, flow.shed_max_pause)
 
     def _spill_entry(self, record: bytes) -> None:
         with self._lock:
@@ -2308,18 +2175,13 @@ class RemoteLogger:
         ``OP_SUBMIT_BATCH`` frames, so recovering from a long outage costs
         one frame per batch instead of one per parked entry.
 
-        With flow control, every drained batch is a *retransmission* and
-        spends one retry-budget token; an empty bucket pauses the drain
-        (``False``) until successes or the time trickle mint more.  That
-        is the bound that keeps a fleet recovering from an outage from
-        re-flooding the server that just came back.
+        Drained batches are charged to the credit window like any other
+        fire-and-forget send.
         """
         while self._disk is not None:
             batch = self._disk.peek_many(self._submit_batch_max)
             if not batch:
                 break
-            if self._retry_budget is not None and not self._retry_budget.take():
-                return False
             try:
                 self._send_records(connection, batch)
             except ConnectionClosed:
@@ -2330,9 +2192,7 @@ class RemoteLogger:
             self._disk.consume_many(len(batch))
             with self._lock:
                 self.retries += len(batch)
-            if self._credit is not None:
-                self._unacked += len(batch)
-                self._credit.charge(sum(len(record) for record in batch))
+            self._after_send(batch)
         while True:
             with self._lock:
                 if not self._spill:
@@ -2341,15 +2201,10 @@ class RemoteLogger:
                     self._spill[i]
                     for i in range(min(len(self._spill), self._submit_batch_max))
                 ]
-            if self._retry_budget is not None and not self._retry_budget.take():
-                return False
             try:
                 self._send_records(connection, batch)
             except ConnectionClosed:
                 return False
-            if self._credit is not None:
-                self._unacked += len(batch)
-                self._credit.charge(sum(len(record) for record in batch))
             with self._lock:
                 # pop what we just sent (submit is single-callered per node,
                 # but stay safe against concurrent drains)
@@ -2357,6 +2212,7 @@ class RemoteLogger:
                     if self._spill and self._spill[0] is record:
                         self._spill.popleft()
                 self.retries += len(batch)
+            self._after_send(batch)
 
     def flush_spill(self) -> bool:
         """Attempt to re-send all spilled entries now; ``True`` if empty."""

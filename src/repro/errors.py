@@ -93,29 +93,6 @@ class LogIntegrityError(LoggingError):
     """Raised when the tamper-evident structure of a log store is violated."""
 
 
-class ServerBusy(LoggingError):
-    """The log server answered but refused the work because it is
-    overloaded (admission control tripped its high watermark).
-
-    Distinct from :class:`LoggingError` rejections (the request was fine,
-    retry later) and from transport trouble (the server *did* answer).
-    Carries the server's hints so callers can back off intelligently
-    instead of hammering a saturated ingest path.
-    """
-
-    def __init__(
-        self,
-        message: str = "log server is overloaded",
-        retry_after: float = 0.0,
-        queue_depth: int = 0,
-    ):
-        super().__init__(message)
-        #: Server-suggested seconds to wait before retrying (0 = no hint).
-        self.retry_after = retry_after
-        #: The server's ingest queue depth when it refused (observability).
-        self.queue_depth = queue_depth
-
-
 class DeadlineExceeded(LoggingError):
     """A request's client-stamped deadline budget expired before the
     server performed the expensive work (the entry was NOT ingested)."""

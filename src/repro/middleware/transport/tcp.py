@@ -39,10 +39,15 @@ class TcpConnection(Connection):
     ``recv_frame`` (waiting for an ADLP ACK) while no sender interferes with
     partially written frames.
 
-    Sends are bounded by ``send_timeout`` via ``SO_SNDTIMEO`` (kernel-side,
-    so it composes with the per-call ``settimeout`` that receives use): a
-    stalled peer makes ``send_frame`` raise :class:`ConnectionClosed` (a
-    :class:`TransportError`) instead of blocking forever.
+    Sends are bounded by ``send_timeout`` via ``SO_SNDTIMEO``: a stalled
+    peer makes ``send_frame`` raise :class:`ConnectionClosed` (a
+    :class:`TransportError`) instead of blocking forever.  The socket
+    itself stays in blocking mode.  ``recv_frame``'s timeout is a poll for
+    the first byte, and the rest of a started frame is bounded by
+    ``SO_RCVTIMEO`` (the same ``send_timeout``).  The timeout therefore
+    never becomes a socket-wide setting: one would also cut short a
+    concurrent (or later) ``sendall``, and the connection would be
+    dropped while its frames were still queued at the peer.
     """
 
     def __init__(
@@ -55,11 +60,11 @@ class TcpConnection(Connection):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if send_timeout is not None:
             seconds = int(send_timeout)
-            sock.setsockopt(
-                socket.SOL_SOCKET,
-                socket.SO_SNDTIMEO,
-                struct.pack("ll", seconds, int((send_timeout - seconds) * 1e6)),
+            timeval = struct.pack(
+                "ll", seconds, int((send_timeout - seconds) * 1e6)
             )
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
         self._send_timeout = send_timeout
         self._sock = sock
         self._send_lock = threading.Lock()
@@ -88,11 +93,13 @@ class TcpConnection(Connection):
             raise ConnectionClosed("connection is closed")
         with self._recv_lock:
             try:
-                self._sock.settimeout(timeout)
+                if timeout is not None:
+                    poller = select.poll()
+                    poller.register(self._sock, select.POLLIN)
+                    if not poller.poll(max(0, int(timeout * 1000))):
+                        return None
                 frame = framing.recv_frame(self._sock)
-            except socket.timeout:
-                return None
-            except (OSError, TransportError) as exc:
+            except (OSError, ValueError, TransportError) as exc:
                 self.close()
                 raise ConnectionClosed(f"recv failed: {exc}") from exc
         if frame is None:

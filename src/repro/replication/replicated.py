@@ -182,7 +182,7 @@ class ReplicatedLogger:
             address,
             transport=self._transport,
             spill_path=spill_path,
-            flow_control=self.config.flow_control,
+            window_bytes=self.config.window_bytes,
             rng=self._rng,
         )
         breaker = CircuitBreaker(
@@ -264,12 +264,6 @@ class ReplicatedLogger:
                 return 0
             handle.client.submit(record)
             handle.submitted += 1
-            if handle.client.shedding:
-                # Shed mode: the entry parked in the replica's spill
-                # (delayed, not lost).  Not "reached" for quorum
-                # purposes, but not a breaker failure either -- the
-                # server IS up, it asked us to back off.
-                return 0
             if handle.client.connected:
                 handle.breaker.record_success()
                 return 1
@@ -312,10 +306,6 @@ class ReplicatedLogger:
                 return 0
             handle.client.submit_batch(records)
             handle.submitted += len(records)
-            if handle.client.shedding:
-                # Same as submit(): shed = delayed at the replica's
-                # spill, neither reached nor a breaker failure.
-                return 0
             if handle.client.connected:
                 handle.breaker.record_success()
                 return 1
@@ -349,8 +339,6 @@ class ReplicatedLogger:
                 "replica_spilled": 0,
                 "replica_skipped": 0,
                 "breaker_opens": 0,
-                "replica_shed": 0,
-                "replica_busy": 0,
             }
         for handle in self._handles:
             client_stats = handle.client.stats()
@@ -358,10 +346,6 @@ class ReplicatedLogger:
             out["replica_spilled"] += client_stats["spilled"]
             out["replica_skipped"] += handle.skipped
             out["breaker_opens"] += handle.breaker.opens
-            # Overload counters (present only on flow-controlled clients):
-            # shed = diverted to spill on BUSY, i.e. delayed-not-lost.
-            out["replica_shed"] += client_stats.get("shed_entries", 0)
-            out["replica_busy"] += client_stats.get("busy_responses", 0)
         if self.gossip is not None:
             out["equivocation_evidence"] = len(self.gossip.evidence())
         return out
@@ -699,7 +683,7 @@ class ReplicatedLogger:
             handle.address,
             transport=self._transport,
             spill_path=spill_path,
-            flow_control=self.config.flow_control,
+            window_bytes=self.config.window_bytes,
             rng=self._rng,
         )
         handle.last_health = None

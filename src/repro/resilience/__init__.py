@@ -1,45 +1,13 @@
-"""End-to-end overload protection for the logging stack.
+"""Resilience checks for the logging stack.
 
-This package holds the pieces that keep the accountability guarantee
-intact at saturation:
+- :mod:`repro.resilience.matrix` -- the churn x fault x backend scenario
+  matrix (imported explicitly as ``repro.resilience.matrix``; it pulls in
+  the whole core stack, so the package ``__init__`` leaves it out).
 
-- :mod:`repro.resilience.admission` -- server-side bounded ingest with
-  high/low watermark hysteresis and BUSY verdicts;
-- :mod:`repro.resilience.flow` -- client-side credit windows, gRPC-style
-  retry budgets, and full-jitter backoff;
-- :mod:`repro.resilience.overload` -- deterministic overload injection
-  for tests and benchmarks;
-- :mod:`repro.resilience.matrix` -- the churn x fault x overload x
-  backend scenario matrix (imported explicitly as
-  ``repro.resilience.matrix``; it pulls in the whole core stack, so the
-  package ``__init__`` deliberately leaves it out to keep
-  ``core.remote`` <-> ``resilience`` import edges acyclic).
-
-Design rule for this package: everything importable from here is
-stdlib-only plus :mod:`repro.errors`, so ``repro.core`` modules may
-import it freely without cycles.
+The package no longer holds overload control.  Endpoint admission with
+BUSY verdicts, client shed mode and the retry budget were measured and
+deleted (EXPERIMENTS.md, "Overload verdict"): none of them ever fired at
+library defaults.  The one mechanism that moved a number, the client's
+outstanding-bytes credit window, is a single ``window_bytes`` setting on
+:class:`~repro.core.remote.RemoteLogger`, next to its only user.
 """
-
-from repro.resilience.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    BusyDecision,
-)
-from repro.resilience.flow import (
-    CreditWindow,
-    FlowControlConfig,
-    RetryBudget,
-    full_jitter,
-)
-from repro.resilience.overload import OverloadInjector
-
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "BusyDecision",
-    "CreditWindow",
-    "FlowControlConfig",
-    "RetryBudget",
-    "full_jitter",
-    "OverloadInjector",
-]

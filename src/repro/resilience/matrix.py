@@ -1,19 +1,17 @@
-"""The churn x fault x overload scenario matrix.
+"""The churn x fault scenario matrix.
 
-Every overload-protection mechanism in this package -- admission control,
-credit windows, retry budgets, shedding -- exists to keep one invariant
-under stress: **no acknowledged evidence is ever lost, and the audit
-never produces a false verdict**.  This module turns that sentence into
-an executable grid.  A :class:`ScenarioCell` names one combination of
+Every resilience mechanism of the logging stack -- spill queues,
+reconnects, replication with catch-up, STH gossip -- exists to keep one
+invariant under stress: **no acknowledged evidence is ever lost, and the
+audit never produces a false verdict**.  This module turns that sentence
+into an executable grid.  A :class:`ScenarioCell` names one combination of
 
 - **backend**: ``plain`` (one in-memory ``LogServer`` behind an
   endpoint), ``sharded`` (the shard set behind one endpoint),
   ``replicated`` (fan-out over two endpoints with spill + catch-up);
 - **fault**: a transport fault profile from the PR-1 fault injector
   (``drop`` / ``delay`` / ``disconnect`` / ``truncate``), ``none``,
-  ``overload`` -- a slowed ingest path plus a concurrent fire-and-forget
-  flood that drives the server's admission controller into its BUSY
-  regime -- or ``equivocation``: a *compromised logger*
+  or ``equivocation``: a *compromised logger*
   (:class:`~repro.adversary.forking.ForkingLogServer`) serving a forked
   view to a second client group, which STH gossip must detect within
   :data:`EQUIVOCATION_ROUND_BOUND` rounds while every honest plain cell
@@ -21,12 +19,11 @@ an executable grid.  A :class:`ScenarioCell` names one combination of
   reports zero evidence;
 - **churn**: ``none`` or ``restart`` (endpoint bounce, or replica
   bounce + catch-up, whichever the backend calls a restart);
-- **load**: ``light`` or ``flood`` (transmission count scales, and the
-  overload cells' noise flood scales with it).
+- **load**: ``light`` or ``flood`` (the transmission count scales).
 
 and :func:`run_cell` executes it: an honest publisher/subscriber
-workload is pushed through the backend while the cell's fault, churn and
-overload run, then the cell asserts (1) every acknowledged entry is
+workload is pushed through the backend while the cell's fault and churn
+run, then the cell asserts (1) every acknowledged entry is
 present in the final log exactly once (duplicates are tolerated -- and
 counted -- only on the fire-and-forget replicated path, where a
 disconnect mid-frame makes at-least-once the contract), (2) the store
@@ -41,9 +38,7 @@ adversary suite), and reorder breaks the FIFO count-reconcile contract
 the acknowledged submitters depend on.  The fire-and-forget
 replicated path excludes silent frame loss (``drop`` / ``truncate``):
 an unacked dropped frame is invisible to the client, so "no acked
-loss" would hold vacuously while evidence leaked.  Overload
-cells pin ``churn=none``: their concurrent noise flood breaks the
-single-writer count arithmetic that restart reconciliation leans on.
+loss" would hold vacuously while evidence leaked.
 
 Sits in its own module (NOT re-exported from ``repro.resilience``) so
 that ``repro.core`` can import the package without a cycle.
@@ -52,7 +47,6 @@ that ``repro.core`` can import the package without a cycle.
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -66,22 +60,16 @@ from repro.core.log_server import LogServer
 from repro.core.protocol import message_digest
 from repro.core.remote import LogServerEndpoint, RemoteLogger
 from repro.crypto.keys import KeyPair, generate_keypair
-from repro.errors import LoggingError, ServerBusy
+from repro.errors import LoggingError
 from repro.gossip import GossipRelay, gossip_round
 from repro.middleware.transport.faulty import FaultyTransport
 from repro.middleware.transport.inproc import InprocTransport
 from repro.replication import ReplicatedLogger
 from repro.core.policy import ReplicationConfig
-from repro.resilience.admission import AdmissionConfig, AdmissionController
-from repro.resilience.flow import FlowControlConfig
-from repro.resilience.overload import OverloadInjector
 from repro.sharding.sharded_server import ShardedLogServer
 
 BACKENDS = ("plain", "sharded", "replicated")
-FAULTS = (
-    "none", "drop", "delay", "disconnect", "truncate", "overload",
-    "equivocation",
-)
+FAULTS = ("none", "drop", "delay", "disconnect", "truncate", "equivocation")
 CHURNS = ("none", "restart")
 LOADS = ("light", "flood")
 
@@ -93,14 +81,13 @@ LOADS = ("light", "flood")
 #: exercise the gossip detection path the fault exists to test.
 FAULTS_BY_BACKEND: Dict[str, Tuple[str, ...]] = {
     "plain": FAULTS,
-    "sharded": ("none", "drop", "delay", "disconnect", "truncate", "overload"),
-    "replicated": ("none", "delay", "disconnect", "overload"),
+    "sharded": ("none", "drop", "delay", "disconnect", "truncate"),
+    "replicated": ("none", "delay", "disconnect"),
 }
 
 #: Transport fault probabilities per named fault kind.
 FAULT_PROFILES: Dict[str, Dict[str, float]] = {
     "none": {},
-    "overload": {},  # server-side injection, not a transport fault
     "equivocation": {},  # logger-side fork, not a transport fault
     "drop": {"drop": 0.05},
     "delay": {"delay": 0.25, "delay_by": 0.002},
@@ -115,31 +102,14 @@ EQUIVOCATION_ROUND_BOUND = 2
 
 #: Honest transmissions per load level (each is one pub + one sub entry).
 TRANSMISSIONS = {"light": 12, "flood": 48}
-#: Fire-and-forget noise entries the overload cells flood with.
-NOISE_ENTRIES = {"light": 64, "flood": 160}
 
 #: Wall-clock bound per cell; a cell that cannot converge inside this is
 #: reported as a failure, never a hang.
 CELL_TIMEOUT = 45.0
-#: Retransmitted-entries / acked-entries ceiling (the retry-budget bar).
+#: Retransmitted-entries / acked-entries ceiling.
 RETRANSMIT_BUDGET = 1.5
 
-_TOPICS = ["/m/a", "/m/b", "/m/c", "/m/d", "/m/e", "/m/f", "/m/g", "/m/h"]
-
-_ADMISSION = AdmissionConfig(
-    high_watermark=24, low_watermark=8, retry_after=0.01, max_retry_after=0.25
-)
-_INGEST_DELAY = 0.001
-
-_NOISE_FLOW = FlowControlConfig(
-    window_bytes=4096,
-    credit_timeout=2.0,
-    retry_budget=64.0,
-    retry_token_ratio=0.5,
-    retry_time_refill=50.0,
-    shed_min_pause=0.01,
-    shed_max_pause=0.1,
-)
+_TOPICS = ["/m/a", "/m/b", "/m/c", "/m/d"]
 
 
 @dataclass(frozen=True)
@@ -161,11 +131,6 @@ class ScenarioCell:
             )
         if self.churn not in CHURNS:
             raise ValueError(f"unknown churn {self.churn!r}")
-        if self.fault == "overload" and self.churn != "none":
-            raise ValueError(
-                "overload cells pin churn=none (the noise flood breaks "
-                "restart count-reconciliation)"
-            )
         if self.fault == "equivocation" and self.churn != "none":
             raise ValueError(
                 "equivocation cells pin churn=none (the fault under test "
@@ -190,9 +155,6 @@ class CellResult:
     delivered: int = 0
     duplicates: int = 0
     retransmits: int = 0
-    busy_responses: int = 0
-    shed_entries: int = 0
-    credit_syncs: int = 0
     valid: int = 0
     invalid: int = 0
     hidden: int = 0
@@ -217,10 +179,6 @@ class CellResult:
     def throughput(self) -> float:
         return self.acked / self.elapsed if self.elapsed > 0 else 0.0
 
-    @property
-    def shed_rate(self) -> float:
-        return self.shed_entries / float(max(1, self.submitted))
-
     def row(self) -> Dict[str, object]:
         """One bench-results row."""
         return {
@@ -232,10 +190,6 @@ class CellResult:
             "duplicates": self.duplicates,
             "retransmits": self.retransmits,
             "retransmit_ratio": round(self.retransmit_ratio, 4),
-            "busy_responses": self.busy_responses,
-            "shed_entries": self.shed_entries,
-            "shed_rate": round(self.shed_rate, 4),
-            "credit_syncs": self.credit_syncs,
             "valid": self.valid,
             "invalid": self.invalid,
             "hidden": self.hidden,
@@ -248,15 +202,16 @@ class CellResult:
 
 
 def enumerate_cells(full: bool = False) -> List[ScenarioCell]:
-    """The matrix.  ``full`` is the overload-marked soak grid; the
+    """The matrix.  ``full`` is the ``overload``-marked soak grid; the
     default is the 5-cell tier-1 smoke slice (at least one cell per
     backend, chosen to cover a transport fault, an equivocating logger,
-    an overload, a churn and a replicated disconnect between them)."""
+    a flood-sized load, a churn and a replicated disconnect between
+    them)."""
     if not full:
         return [
             ScenarioCell("plain", "drop", "none", "light"),
             ScenarioCell("plain", "equivocation", "none", "light"),
-            ScenarioCell("sharded", "overload", "none", "flood"),
+            ScenarioCell("sharded", "truncate", "none", "flood"),
             ScenarioCell("sharded", "none", "restart", "light"),
             ScenarioCell("replicated", "disconnect", "none", "light"),
         ]
@@ -264,7 +219,7 @@ def enumerate_cells(full: bool = False) -> List[ScenarioCell]:
     for backend in BACKENDS:
         for fault in FAULTS_BY_BACKEND[backend]:
             churns: Sequence[str] = (
-                ("none",) if fault in ("overload", "equivocation") else CHURNS
+                ("none",) if fault == "equivocation" else CHURNS
             )
             for churn in churns:
                 for load in LOADS:
@@ -424,28 +379,21 @@ def _check_budget(result: CellResult) -> None:
 
 
 class _SyncDriver:
-    """Chunked acknowledged submission with BUSY pacing and (when the
-    cell's arithmetic allows it) count-based loss reconciliation.
-
-    ``count_exact`` is the single-writer case: the server's entry count
-    identifies this driver's landed prefix exactly, so a lost response
-    is reconciled instead of retransmitted blindly.  Overload cells run
-    with a concurrent noise flood and set ``count_exact=False``; they
-    rely on BUSY being refuse-before-ingest (retrying a refused chunk
-    cannot double-ingest) and on their fault-free transport.
+    """Chunked acknowledged submission with count-based loss
+    reconciliation: the driver is the server's single writer, so the
+    entry count identifies its landed prefix exactly, and a lost
+    response is reconciled instead of retransmitted blindly.
     """
 
     def __init__(
         self,
         client_ref: Dict[str, RemoteLogger],
         result: CellResult,
-        count_exact: bool,
         deadline: float,
         chunk: int = 8,
     ):
         self._ref = client_ref
         self._result = result
-        self._count_exact = count_exact
         self._deadline = deadline
         self._chunk = chunk
         self.base = 0
@@ -498,22 +446,7 @@ class _SyncDriver:
             chunk = list(records[confirmed:confirmed + self._chunk])
             try:
                 count = self._client().submit_batch_sync(chunk, timeout=1.0)
-            except ServerBusy as exc:
-                result.busy_responses += 1
-                # BUSY refuses before ingesting: honoring the hint and
-                # resending the same chunk cannot double-ingest.  Paced
-                # by the *server's* hint, these resends are cooperative
-                # flow control, not blind retransmission, so they do not
-                # count against the retransmit budget.
-                time.sleep(min(max(exc.retry_after, 0.005), 0.25))
-                continue
-            except LoggingError as exc:
-                if not self._count_exact:
-                    result.failures.append(
-                        f"unexpected submission failure on a fault-free "
-                        f"transport: {exc}"
-                    )
-                    break
+            except LoggingError:
                 # Frames may or may not have landed; the count settles it.
                 time.sleep(0.05)  # let in-flight frames finish ingesting
                 landed = self.reconciled_count()
@@ -531,94 +464,8 @@ class _SyncDriver:
                 result.retransmits += max(0, confirmed + len(chunk) - landed)
                 confirmed = landed
                 continue
-            confirmed = (
-                count - self.base if self._count_exact
-                else confirmed + len(chunk)
-            )
+            confirmed = count - self.base
         return confirmed
-
-
-# -- noise flood (the overload cells' concurrency) -------------------------
-
-
-class _NoiseFlood:
-    """Fire-and-forget batch flood from N independent connections.
-
-    Batch frames are force-admitted in bulk, so each one holds the
-    admission latch for its (slowed) ingest -- that is what makes the
-    sync driver and the *other* noise clients' credit syncs observe
-    BUSY.  Flow control is on: crossing the credit window forces sync
-    round trips, BUSY answers push the client into shed mode, and the
-    drain phase proves shedding delayed -- never lost -- the entries.
-    """
-
-    def __init__(
-        self,
-        make_client: Callable[[int], RemoteLogger],
-        records: Sequence[bytes],
-        clients: int = 2,
-        batch: int = 32,
-    ):
-        self.clients = [make_client(i) for i in range(clients)]
-        self._shares: List[List[bytes]] = [[] for _ in self.clients]
-        for i, record in enumerate(records):
-            self._shares[i % len(self.clients)].append(record)
-        self._batch = batch
-        self._threads: List[threading.Thread] = []
-
-    def start(self) -> None:
-        for client, share in zip(self.clients, self._shares):
-            thread = threading.Thread(
-                target=self._flood, args=(client, share), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _flood(self, client: RemoteLogger, share: List[bytes]) -> None:
-        for i in range(0, len(share), self._batch):
-            try:
-                client.submit_batch(share[i:i + self._batch])
-            except Exception:
-                return  # surfaced by the drain check's spill accounting
-
-    def drain(self, deadline: float) -> Optional[str]:
-        """Join the flood, then drain every spill queue and prove (via a
-        FIFO health round trip per connection) that all frames landed."""
-        for thread in self._threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        for client in self.clients:
-            while client.spilled > 0 or client.shedding:
-                if time.monotonic() > deadline:
-                    return (
-                        f"noise flood failed to drain: {client.spilled} "
-                        f"entries still spilled"
-                    )
-                client.flush_spill()
-                time.sleep(0.01)
-            while True:
-                if time.monotonic() > deadline:
-                    return "noise flood could not confirm delivery"
-                try:
-                    # FIFO: any answer proves every prior frame on this
-                    # connection was ingested.
-                    client.health(timeout=2.0)
-                    break
-                except LoggingError:
-                    time.sleep(0.02)
-            if client.spilled > 0:
-                return "noise spill refilled after the drain proof"
-        return None
-
-    def stats(self) -> Tuple[int, int, int, int]:
-        busy = sum(c.busy_responses for c in self.clients)
-        shed = sum(c.shed_entries for c in self.clients)
-        syncs = sum(c.stats().get("credit_syncs", 0) for c in self.clients)
-        retries = sum(c.retries for c in self.clients)
-        return busy, shed, syncs, retries
-
-    def close(self) -> None:
-        for client in self.clients:
-            client.close()
 
 
 # -- per-backend cell runners ----------------------------------------------
@@ -636,7 +483,7 @@ def _run_equivocation_cell(
     rng = random.Random(seed)
     keys = _cell_keys(seed)
     logger_keys = generate_keypair(512, seed=seed + 3)
-    records = _build_records(rng, keys, _TOPICS[:4], TRANSMISSIONS[cell.load])
+    records = _build_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
     result.submitted = len(records)
 
     fork = ForkingLogServer(logger_keys.private, fork_at=len(records) // 2)
@@ -658,10 +505,7 @@ def _run_equivocation_cell(
     deadline = time.monotonic() + CELL_TIMEOUT
     started = time.monotonic()
     try:
-        driver = _SyncDriver(
-            {"client": clients[0]}, result, count_exact=True,
-            deadline=deadline,
-        )
+        driver = _SyncDriver({"client": clients[0]}, result, deadline)
         if not driver.anchor():
             return
         acked = driver.run(records)
@@ -741,15 +585,13 @@ def _run_endpoint_cell(
     cell: ScenarioCell, seed: int, result: CellResult
 ) -> None:
     """The plain and sharded backends: one endpoint, one
-    acknowledged client, transport faults or an overload flood."""
+    acknowledged client, transport faults and churn."""
     if cell.fault == "equivocation":
         _run_equivocation_cell(cell, seed, result)
         return
     rng = random.Random(seed)
     keys = _cell_keys(seed)
-    overload = cell.fault == "overload"
-    sync_topics = _TOPICS[:4]
-    records = _build_records(rng, keys, sync_topics, TRANSMISSIONS[cell.load])
+    records = _build_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
     result.submitted = len(records)
 
     if cell.backend == "sharded":
@@ -773,10 +615,6 @@ def _run_endpoint_cell(
         )
         honest_gossip.register_key(server.log_id, logger_keys.public)
         honest_gossip.observe(server.signed_tree_head(), source="anchor")
-    ingest = (
-        OverloadInjector(server, delay=_INGEST_DELAY) if overload else server
-    )
-    admission = AdmissionController(_ADMISSION)
     profile = FAULT_PROFILES[cell.fault]
     transport = (
         FaultyTransport(InprocTransport(), seed=seed, **profile)
@@ -785,9 +623,7 @@ def _run_endpoint_cell(
     )
 
     state: Dict[str, object] = {}
-    state["endpoint"] = LogServerEndpoint(
-        ingest, transport=transport, admission=admission
-    )
+    state["endpoint"] = LogServerEndpoint(server, transport=transport)
 
     def new_client() -> RemoteLogger:
         return RemoteLogger(
@@ -803,62 +639,21 @@ def _run_endpoint_cell(
     def churn() -> None:
         client_ref["client"].close()
         state["endpoint"].close()  # type: ignore[attr-defined]
-        state["endpoint"] = LogServerEndpoint(
-            ingest, transport=transport, admission=admission
-        )
+        state["endpoint"] = LogServerEndpoint(server, transport=transport)
         client_ref["client"] = new_client()
 
-    noise: Optional[_NoiseFlood] = None
-    noise_records: List[bytes] = []
     deadline = time.monotonic() + CELL_TIMEOUT
     started = time.monotonic()
     try:
-        driver = _SyncDriver(
-            client_ref, result, count_exact=not overload, deadline=deadline
-        )
+        driver = _SyncDriver(client_ref, result, deadline)
         if not driver.anchor():
             return
-        if overload:
-            noise_records = _build_records(
-                rng, keys, _TOPICS[4:], NOISE_ENTRIES[cell.load] // 2
-            )
-            result.submitted += len(noise_records)
-            noise = _NoiseFlood(
-                lambda i: RemoteLogger(
-                    state["endpoint"].address,  # type: ignore[attr-defined]
-                    transport=transport,
-                    spill_capacity=100_000,
-                    flow_control=_NOISE_FLOW,
-                    rng=random.Random(seed + 100 + i),
-                ),
-                noise_records,
-            )
-            noise.start()
-        acked_sync = driver.run(
+        acked = driver.run(
             records, churn=churn if cell.churn == "restart" else None
         )
-        result.acked = acked_sync
-        noise_acked: List[bytes] = []
-        if noise is not None:
-            trouble = noise.drain(deadline)
-            if trouble is None:
-                result.acked += len(noise_records)
-                noise_acked = noise_records
-            else:
-                result.failures.append(trouble)
-            busy, shed, syncs, retries = noise.stats()
-            result.busy_responses += busy
-            result.shed_entries += shed
-            result.credit_syncs += syncs
-            result.retransmits += retries
+        result.acked = acked
         result.elapsed = time.monotonic() - started
-        if overload and cell.load == "flood" and result.busy_responses == 0:
-            result.failures.append(
-                "overload flood never tripped admission control"
-            )
 
-        must_have = list(records[:acked_sync]) + noise_acked
-        may_have = list(records) + noise_records
         if cell.backend == "sharded":
             delivered = [
                 bytes(r)
@@ -868,7 +663,7 @@ def _run_endpoint_cell(
         else:
             delivered = [bytes(r) for r in server.raw_records()]
         deduped = _check_delivery(
-            result, must_have, may_have, delivered, allow_duplicates=False
+            result, records[:acked], records, delivered, allow_duplicates=False
         )
         try:
             server.verify_integrity()
@@ -888,8 +683,6 @@ def _run_endpoint_cell(
         _audit(result, keys, _TOPICS, deduped)
         _check_budget(result)
     finally:
-        if noise is not None:
-            noise.close()
         client_ref["client"].close()
         state["endpoint"].close()  # type: ignore[attr-defined]
         server.close()
@@ -903,41 +696,26 @@ def _run_replicated_cell(
     duplicates are tolerated (and counted); loss is not."""
     rng = random.Random(seed)
     keys = _cell_keys(seed)
-    overload = cell.fault == "overload"
-    records = _build_records(
-        rng, keys, _TOPICS[:4], TRANSMISSIONS[cell.load]
-    )
+    records = _build_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
     result.submitted = len(records)
 
     servers = [LogServer(), LogServer()]
     for server in servers:
         server.register_key("/pub", keys[0].public)
         server.register_key("/sub", keys[1].public)
-    ingests = [
-        OverloadInjector(s, delay=_INGEST_DELAY) if overload else s
-        for s in servers
-    ]
     profile = FAULT_PROFILES[cell.fault]
     transport = (
         FaultyTransport(InprocTransport(), seed=seed, **profile)
         if profile
         else InprocTransport()
     )
-    endpoints = [
-        LogServerEndpoint(
-            ingest,
-            transport=transport,
-            admission=AdmissionController(_ADMISSION) if overload else None,
-        )
-        for ingest in ingests
-    ]
+    endpoints = [LogServerEndpoint(s, transport=transport) for s in servers]
     shared = ReplicatedLogger(
         [e.address for e in endpoints],
         config=ReplicationConfig(
             breaker_failure_threshold=3,
             breaker_reset_timeout=0.05,
             breaker_max_reset_timeout=0.25,
-            flow_control=_NOISE_FLOW if overload else None,
         ),
         transport=transport,
         rng=random.Random(seed + 9),
@@ -965,9 +743,7 @@ def _run_replicated_cell(
                         break
                     time.sleep(0.01)
                 endpoints[1].close()
-                endpoints[1] = LogServerEndpoint(
-                    ingests[1], transport=transport
-                )
+                endpoints[1] = LogServerEndpoint(servers[1], transport=transport)
                 shared.reset_replica(1, endpoints[1].address)
             shared.submit(record)
         result.acked = len(records)
@@ -992,10 +768,7 @@ def _run_replicated_cell(
             )
         result.elapsed = time.monotonic() - started
 
-        stats = shared.stats()
-        result.shed_entries = stats.get("replica_shed", 0)
-        result.busy_responses = stats.get("replica_busy", 0)
-        result.retransmits = stats.get("spill_retries", 0)
+        result.retransmits = shared.stats().get("spill_retries", 0)
 
         for index, server in enumerate(servers):
             delivered = [bytes(r) for r in server.raw_records()]
@@ -1042,7 +815,7 @@ def run_matrix(
 ) -> List[CellResult]:
     """Run a slice of the matrix (default: the tier-1 smoke slice).
 
-    With ``record=True`` every cell's throughput/shed-rate row is
+    With ``record=True`` every cell's throughput row is
     appended to ``bench_results.json`` under ``resilience_matrix``.
     """
     chosen = list(cells) if cells is not None else enumerate_cells(full=full)
@@ -1050,11 +823,12 @@ def run_matrix(
         run_cell(cell, seed=seed + 101 * i) for i, cell in enumerate(chosen)
     ]
     if record:
-        from repro.bench.reporting import save_results
+        from repro.bench.reporting import host_cpu_count, save_results
 
         save_results(
             "resilience_matrix",
             {
+                "cpus": host_cpu_count(),
                 "seed": seed,
                 "cells": [r.row() for r in results],
                 "ok": all(r.ok for r in results),

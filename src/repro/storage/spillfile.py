@@ -137,7 +137,7 @@ class DiskSpillFile:
     def append_many(self, records: List[bytes]) -> None:
         """Park a whole batch at the back of the FIFO under one lock
         acquisition and one flush -- the write-side analogue of
-        :meth:`peek_many` (a shedding client parks batches, not single
+        :meth:`peek_many` (a spilling client parks batches, not single
         records)."""
         if not records:
             return

@@ -277,8 +277,8 @@ def _cmd_health(args: argparse.Namespace) -> int:
         try:
             commitment = client.health(timeout=args.timeout)
             try:
-                # Best-effort observability: servers without an admission
-                # controller (or without OP_STATS) just omit the line.
+                # Best-effort observability: servers without OP_STATS
+                # (or without the counter) just omit the line.
                 stats = client.server_stats(timeout=args.timeout)
             except LoggingError:
                 stats = {}
@@ -295,14 +295,9 @@ def _cmd_health(args: argparse.Namespace) -> int:
             f"head={commitment.chain_head.hex()[:16]} "
             f"root={commitment.merkle_root.hex()[:16]}"
         )
-        if any(key.startswith("admission_") for key in stats):
+        if "deadline_rejections" in stats:
             print(
-                f"{'':<28} overload: "
-                f"depth={stats.get('admission_depth', 0)} "
-                f"peak={stats.get('admission_peak_depth', 0)} "
-                f"busy={stats.get('admission_busy_rejections', 0)} "
-                f"deadline_expired="
-                f"{stats.get('admission_deadline_rejections', 0)}"
+                f"{'':<28} deadline_expired={stats['deadline_rejections']}"
             )
     evidence = detector.check()
     for item in evidence:

@@ -1,7 +1,7 @@
 """Pipelined wire protocol regressions: correlated RPCs sharing one
 socket, late-reply discard, and the three remote-client races the
-pipelining work exposed (connect-under-lock, reap-vs-send TOCTOU, and
-the zero-hint BUSY retry spin)."""
+pipelining work exposed (connect-under-lock and reap-vs-send TOCTOU),
+plus the retired BUSY verdict read from an old server."""
 
 import threading
 import time
@@ -11,20 +11,18 @@ import pytest
 from repro.core import LogServer, LogServerEndpoint, RemoteLogger
 from repro.core.entries import LogEntry, Scheme
 from repro.core.remote import (
-    MIN_SHED_FLOOR,
-    OP_BUSY,
     LoggerRequest,
     LoggerResponse,
     RemoteUnavailable,
-    _floor_retry_after,
 )
-from repro.errors import ServerBusy, TransportError
+from repro.errors import LoggingError, TransportError
 from repro.middleware.transport.base import (
     Connection,
     ConnectionClosed,
     Transport,
 )
 from repro.middleware.transport.tcp import TcpTransport
+from repro.serialization import wire
 from repro.util.concurrency import wait_for
 
 
@@ -323,70 +321,50 @@ class TestPeerCloseRespill:
         client.close()
 
 
-class TestBusyRetryFloor:
-    def test_floor_applies_jitter_within_bounds(self):
-        import random
+def _old_busy_reply(corr_id: int) -> bytes:
+    """A reply as a pre-removal server sent it under admission control:
+    verdict code 10 (the retired BUSY) plus its field 13 (queue depth)
+    and field 14 (retry-after, ms), which this client no longer knows."""
+    body = LoggerResponse(
+        ok=False, error="server busy: ingest depth 10", code=10, corr_id=corr_id
+    ).encode()
+    for number, value in ((13, 10), (14, 40)):
+        body += wire.encode_tag(number, wire.WireType.VARINT)
+        body += wire.encode_varint(value)
+    return body
 
-        rng = random.Random(42)
-        for _ in range(100):
-            floored = _floor_retry_after(0.0, rng)
-            assert MIN_SHED_FLOOR <= floored < 2 * MIN_SHED_FLOOR
-        # Hints at or above the floor pass through untouched.
-        assert _floor_retry_after(MIN_SHED_FLOOR) == MIN_SHED_FLOOR
-        assert _floor_retry_after(0.5) == 0.5
 
-    def test_zero_hint_busy_bounds_retry_rate(self):
-        """Regression: a BUSY verdict with retry_after_ms=0 used to open
-        a zero-length shed window -- clients honoring the hint retried in
-        a hot spin.  The client-side floor bounds the retry rate no
-        matter what the server says."""
+class TestRetiredBusyVerdict:
+    def test_old_server_busy_reply_is_a_plain_logging_error(self):
+        """Code 10 and fields 13/14 decode (unknown fields are skipped)
+        and surface as an ordinary rejection, never a special error."""
+        decoded = LoggerResponse.decode(_old_busy_reply(7))
+        assert not decoded.ok and int(decoded.code) == 10
+        assert int(decoded.corr_id) == 7
+
         transport = TcpTransport()
         listener = transport.listen()
-        stop = threading.Event()
 
         def serve() -> None:
             conn = listener.accept(timeout=5.0)
             if conn is None:  # pragma: no cover - setup failure
                 return
-            while not stop.is_set():
-                try:
-                    frame = conn.recv_frame(timeout=0.1)
-                except ConnectionClosed:
-                    return
-                if frame is None:
-                    continue
-                request = LoggerRequest.decode(frame)
-                conn.send_frame(
-                    LoggerResponse(
-                        ok=False,
-                        error="synthetic overload",
-                        code=OP_BUSY,
-                        queue_depth=10,
-                        retry_after_ms=0,  # the pathological hint
-                        corr_id=int(request.corr_id),
-                    ).encode()
-                )
+            try:
+                request = LoggerRequest.decode(conn.recv_frame(timeout=5.0))
+                conn.send_frame(_old_busy_reply(int(request.corr_id)))
+                conn.recv_frame(timeout=5.0)  # hold until the client leaves
+            except (ConnectionClosed, TypeError):
+                pass
 
         server_thread = threading.Thread(target=serve, daemon=True)
         server_thread.start()
         client = RemoteLogger(listener.address)
         try:
-            attempts = 0
-            window = 0.4
-            deadline = time.monotonic() + window
-            while time.monotonic() < deadline:
-                attempts += 1
-                with pytest.raises(ServerBusy) as info:
-                    client.submit_batch_sync([_entry(attempts)], timeout=5.0)
-                assert info.value.retry_after >= MIN_SHED_FLOOR
-                assert info.value.retry_after < 2 * MIN_SHED_FLOOR
-                time.sleep(info.value.retry_after)  # honor the hint
-            # Bounded retry rate: at most one attempt per floor interval
-            # (plus slack for scheduling) -- a hot spin would make this
-            # hundreds.
-            assert attempts <= int(window / MIN_SHED_FLOOR) + 2
+            with pytest.raises(LoggingError) as info:
+                client.submit_batch_sync([_entry(1)], timeout=5.0)
+            assert type(info.value) is LoggingError
+            assert "server busy" in str(info.value)
         finally:
-            stop.set()
             client.close()
             server_thread.join(timeout=5.0)
             listener.close()

@@ -186,7 +186,8 @@ class TestBreakerLifecycle:
         assert rlogger.catch_up(replica=2)[0].ok
         assert rlogger.statuses()[2].breaker == "closed"
         rlogger.submit(entry(4))  # the rejoined replica is on the data path
-        assert wait_for(lambda: len(servers[2]) == 5)
+        # Fire-and-forget fan-out: either replica may ingest it first.
+        assert wait_for(lambda: len(servers[0]) == len(servers[2]) == 5)
         assert servers[0].commitment() == servers[2].commitment()
 
 

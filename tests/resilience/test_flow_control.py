@@ -1,25 +1,18 @@
-"""Client-side flow control: credit window, retry budget, jitter, and
-the RemoteLogger shed-mode state machine they plug into."""
+"""Client-side flow control: the credit window, reconnect jitter, and how
+the window bounds a flooding client against a slow server."""
 
 from __future__ import annotations
 
 import random
+import threading
 import time
 
 import pytest
 
 from repro.core import LogServer, LogServerEndpoint, RemoteLogger
 from repro.core.entries import Direction, LogEntry, Scheme
-from repro.errors import LoggingError
+from repro.core.remote import CreditWindow, full_jitter
 from repro.middleware.transport.inproc import InprocTransport
-from repro.resilience import (
-    AdmissionConfig,
-    AdmissionController,
-    CreditWindow,
-    FlowControlConfig,
-    RetryBudget,
-    full_jitter,
-)
 
 
 def entry(seq, topic="/t", component="/p"):
@@ -32,12 +25,6 @@ def entry(seq, topic="/t", component="/p"):
         scheme=Scheme.ADLP,
         data=b"payload-%04d" % seq,
     )
-
-
-def _keypair():
-    from repro.crypto.keys import generate_keypair
-
-    return generate_keypair(512, seed=424243)
 
 
 class TestCreditWindow:
@@ -67,47 +54,6 @@ class TestCreditWindow:
             CreditWindow(window_bytes=0)
 
 
-class TestRetryBudget:
-    def test_starts_full_and_exhausts(self):
-        budget = RetryBudget(capacity=2.0, token_ratio=0.5, time_refill=0.0)
-        assert budget.take()
-        assert budget.take()
-        assert not budget.take()  # empty: retry must wait
-        assert budget.exhausted == 1
-
-    def test_successes_mint_tokens_capped_at_capacity(self):
-        budget = RetryBudget(capacity=2.0, token_ratio=0.5, time_refill=0.0)
-        budget.take()
-        budget.take()
-        budget.deposit(2)  # 2 * 0.5 = one token back
-        assert budget.take()
-        assert not budget.take()
-        budget.deposit(1000)  # capped: at most `capacity` tokens
-        assert budget.tokens == pytest.approx(2.0)
-
-    def test_time_trickle_restores_liveness(self):
-        clock = {"now": 0.0}
-        budget = RetryBudget(
-            capacity=1.0, token_ratio=0.0, time_refill=2.0,
-            clock=lambda: clock["now"],
-        )
-        assert budget.take()
-        assert not budget.take()
-        assert budget.seconds_until_token() == pytest.approx(0.5)
-        clock["now"] += 0.5  # the 2 tokens/s trickle mints one
-        assert budget.seconds_until_token() == 0.0
-        assert budget.take()
-
-    def test_disabled_trickle_reports_infinite_wait(self):
-        budget = RetryBudget(capacity=1.0, token_ratio=0.5, time_refill=0.0)
-        budget.take()
-        assert budget.seconds_until_token() == float("inf")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryBudget(capacity=0.5)
-
-
 class TestFullJitter:
     def test_within_range_and_deterministic_when_seeded(self):
         rng = random.Random(7)
@@ -122,22 +68,8 @@ class TestFullJitter:
         assert full_jitter(-1.0) == 0.0
 
 
-class TestFlowControlConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FlowControlConfig(window_bytes=0)
-        with pytest.raises(ValueError):
-            FlowControlConfig(credit_timeout=0.0)
-        with pytest.raises(ValueError):
-            FlowControlConfig(retry_budget=0.0)
-        with pytest.raises(ValueError):
-            FlowControlConfig(retry_token_ratio=-1.0)
-        with pytest.raises(ValueError):
-            FlowControlConfig(shed_min_pause=0.5, shed_max_pause=0.1)
-
-
 class TestReconnectJitter:
-    """Satellite: reconnect backoff uses full jitter, not lockstep."""
+    """Reconnect backoff uses full jitter, not lockstep."""
 
     def test_failed_connect_backs_off_with_jitter_and_doubles_cap(self):
         transport = InprocTransport()  # nothing listening on this net
@@ -178,155 +110,122 @@ class TestReconnectJitter:
         assert delays[0] != pytest.approx(delays[1], abs=1e-6)
 
 
-def _flow(**overrides):
-    kwargs = dict(
-        window_bytes=1,  # every fire-and-forget send forces a credit sync
-        credit_timeout=2.0,
-        retry_budget=64.0,
-        retry_token_ratio=0.5,
-        retry_time_refill=50.0,
-        shed_min_pause=0.05,
-        shed_max_pause=0.2,
-    )
-    kwargs.update(overrides)
-    return FlowControlConfig(**kwargs)
+class _SlowServer:
+    """A ``LogServer`` whose batch ingest takes ``delay`` seconds."""
+
+    def __init__(self, inner: LogServer, delay: float):
+        self._inner = inner
+        self._delay = delay
+
+    def submit_batch(self, records):
+        time.sleep(self._delay)
+        return self._inner.submit_batch(records)
+
+    def __len__(self) -> int:
+        return len(self._inner)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
-class TestRemoteLoggerShedMode:
-    def _serve(self, **admission_kwargs):
+class TestRemoteLoggerCreditWindow:
+    def test_credit_sync_settles_window(self):
         server = LogServer()
-        server.register_key("/p", _keypair().public)
-        admission = AdmissionController(AdmissionConfig(**admission_kwargs))
-        endpoint = LogServerEndpoint(
-            server, transport=InprocTransport(), admission=admission
-        )
-        return server, admission, endpoint
-
-    def test_credit_sync_settles_window_and_mints_tokens(self):
-        server, admission, endpoint = self._serve(high_watermark=1024)
+        endpoint = LogServerEndpoint(server, transport=InprocTransport())
         client = RemoteLogger(
-            endpoint.address,
-            transport=endpoint._transport,
-            flow_control=_flow(),
-            rng=random.Random(1),
+            endpoint.address, transport=endpoint._transport, window_bytes=1
         )
         try:
-            client.submit(entry(1))
+            client.submit(entry(1))  # every send now forces a credit sync
             stats = client.stats()
             assert stats["credit_syncs"] == 1
             assert stats["outstanding_bytes"] == 0
-            assert stats["busy_responses"] == 0
-            assert not client.shedding
             assert len(server) == 1  # the sync proved the frame drained
         finally:
             client.close()
             endpoint.close()
+            server.close()
 
-    def test_busy_credit_sync_opens_a_shed_window(self):
-        server, admission, endpoint = self._serve(
-            high_watermark=2, low_watermark=0, retry_after=0.05
-        )
-        client = RemoteLogger(
-            endpoint.address,
-            transport=endpoint._transport,
-            flow_control=_flow(),
-            rng=random.Random(2),
-        )
+    @staticmethod
+    def _flood(window_bytes, batches=160, batch=4):
+        """Flood a slow TCP endpoint with fire-and-forget batches; returns
+        the largest count of sent-but-not-ingested entries seen after any
+        submit returned, the encoded entry size, and the landed count."""
+        server = LogServer()
+        endpoint = LogServerEndpoint(_SlowServer(server, delay=0.005))
+        client = RemoteLogger(endpoint.address, window_bytes=window_bytes)
+        records = [entry(seq).encode() for seq in range(batch)]
         try:
-            admission.force_admit(5)  # latch the server busy
-            client.submit(entry(1))  # forced in; its credit sync sees BUSY
-            assert client.busy_responses == 1
-            assert client.shedding
-            # While shedding, submissions divert to spill: delayed, not
-            # lost, and the server sees no new load from this client.
-            base = len(server)
-            client.submit(entry(2))
-            client.submit(entry(3))
-            assert client.stats()["shed_entries"] == 2
-            assert client.spilled == 2
-            assert len(server) == base
+            sent = 0
+            backlog = 0
+            for _ in range(batches):
+                client.submit_batch(records)
+                sent += len(records)
+                backlog = max(backlog, sent - len(server))
+            client.health(timeout=30.0)  # FIFO barrier
+            return backlog, len(records[0]), len(server)
         finally:
             client.close()
             endpoint.close()
+            server.close()
 
-    def test_shed_window_expires_and_spill_drains(self):
-        server, admission, endpoint = self._serve(
-            high_watermark=2, low_watermark=0, retry_after=0.01
-        )
-        client = RemoteLogger(
-            endpoint.address,
-            transport=endpoint._transport,
-            flow_control=_flow(shed_min_pause=0.01, shed_max_pause=0.05),
-            rng=random.Random(3),
+    def test_window_alone_bounds_a_flooding_clients_outstanding_bytes(self):
+        window = 1024
+        backlog, size, landed = self._flood(window)
+        assert landed == 160 * 4
+        # At most a window's worth plus the batch that crossed it.
+        assert backlog * size <= window + 4 * size
+        # Without the window the same flood runs far ahead of the server.
+        unbounded, _, landed = self._flood(None)
+        assert landed == 160 * 4
+        assert unbounded * size > window + 4 * size
+
+
+class TestBarrierAfterRpc:
+    def test_health_barrier_covers_every_earlier_submit(self):
+        """Regression: an RPC's receive timeout used to stay on the socket,
+        so a later fire-and-forget send that blocked for longer than
+        0.1 s (a server that paused reading) dropped the connection.  The
+        records were re-sent on a new connection, and ``health()`` on that
+        connection returned while the old one's frames were still landing.
+        """
+        server = LogServer()
+        gate = threading.Event()
+
+        class _Gated:
+            def submit(self, record):
+                gate.wait(10.0)
+                return server.submit(record)
+
+            def __len__(self):
+                return len(server)
+
+            def __getattr__(self, name):
+                return getattr(server, name)
+
+        endpoint = LogServerEndpoint(_Gated())
+        client = RemoteLogger(endpoint.address, spill_capacity=100_000)
+        big = LogEntry(
+            component_id="/p", topic="/t", type_name="std/String",
+            direction=Direction.OUT, seq=1, scheme=Scheme.ADLP,
+            data=bytes(8192),
         )
         try:
-            admission.force_admit(5)
-            client.submit(entry(1))
-            assert client.shedding
-            client.submit(entry(2))  # shed to spill
-            assert client.spilled == 1
-            admission.release(5)  # server recovers
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if not client.shedding and client.flush_spill():
-                    break
-                time.sleep(0.01)
-            assert client.spilled == 0
-            assert client.stats()["spill_retries"] == 1
-            deadline = time.monotonic() + 5.0
-            while len(server) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert len(server) == 2  # everything landed exactly once
+            client.health(timeout=5.0)  # any RPC on the connection
+            opener = threading.Timer(0.5, gate.set)
+            opener.start()
+            # The endpoint pauses reading at 1024 queued frames, so these
+            # sends block until the gate opens.
+            for _ in range(3500):
+                client.submit(big)
+            opener.join()
+            client.health(timeout=30.0)
+            assert len(server) == 3500
+            stats = client.stats()
+            assert stats["spill_retries"] == 0  # never reconnected
+            assert stats["peer_close_respills"] == 0
         finally:
+            gate.set()
             client.close()
             endpoint.close()
-
-    def test_consecutive_busy_escalates_the_shed_pause(self):
-        server, admission, endpoint = self._serve(
-            high_watermark=2, low_watermark=0, retry_after=0.01
-        )
-        client = RemoteLogger(
-            endpoint.address,
-            transport=endpoint._transport,
-            flow_control=_flow(shed_min_pause=0.01, shed_max_pause=0.5),
-            rng=random.Random(4),
-        )
-        try:
-            admission.force_admit(5)
-            client.submit(entry(1))
-            first = client._shed_pause
-            # Expire the window, then observe BUSY again: the pause doubles.
-            client._shed_until = 0.0
-            client.submit(entry(2))
-            assert client.busy_responses == 2
-            assert client._shed_pause == pytest.approx(first * 2)
-        finally:
-            client.close()
-            endpoint.close()
-
-    def test_drain_pauses_when_retry_budget_is_exhausted(self):
-        server, admission, endpoint = self._serve(high_watermark=1024)
-        client = RemoteLogger(
-            ("inproc", "nowhere"),  # park everything in the spill queue
-            transport=endpoint._transport,
-            flow_control=_flow(
-                retry_budget=1.0, retry_token_ratio=0.0, retry_time_refill=0.0
-            ),
-            rng=random.Random(5),
-            submit_batch_max=1,
-        )
-        try:
-            for seq in range(1, 4):
-                client.submit(entry(seq))
-            assert client.spilled == 3
-            client._address = endpoint.address  # server "comes back"
-            client._next_attempt = 0.0
-            # One token: exactly one retransmit batch goes out, then the
-            # drain reports "not empty" instead of flooding.
-            assert not client.flush_spill()
-            assert client.stats()["spill_retries"] == 1
-            assert client.stats()["retry_budget_exhausted"] >= 1
-            assert client.spilled == 2
-        finally:
-            client.close()
-            endpoint.close()
+            server.close()

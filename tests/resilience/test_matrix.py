@@ -1,8 +1,8 @@
-"""Tier-1 smoke slice of the churn x fault x overload scenario matrix.
+"""Tier-1 smoke slice of the churn x fault scenario matrix.
 
 At least one cell per backend, covering a lossy transport, an
-equivocating logger, an admission-control overload, an endpoint restart
-and a replica disconnect between them.  The full grid runs under the ``overload`` marker (see
+equivocating logger, a flood-sized load over a truncating transport, an
+endpoint restart and a replica disconnect between them.  The full grid runs under the ``overload`` marker (see
 ``test_overload_soak.py``); this slice is the always-on regression bar:
 every cell must hold the invariant -- no acknowledged evidence lost, no
 false audit verdicts.
@@ -29,17 +29,12 @@ def test_smoke_cell_holds_the_invariant(cell, deterministic_seed):
     assert result.ok, (
         f"{cell.name}: {result.failures} "
         f"(submitted={result.submitted} acked={result.acked} "
-        f"delivered={result.delivered} busy={result.busy_responses})"
+        f"delivered={result.delivered})"
     )
     assert result.delivered > 0
     assert result.invalid == 0
     assert result.hidden == 0
     assert result.elapsed < CELL_TIMEOUT
-    if cell.fault == "overload":
-        # The overload cell is only meaningful if admission control
-        # actually engaged: BUSY verdicts observed, shed entries counted.
-        assert result.busy_responses > 0
-        assert result.shed_entries > 0
     if cell.fault == "equivocation":
         # The fork must be caught within the bounded gossip rounds and
         # produce self-contained evidence (verified inside run_cell).
@@ -68,10 +63,6 @@ class TestScenarioCellValidation:
         with pytest.raises(ValueError):
             ScenarioCell("replicated", "truncate", "none", "light")
 
-    def test_rejects_overload_with_churn(self):
-        with pytest.raises(ValueError):
-            ScenarioCell("plain", "overload", "restart", "light")
-
     def test_rejects_unsound_equivocation_cells(self):
         # The fork adversary only runs on the plain backend, churn-free.
         with pytest.raises(ValueError):
@@ -84,7 +75,7 @@ class TestScenarioCellValidation:
     def test_full_grid_enumerates_only_sound_cells(self):
         cells = enumerate_cells(full=True)
         assert len(cells) == len(set(cells))  # no duplicates
-        assert len(cells) == 60
+        assert len(cells) == 54
         for cell in cells:
             assert ScenarioCell(
                 cell.backend, cell.fault, cell.churn, cell.load

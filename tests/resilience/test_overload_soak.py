@@ -1,6 +1,6 @@
-"""The full churn x fault x overload grid, plus a randomized flood soak.
+"""The full churn x fault grid.
 
-Marked ``overload``: deselected from the default tier-1 run (like
+Marked ``overload`` (the marker keeps its name): deselected from the default tier-1 run (like
 ``soak``), executed by the CI overload job.  Run locally with::
 
     PYTHONPATH=src pytest tests/resilience/test_overload_soak.py -m overload
@@ -12,17 +12,9 @@ run records one bench row per cell for trend tracking.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.resilience.matrix import (
-    NOISE_ENTRIES,
-    ScenarioCell,
-    enumerate_cells,
-    run_cell,
-    run_matrix,
-)
+from repro.resilience.matrix import enumerate_cells, run_matrix
 
 pytestmark = pytest.mark.overload
 
@@ -35,24 +27,3 @@ def test_full_grid_holds_the_invariant(deterministic_seed):
         f"{r.cell.name}: {r.failures}" for r in failed[:10]
     )
     assert not failed, f"{len(failed)}/{len(results)} cells failed: {detail}"
-    # The grid only counts as an overload soak if overload cells actually
-    # saw admission control engage somewhere.
-    overloaded = [r for r in results if r.cell.fault == "overload"]
-    assert sum(r.busy_responses for r in overloaded) > 0
-    assert sum(r.shed_entries for r in overloaded) > 0
-
-
-@pytest.mark.parametrize("round_index", range(3))
-def test_randomized_flood_rounds(round_index, deterministic_seed):
-    """Same overload cell, distinct derived seeds: the invariant must be
-    seed-independent, not an artifact of one lucky interleaving."""
-    seed = deterministic_seed + 7919 * (round_index + 1)
-    cell = ScenarioCell("sharded", "overload", "none", "flood")
-    result = run_cell(cell, seed=seed)
-    assert result.ok, f"seed {seed}: {result.failures}"
-    assert result.busy_responses > 0
-    assert result.shed_entries > 0
-    # Shed is bounded by what the noise flood submitted: shedding honest
-    # acked traffic would have failed the delivery check already, but the
-    # counter itself must stay in the "delayed, not lost" regime.
-    assert result.shed_entries <= NOISE_ENTRIES["flood"]

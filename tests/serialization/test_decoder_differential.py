@@ -69,7 +69,7 @@ def _seeds(rng: random.Random):
             LoggerResponse(ok=True, entries=4, chain_head=rng.randbytes(32),
                            merkle_root=rng.randbytes(32), total_bytes=1 << 33,
                            records=records, corr_id=300).encode(),
-            LoggerResponse(error="busy", code=17, queue_depth=9, retry_after_ms=40,
+            LoggerResponse(error="busy", code=17,
                            key_ids=["/camera", "/planner"],
                            key_blobs=[rng.randbytes(140), rng.randbytes(33)],
                            stats_json='{"ingested": 4, "né": 1}').encode(),

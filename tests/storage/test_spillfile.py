@@ -174,7 +174,7 @@ class TestSidecarRecovery:
 
 
 class TestBatchPaths:
-    """append_many / peek_many / consume_many: the shedding client's
+    """append_many / peek_many / consume_many: the spilling client's
     batched park-and-drain surface."""
 
     def test_append_many_preserves_fifo_with_append(self, tmp_path):

@@ -242,30 +242,21 @@ class TestHealthCommand:
         out = capsys.readouterr().out
         assert out.count("entries=4") == 3
         assert "UNREACHABLE" not in out and "DIVERGENCE" not in out
-        # No admission controller on these endpoints: no overload line.
-        assert "overload:" not in out
+        assert out.count("deadline_expired=0") == 3
 
-    def test_admission_counters_reported(self, keypool, capsys):
+    def test_deadline_rejections_reported(self, keypool, capsys):
         from repro.core import LogServerEndpoint
-        from repro.resilience.admission import (
-            AdmissionConfig,
-            AdmissionController,
-        )
 
         server = LogServer()
-        admission = AdmissionController(
-            AdmissionConfig(high_watermark=4, low_watermark=1)
-        )
-        endpoint = LogServerEndpoint(server, admission=admission)
+        endpoint = LogServerEndpoint(server)
         try:
             _feed_replicas([server], keypool)
-            admission.force_admit(6)  # latch BUSY; leaves depth visible
+            endpoint.deadline_rejections = 2  # as if two requests expired
             assert main(["health", _addr(endpoint)]) == 0
         finally:
             endpoint.close()
         out = capsys.readouterr().out
-        assert "overload:" in out
-        assert "depth=6" in out and "peak=6" in out
+        assert "deadline_expired=2" in out
 
     def test_unreachable_replica_exits_one(self, replica_endpoints, keypool, capsys):
         servers, endpoints = replica_endpoints
