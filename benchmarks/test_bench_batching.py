@@ -146,8 +146,8 @@ def test_remote(benchmark, tmp_path_factory, backing, mode):
     def setup():
         if backing == "durable":
             # The paper's deployment: the trusted logger persists with
-            # fsync on commit, so every OP_SUBMIT frame costs an fsync
-            # and OP_SUBMIT_BATCH coalesces 64 of them into one.
+            # fsync on commit, so every single-entry OP_SUBMIT_BATCH frame
+            # costs an fsync and a 64-entry one coalesces 64 into one.
             store = DurableLogStore(
                 str(tmp_path_factory.mktemp("bench-remote")),
                 fsync="always",

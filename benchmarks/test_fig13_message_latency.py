@@ -50,8 +50,8 @@ def _measure_scheme(scheme: str, keys) -> dict:
     master = Master(transport=TcpTransport())
     server = LogServer()
     if scheme == "naive":
-        pub_protocol = NaiveProtocol("/pub", server.submit)
-        sub_protocol = NaiveProtocol("/sub", server.submit)
+        pub_protocol = NaiveProtocol("/pub", server.submit_batch)
+        sub_protocol = NaiveProtocol("/sub", server.submit_batch)
     else:
         from repro.core.policy import AdlpConfig
 
@@ -87,7 +87,7 @@ def test_latency_sweep(benchmark, bench_keys, scheme):
     master = Master(transport=TcpTransport())
     server = LogServer()
     if scheme == "naive":
-        protocols = NaiveProtocol("/pub", server.submit), NaiveProtocol("/sub", server.submit)
+        protocols = NaiveProtocol("/pub", server.submit_batch), NaiveProtocol("/sub", server.submit_batch)
     else:
         from repro.core.policy import AdlpConfig
 

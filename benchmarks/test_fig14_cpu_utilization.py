@@ -37,7 +37,7 @@ def _protocol(scheme, name, server, keys, index):
     if scheme == "none":
         return None
     if scheme == "naive":
-        return NaiveProtocol(name, server.submit)
+        return NaiveProtocol(name, server.submit_batch)
     config = AdlpConfig(key_bits=1024, ack_timeout=10.0)
     return AdlpProtocol(name, server, config=config, keypair=keys[index])
 

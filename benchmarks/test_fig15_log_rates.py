@@ -35,8 +35,8 @@ _results = {}
 def _protocols(variant, server, keys):
     if variant == "base":
         return (
-            NaiveProtocol("/pub", server.submit),
-            NaiveProtocol("/sub", server.submit),
+            NaiveProtocol("/pub", server.submit_batch),
+            NaiveProtocol("/sub", server.submit_batch),
         )
     stores_hash = variant == "adlp_hash"
     config = AdlpConfig(

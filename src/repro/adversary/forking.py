@@ -88,19 +88,21 @@ class ForkingLogServer:
         self.forked.register_key(component_id, key)
 
     def submit(self, entry: Union[LogEntry, bytes]) -> int:
-        with self._lock:
-            record = (
-                entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
-            )
-            index = self.honest.submit(record)
-            if index == self.fork_at:
-                record = self._mutate(record)
-                self.forked_records += 1
-            self.forked.submit(record)
-            return index
+        return self.submit_batch([entry])[0]
 
     def submit_batch(self, entries: List[Union[LogEntry, bytes]]) -> List[int]:
-        return [self.submit(entry) for entry in entries]
+        records = [
+            entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
+            for entry in entries
+        ]
+        with self._lock:
+            indices = self.honest.submit_batch(records)
+            if self.fork_at in indices:
+                position = indices.index(self.fork_at)
+                records[position] = self._mutate(records[position])
+                self.forked_records += 1
+            self.forked.submit_batch(records)
+            return indices
 
     # -- faces -------------------------------------------------------------
 
@@ -133,9 +135,6 @@ class _LoggerFace:
     # ingestion: shared, so the split stays invisible to submitters
     def register_key(self, component_id: str, key) -> None:
         self._fork.register_key(component_id, key)
-
-    def submit(self, entry: Union[LogEntry, bytes]) -> int:
-        return self._fork.submit(entry)
 
     def submit_batch(self, entries: List[Union[LogEntry, bytes]]) -> List[int]:
         return self._fork.submit_batch(entries)

@@ -114,7 +114,7 @@ class SelfDrivingApp:
         if self.scheme == "naive":
             protocol: TransportProtocol = NaiveProtocol(
                 node_name,
-                self.log_server.submit,
+                self.log_server.submit_batch,
                 subscriber_stores_hash=self.naive_stores_hash,
             )
         else:

@@ -87,8 +87,7 @@ def _rebuild(records: Sequence[bytes], keys: Dict[str, bytes]) -> LogServer:
     server = LogServer()
     for component_id in sorted(keys):
         server.register_key(component_id, keys[component_id])
-    for record in records:
-        server.submit(record)
+    server.submit_batch(list(records))
     return server
 
 

@@ -593,9 +593,9 @@ class AdlpProtocol(TransportProtocol):
 
     :param component_id: this node's unique id (must match the node name it
         is installed on, since log entries carry it).
-    :param log_server: the trusted logger, or any object with ``submit`` and
-        ``register_key`` -- the node registers its public key at startup
-        (step 1 of the prototype flow).
+    :param log_server: the trusted logger, or any object with
+        ``submit_batch`` and ``register_key`` -- the node registers its
+        public key at startup (step 1 of the prototype flow).
     :param config: protocol knobs; see :class:`AdlpConfig`.
     :param keypair: pre-generated keys (tests); generated fresh when omitted.
     :param clock: timestamp source for log entries.
@@ -640,11 +640,10 @@ class AdlpProtocol(TransportProtocol):
         self._aggregators_lock = threading.Lock()
         self.logging_thread = LoggingThread(
             component_id,
-            log_server.submit,
+            log_server.submit_batch,
             max_retries=self.config.log_retry_limit,
             retry_backoff=self.config.log_retry_backoff,
             on_retry=lambda: self.stats.bump("log_submit_retries"),
-            submit_batch=getattr(log_server, "submit_batch", None),
             batch_max=self.config.submit_batch_max,
             tick=self._flush_expired_aggregates,
         )

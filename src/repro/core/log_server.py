@@ -209,42 +209,8 @@ class LogServer:
             append_key(component_id, key.to_bytes())
 
     def submit(self, entry: Union[LogEntry, bytes]) -> int:
-        """Ingest one log entry; returns its index in the log.
-
-        Accepts either a decoded :class:`LogEntry` or its wire encoding
-        (what a remote logging thread would push over a socket).
-        """
-        if isinstance(entry, LogEntry):
-            record = entry.encode()
-            decoded = entry
-        else:
-            record = bytes(entry)
-            try:
-                decoded = LogEntry.decode(record)
-            except DecodingError as exc:
-                with self._lock:
-                    self.rejected_submissions += 1
-                raise LoggingError(f"undecodable log entry: {exc}") from exc
-        with self._lock:
-            # Derived state first, the store's append last: if the store
-            # auto-checkpoints inside ``append``, the checkpoint must see
-            # counters that already include this entry.
-            size = len(self._merkle)
-            self._apply_derived(decoded, record)
-            try:
-                index = self.store.append(record)
-            except BaseException:
-                # An injected crash or a real I/O failure: roll the derived
-                # state back so memory never claims more than disk holds.
-                self._rollback_derived(size, [(decoded, record)])
-                raise
-            observers = list(self._observers)
-        for observer in observers:
-            try:
-                observer(decoded)
-            except Exception:
-                pass  # an analysis failure must not reject the entry
-        return index
+        """Ingest one log entry; returns its index in the log."""
+        return self.submit_batch([entry])[0]
 
     def submit_batch(self, entries: List[Union[LogEntry, bytes]]) -> List[int]:
         """Ingest several entries as one group commit; returns their indices.
@@ -259,9 +225,11 @@ class LogServer:
         batchmates.  The resulting chain head and Merkle root are
         byte-identical to per-entry submission of the same stream.
 
-        Subclasses or wrappers that intercept :meth:`submit` (outage
-        simulation, fault injection, ...) must intercept this method
-        too: batched submission does NOT route through :meth:`submit`.
+        Accepts decoded :class:`LogEntry` objects or their wire encoding
+        (what a remote logging thread pushes over a socket).  This is the
+        one ingest path -- :meth:`submit` is a batch of one -- so a
+        subclass or wrapper (outage simulation, fault injection, ...)
+        intercepts this method only.
         """
         if not entries:
             return []
@@ -276,9 +244,7 @@ class LogServer:
                 except DecodingError as exc:
                     with self._lock:
                         self.rejected_submissions += 1
-                    raise LoggingError(
-                        f"undecodable log entry in batch: {exc}"
-                    ) from exc
+                    raise LoggingError(f"undecodable log entry: {exc}") from exc
         with self._lock:
             size = len(self._merkle)
             store_size = len(self.store)

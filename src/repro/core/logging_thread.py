@@ -6,13 +6,13 @@ how many topics the node publishes and subscribes" (Section V-B).  Entries
 are queued by the transport protocol on the hot path and pushed to the log
 server asynchronously, so logging never blocks publication or delivery.
 
-When the sink supports group commit (a ``submit_batch`` callable) the
-worker drains up to ``batch_max`` queued entries per wakeup and submits
-them in one call -- one lock acquisition, one WAL fsync, one RPC round
-trip for the whole batch instead of per entry.  Batch submission is
-all-or-nothing at the sink, so a failed batch is retried and finally
-re-submitted per entry, isolating a poison entry without dropping its
-batchmates.
+The sink is one group-commit callable (``submit_batch``).  The worker
+drains up to ``batch_max`` queued entries per wakeup and submits them in
+one call -- one lock acquisition, one WAL fsync, one RPC round trip for
+the whole batch instead of per entry; a lone entry is a batch of one.
+Batch submission is all-or-nothing at the sink, so a failed batch is
+retried and finally re-submitted entry by entry (each as ``[entry]``),
+isolating a poison entry without dropping its batchmates.
 """
 
 from __future__ import annotations
@@ -33,18 +33,14 @@ class LoggingThread:
     """Asynchronous submitter of log entries to a log-server callable.
 
     :param component_id: owning node's id (used for the thread name).
-    :param submit: the ingestion function, typically
-        :meth:`repro.core.log_server.LogServer.submit`.
+    :param submit_batch: the group-commit ingestion function, typically
+        :meth:`repro.core.log_server.LogServer.submit_batch`.
     :param max_retries: failed submissions are retried this many times
         (with exponentially growing sleeps) before the entry is counted as
         dropped -- a transient logger hiccup must not lose evidence.
     :param retry_backoff: initial sleep between retries; doubles per
         attempt.
     :param on_retry: callable invoked once per retry attempt (stats hook).
-    :param submit_batch: optional group-commit ingestion function (e.g.
-        :meth:`repro.core.log_server.LogServer.submit_batch`); when given
-        and ``batch_max > 1``, queued entries are drained and submitted in
-        batches of up to ``batch_max``.
     :param batch_max: upper bound on entries per ``submit_batch`` call.
     :param tick: optional callable invoked once per worker wakeup (both
         after a drain and on idle timeouts) -- the hook deadline-driven
@@ -54,18 +50,16 @@ class LoggingThread:
     def __init__(
         self,
         component_id: str,
-        submit: Callable[[Union[LogEntry, bytes]], int],
+        submit_batch: Callable[[List[Union[LogEntry, bytes]]], List[int]],
         max_retries: int = 0,
         retry_backoff: float = 0.01,
         on_retry: Optional[Callable[[], None]] = None,
-        submit_batch: Optional[Callable[[List[Union[LogEntry, bytes]]], List[int]]] = None,
         batch_max: int = 1,
         tick: Optional[Callable[[], None]] = None,
     ):
         if batch_max < 1:
             raise ValueError("batch_max must be at least 1")
         self.component_id = component_id
-        self._submit = submit
         self._submit_batch = submit_batch
         self._batch_max = batch_max
         self._max_retries = max_retries
@@ -78,10 +72,10 @@ class LoggingThread:
         self._idle = threading.Event()
         self._idle.set()
         self._dropped = 0
-        #: Entries submitted through a grouped ``submit_batch`` call (the
-        #: rest went through per-entry ``submit``).
+        #: Entries accepted by a whole-drain ``submit_batch`` call (the
+        #: rest, if any, went through the per-entry fallback).
         self.batched = 0
-        #: Grouped ``submit_batch`` calls issued.
+        #: Whole-drain ``submit_batch`` calls accepted.
         self.batches = 0
         self._worker = StoppableThread(
             name=f"logging-{component_id}", target=self._run
@@ -126,11 +120,18 @@ class LoggingThread:
                 except queue.Empty:
                     break
             try:
-                if self._submit_batch is not None and len(batch) > 1:
-                    self._submit_batch_with_retries(batch)
+                if self._submit_with_retries(batch):
+                    self.batched += len(batch)
+                    self.batches += 1
+                elif len(batch) == 1:
+                    self._dropped += 1
                 else:
+                    # All-or-nothing at the sink, so per-entry re-submission
+                    # cannot double-ingest: it isolates a poison entry to
+                    # its own drop instead of losing the whole batch.
                     for item in batch:
-                        self._submit_with_retries(item)
+                        if not self._submit_with_retries([item]):
+                            self._dropped += 1
             finally:
                 for _ in batch:
                     self._finish_one()
@@ -144,13 +145,15 @@ class LoggingThread:
         except Exception:
             pass  # maintenance trouble must not kill the submit loop
 
-    def _submit_with_retries(self, entry: LogEntry) -> None:
+    def _submit_with_retries(self, batch: List[LogEntry]) -> bool:
+        """Submit ``batch``, retrying on failure; ``False`` when every
+        attempt failed."""
         backoff = self._retry_backoff
         attempt = 0
-        while attempt <= self._max_retries:
+        while True:
             try:
-                self._submit(entry)
-                return
+                self._submit_batch(batch)
+                return True
             except Exception:
                 # The logger is outside the node's failure domain; errors
                 # are tolerated (and visible in server-side counts).
@@ -161,35 +164,7 @@ class LoggingThread:
                     self._on_retry()
                 time.sleep(backoff)
                 backoff *= 2
-        self._dropped += 1
-
-    def _submit_batch_with_retries(self, batch: List[LogEntry]) -> None:
-        """Group-commit ``batch``; on persistent failure fall back to
-        per-entry submission.
-
-        The sink's batch ingestion is all-or-nothing (rollback on
-        failure), so re-submitting the same batch entry by entry cannot
-        double-ingest -- it isolates a poison entry to its own drop
-        instead of losing the whole batch.
-        """
-        backoff = self._retry_backoff
-        attempt = 0
-        while attempt <= self._max_retries:
-            try:
-                self._submit_batch(batch)
-                self.batched += len(batch)
-                self.batches += 1
-                return
-            except Exception:
-                attempt += 1
-                if attempt > self._max_retries or self._worker.stopped():
-                    break
-                if self._on_retry is not None:
-                    self._on_retry()
-                time.sleep(backoff)
-                backoff *= 2
-        for entry in batch:
-            self._submit_with_retries(entry)
+        return False
 
     @property
     def dropped(self) -> int:

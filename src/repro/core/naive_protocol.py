@@ -12,7 +12,7 @@ logging happens purely on the side.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.logging_thread import LoggingThread
@@ -68,8 +68,8 @@ class NaiveProtocol(TransportProtocol):
     """Definition 2's logging scheme as a pluggable transport protocol.
 
     :param component_id: this node's unique id.
-    :param submit: log-server ingestion function
-        (e.g. ``log_server.submit``).
+    :param submit_batch: log-server group-commit ingestion function
+        (e.g. ``log_server.submit_batch``).
     :param clock: timestamp source for log entries.
     :param subscriber_stores_hash: store ``h(D)`` instead of ``D`` in
         subscription entries.  The paper's Table IV measures base logging
@@ -83,14 +83,14 @@ class NaiveProtocol(TransportProtocol):
     def __init__(
         self,
         component_id: str,
-        submit: Callable[[Union[LogEntry, bytes]], int],
+        submit_batch: Callable[[List[Union[LogEntry, bytes]]], List[int]],
         clock: Optional[Clock] = None,
         subscriber_stores_hash: bool = False,
     ):
         self.component_id = component_id
         self.clock = clock or SystemClock()
         self.subscriber_stores_hash = subscriber_stores_hash
-        self.logging_thread = LoggingThread(component_id, submit)
+        self.logging_thread = LoggingThread(component_id, submit_batch)
 
     def _log(
         self,

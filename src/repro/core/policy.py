@@ -98,9 +98,9 @@ class AdlpConfig:
     verify_on_receive: bool = False
 
     #: Entries the logging thread drains per wakeup into one group-commit
-    #: ``submit_batch`` call when the sink supports it (one lock
-    #: acquisition, one WAL fsync, one RPC round trip for the whole
-    #: batch).  ``1`` restores strict per-entry submission.  Batched and
+    #: ``submit_batch`` call (one lock acquisition, one WAL fsync, one RPC
+    #: round trip for the whole batch).  ``1`` submits every entry as a
+    #: batch of one.  Batched and
     #: per-entry submission of the same entry stream produce byte-identical
     #: chain heads and Merkle roots -- batching changes throughput only.
     submit_batch_max: int = 64

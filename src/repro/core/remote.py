@@ -7,17 +7,19 @@ module puts it behind a socket:
 
 - :class:`LogServerEndpoint` exposes a :class:`LogServer` over any
   middleware transport (TCP in practice), speaking a small framed RPC:
-  ``REGISTER_KEY``, ``SUBMIT``, ``HEALTH`` (the replica commitment probe),
-  ``FETCH`` (raw-record ranges for anti-entropy catch-up), and ``KEYS``
-  (key-registry snapshot, so a recovering replica can be re-keyed).
+  ``REGISTER_KEY``, ``SUBMIT_BATCH``, ``HEALTH`` (the replica commitment
+  probe), ``FETCH`` (raw-record ranges for anti-entropy catch-up), and
+  ``KEYS`` (key-registry snapshot, so a recovering replica can be
+  re-keyed).
 - :class:`RemoteLogger` is the component-side stub with the same
-  ``register_key``/``submit`` surface the protocols expect, so an
+  ``register_key``/``submit_batch`` surface the protocols expect, so an
   :class:`~repro.core.adlp_protocol.AdlpProtocol` can be pointed at a
   remote logger with no other change.
 
-Faithful to the paper's failure model, ``SUBMIT`` is fire-and-forget: the
-client never waits for a response, so "any failure at the log server does
-not interrupt a normal operation of the ROS nodes".  Only key
+Faithful to the paper's failure model, ``SUBMIT_BATCH`` is fire-and-forget
+(unless the caller asks for an acknowledgement): the client never waits
+for a response, so "any failure at the log server does not interrupt a
+normal operation of the ROS nodes".  Only key
 registration is synchronous (it happens once, at startup, and the paper's
 trust model requires the key to be transferred securely before data
 flows).
@@ -36,7 +38,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.entries import LogEntry
 from repro.core.log_server import LogCommitment, LogServer
@@ -82,9 +84,10 @@ class RemoteUnavailable(LoggingError):
     would just replay the same refusal.
     """
 
-#: RPC operation codes.
+#: RPC operation codes.  Code 2 was the retired single-entry submit (a
+#: lone record is now a batch of one); it is never reused, and a frame
+#: still carrying it ingests nothing.
 OP_REGISTER_KEY = 1
-OP_SUBMIT = 2
 OP_HEALTH = 3
 OP_FETCH = 4
 OP_KEYS = 5
@@ -126,6 +129,22 @@ BATCH_FRAME_BYTES = 8 * 1024 * 1024
 #: seen a reply it also drops the connection while its frames are still
 #: queued at the server.
 CREDIT_SYNC_TIMEOUT = 30.0
+
+
+def _frame_chunks(records: List[bytes]) -> Iterator[List[bytes]]:
+    """Split ``records`` into runs whose payload bytes stay within
+    :data:`BATCH_FRAME_BYTES` (a record larger than that runs alone), so
+    every ``OP_SUBMIT_BATCH`` frame stays far below the transport's cap."""
+    chunk: List[bytes] = []
+    size = 0
+    for record in records:
+        if chunk and size + len(record) > BATCH_FRAME_BYTES:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(record)
+        size += len(record)
+    if chunk:
+        yield chunk
 
 
 def _raise_for_verdict(response: "LoggerResponse") -> None:
@@ -198,16 +217,17 @@ class LoggerRequest(WireMessage):
     op = uint64(1)
     component_id = string(2)
     key_bytes = bytes_(3)  # OP_REGISTER_KEY
-    entry_bytes = bytes_(4)  # OP_SUBMIT
+    #: Field 4 carried the retired single-entry submit's record.  It is
+    #: never reused: the decoder skips it.
     start = uint64(5)  # OP_FETCH: first record index
     count = uint64(6)  # OP_FETCH: max records to return
     entry_batch = repeated(bytes_(7))  # OP_SUBMIT_BATCH: N entries, 1 frame
-    #: Shard targeting for SUBMIT/SUBMIT_BATCH/FETCH/HEALTH against a
+    #: Shard targeting for SUBMIT_BATCH/FETCH/HEALTH against a
     #: sharded server, encoded as ``shard_index + 1`` so the wire default
     #: ``0`` means "untargeted" and frames from pre-sharding clients keep
     #: their old meaning.
     shard = uint64(8)
-    #: SUBMIT/SUBMIT_BATCH: when set, the server answers with a
+    #: SUBMIT_BATCH: when set, the server answers with a
     #: :class:`LoggerResponse` whose ``entries`` is its post-ingest entry
     #: count -- the acknowledged submission mode (the wire default ``0``
     #: keeps classic frames fire-and-forget).
@@ -226,18 +246,17 @@ class LoggerRequest(WireMessage):
     proof_tree_size = uint64(12)
     #: OP_PROVE_CONSISTENCY: the *old* (smaller) size.
     proof_old_size = uint64(13)
-    #: Correlation id (v2 envelope): a client that pipelines several
-    #: synchronous requests on one connection stamps each with a unique
-    #: non-zero id; the server echoes it verbatim on the response so
-    #: replies can be matched out of a shared stream.  0 (the wire
-    #: default) marks a pre-pipelining frame -- the server still answers
-    #: (echoing 0) and such clients match replies by FIFO order, so both
-    #: directions interoperate across versions.
+    #: Correlation id: the client stamps every synchronous request with a
+    #: unique non-zero id and the server echoes it verbatim on the
+    #: response, so replies are matched out of a shared stream by id
+    #: alone.  A frame without one is still answered (echoing 0); a
+    #: client discards any reply carrying 0.
     corr_id = uint64(14)
 
 
 class LoggerResponse(WireMessage):
-    """Response to synchronous requests (everything but ``OP_SUBMIT``)."""
+    """Response to synchronous requests (every op but a fire-and-forget
+    ``OP_SUBMIT_BATCH``)."""
 
     ok = boolean(1)
     error = string(2)
@@ -278,7 +297,7 @@ class LoggerResponse(WireMessage):
     #: OP_PROVE_CONSISTENCY: the old size.
     proof_old_size = uint64(20)
     #: Echo of the request's correlation id (0 when the request carried
-    #: none -- an old client, which skips this unknown field anyway).
+    #: none).
     corr_id = uint64(21)
 
 
@@ -683,42 +702,18 @@ class LogServerEndpoint:
     ) -> Optional[LoggerResponse]:
         """Execute one request; returns the response to send, or ``None``
         for fire-and-forget submits.  Every response echoes the request's
-        correlation id (0 for old clients, who skip the unknown field)."""
-        if request.op == OP_SUBMIT:
-            with self._lock:
-                self.submissions += 1
-            if request.sync:
-                response = self._ingest_sync(
-                    [bytes(request.entry_bytes)],
-                    request.shard,
-                    deadline_ms=int(request.deadline_ms),
-                    arrival=arrival,
-                )
-                response.corr_id = request.corr_id
-                return response
-            try:
-                self._submit_one(request.entry_bytes, request.shard)
-            except LoggingError:
-                # fire-and-forget: bad entries are dropped server-side
-                with self._lock:
-                    self.rejected += 1
-            return None
+        correlation id."""
         if request.op == OP_SUBMIT_BATCH:
             batch = [bytes(record) for record in request.entry_batch]
-            if request.sync:
-                with self._lock:
-                    self.submissions += len(batch)
-                response = self._ingest_sync(
-                    batch,
-                    request.shard,
-                    deadline_ms=int(request.deadline_ms),
-                    arrival=arrival,
-                )
-                response.corr_id = request.corr_id
-                return response
-            self._ingest_batch(batch, shard_tag=request.shard)
-            return None
-        if request.op in (OP_STH, OP_PROVE_INCLUSION, OP_PROVE_CONSISTENCY):
+            with self._lock:
+                self.submissions += len(batch)
+            if not request.sync:
+                self._ingest_batch(batch, request.shard)
+                return None
+            response = self._ingest_sync(
+                batch, request.shard, int(request.deadline_ms), arrival
+            )
+        elif request.op in (OP_STH, OP_PROVE_INCLUSION, OP_PROVE_CONSISTENCY):
             response = self._answer_proof(request, arrival=arrival)
         else:
             response = self._answer(request)
@@ -768,72 +763,47 @@ class LogServerEndpoint:
             except ConnectionClosed:
                 return
 
-    def _submit_one(self, record: bytes, shard_tag: int) -> None:
-        """Route one submitted record, honoring a shard tag.
+    def _submit_tagged(self, batch: List[bytes], shard_tag: int) -> None:
+        """Ingest ``batch``, honoring a shard tag.
 
-        A tag against a sharded server goes through ``submit_to_shard``
-        (which verifies the tag against the router -- a client holding a
-        stale shard count must not scatter a topic across shards).  A
-        plain server is treated as a one-shard set: tag 1 targets the
-        whole log, any other tag is rejected.
+        A tag against a sharded server goes through
+        ``submit_batch_to_shard``, which verifies the tag against the
+        router before anything is mutated (a client holding a stale shard
+        count must not scatter a topic across shards).  A plain server is
+        treated as a one-shard set: tag 1 targets the whole log, any other
+        tag is rejected.
         """
         if shard_tag:
-            submit_to_shard = getattr(self.server, "submit_to_shard", None)
-            if submit_to_shard is not None:
-                submit_to_shard(shard_tag - 1, record)
+            to_shard = getattr(self.server, "submit_batch_to_shard", None)
+            if to_shard is not None:
+                to_shard(shard_tag - 1, batch)
                 return
             if shard_tag != 1:
                 raise LoggingError(
                     f"shard {shard_tag - 1} targeted on an unsharded server"
                 )
-        self.server.submit(record)
+        self.server.submit_batch(batch)
 
-    def _ingest_batch(self, batch: List[bytes], shard_tag: int = 0) -> None:
-        """Group-commit a batched submission; fire-and-forget like SUBMIT.
+    def _ingest_batch(self, batch: List[bytes], shard_tag: int) -> None:
+        """Fire-and-forget group commit: a refusal is counted, never
+        answered.
 
-        The server's batch ingest is all-or-nothing, so when it refuses the
-        batch (an undecodable entry) the records are re-submitted one at a
-        time -- only the poison entry is rejected, its batchmates are
-        ingested exactly once.  Shard tags are honored exactly like
-        :meth:`_submit_one`, including on the per-entry fallback path.
+        The server's batch ingest is all-or-nothing, so when it refuses a
+        batch (an undecodable entry, a misrouted tag) the records are
+        re-submitted one at a time -- only the poison entry is rejected,
+        its batchmates are ingested exactly once.
         """
-        if not batch:
+        try:
+            self._submit_tagged(batch, shard_tag)
             return
-        with self._lock:
-            self.submissions += len(batch)
-        if shard_tag:
-            submit_batch_to_shard = getattr(
-                self.server, "submit_batch_to_shard", None
-            )
-            if submit_batch_to_shard is not None:
-                try:
-                    submit_batch_to_shard(shard_tag - 1, batch)
-                    return
-                except LoggingError:
-                    pass  # isolate the poison entry below
-                for record in batch:
-                    try:
-                        self._submit_one(record, shard_tag)
-                    except LoggingError:
-                        with self._lock:
-                            self.rejected += 1
-                return
-            if shard_tag != 1:
-                # plain server, impossible shard: the whole batch is
-                # misaddressed (never silently ingested under shard 0)
+        except LoggingError:
+            if len(batch) == 1:
                 with self._lock:
-                    self.rejected += len(batch)
+                    self.rejected += 1
                 return
-        submit_batch = getattr(self.server, "submit_batch", None)
-        if submit_batch is not None:
-            try:
-                submit_batch(batch)
-                return
-            except LoggingError:
-                pass  # isolate the poison entry below
         for record in batch:
             try:
-                self.server.submit(record)
+                self._submit_tagged([record], shard_tag)
             except LoggingError:
                 with self._lock:
                     self.rejected += 1
@@ -860,11 +830,7 @@ class LogServerEndpoint:
         )
 
     def _ingest_sync(
-        self,
-        batch: List[bytes],
-        shard_tag: int,
-        deadline_ms: int = 0,
-        arrival: Optional[float] = None,
+        self, batch: List[bytes], shard_tag: int, deadline_ms: int, arrival: float
     ) -> LoggerResponse:
         """Acknowledged ingest: all-or-nothing, with the post-ingest entry
         count in the response.
@@ -889,20 +855,7 @@ class LogServerEndpoint:
             expired.entries = len(self.server)
             return expired
         try:
-            if shard_tag:
-                submit_batch_to_shard = getattr(
-                    self.server, "submit_batch_to_shard", None
-                )
-                if submit_batch_to_shard is not None:
-                    submit_batch_to_shard(shard_tag - 1, batch)
-                elif shard_tag == 1:
-                    self._ingest_plain_sync(batch)
-                else:
-                    raise LoggingError(
-                        f"shard {shard_tag - 1} targeted on an unsharded server"
-                    )
-            else:
-                self._ingest_plain_sync(batch)
+            self._submit_tagged(batch, shard_tag)
         except Exception as exc:
             # Includes store failures: the server's batch ingest rolled
             # back, so the count we report is still exact.
@@ -913,16 +866,8 @@ class LogServerEndpoint:
             )
         return LoggerResponse(ok=True, entries=len(self.server))
 
-    def _ingest_plain_sync(self, batch: List[bytes]) -> None:
-        submit_batch = getattr(self.server, "submit_batch", None)
-        if submit_batch is not None:
-            submit_batch(batch)
-            return
-        for record in batch:
-            self.server.submit(record)
-
     def _answer(self, request: LoggerRequest) -> LoggerResponse:
-        """Build the response for a synchronous (non-SUBMIT) request."""
+        """Build the response for a synchronous non-ingest request."""
         try:
             if request.op == OP_REGISTER_KEY:
                 self.server.register_key(request.component_id, request.key_bytes)
@@ -1016,7 +961,7 @@ class LogServerEndpoint:
         against one MUST carry a shard tag -- an untargeted fetch would
         need a merged index space that is not stable while shards ingest
         concurrently.  A plain server ignores sharding (tag 1 = the whole
-        log) for symmetry with :meth:`_submit_one`.
+        log) for symmetry with :meth:`_submit_tagged`.
         """
         shard_fetch = getattr(self.server, "shard_raw_records", None)
         limit = BATCH_FRAME_BYTES
@@ -1193,14 +1138,10 @@ class _RpcWaiter:
 class _Channel:
     """Per-connection RPC pipelining state.
 
-    ``pending`` maps correlation id -> waiter for servers that echo ids;
-    ``fifo`` holds the same waiters in *wire order* for servers that
-    predate the envelope (their responses carry ``corr_id == 0`` and are
-    matched oldest-first, which is exact because the server executes one
-    connection's frames in order).  ``correlated`` latches once any
-    response on this connection has echoed a non-zero id -- from then on
-    a timed-out RPC's late reply can be discarded by id, so the
-    connection survives timeouts instead of being dropped.
+    ``pending`` maps correlation id -> waiter, in insertion (= wire)
+    order.  Replies are matched by id alone: one whose id has no waiter
+    -- the late reply to a timed-out RPC, or a reply carrying 0 -- is
+    discarded and the connection survives.
     """
 
     __slots__ = (
@@ -1208,8 +1149,6 @@ class _Channel:
         "lock",
         "reader_lock",
         "pending",
-        "fifo",
-        "correlated",
         "next_corr",
         "dead",
         "reader_started",
@@ -1225,8 +1164,6 @@ class _Channel:
         #: (see ``reader_started``).
         self.reader_lock = threading.Lock()
         self.pending: Dict[int, _RpcWaiter] = {}
-        self.fifo: Deque[_RpcWaiter] = deque()
-        self.correlated = False
         self.next_corr = 1
         self.dead = False
         #: Whether the dedicated reader thread has been spawned.  Started
@@ -1237,19 +1174,21 @@ class _Channel:
 
 
 class RemoteLogger:
-    """Component-side stub: ``register_key`` + ``submit`` over a socket.
+    """Component-side stub: ``register_key`` + ``submit_batch`` over a
+    socket.
 
     Drop-in for the ``log_server`` argument of
-    :class:`~repro.core.adlp_protocol.AdlpProtocol` /
-    :class:`~repro.core.naive_protocol.NaiveProtocol` (``submit``).
+    :class:`~repro.core.adlp_protocol.AdlpProtocol` (and its
+    ``submit_batch`` for :class:`~repro.core.naive_protocol.NaiveProtocol`).
 
-    ``submit`` never blocks on the server.  If the connection dies, entries
-    are *spilled* into a bounded in-memory queue and re-sent (oldest first)
-    once the connection recovers.  When the queue overflows, the oldest
-    entries overflow to a :class:`~repro.storage.spillfile.DiskSpillFile`
-    (if ``spill_path`` was given) instead of being discarded -- a long
-    outage then costs disk space, not evidence; an entry is only counted in
-    :attr:`dropped` when there is no disk spill (or writing it fails).
+    ``submit_batch`` never blocks on the server.  If the connection dies,
+    entries are *spilled* into a bounded in-memory queue and re-sent
+    (oldest first) once the connection recovers.  When the queue
+    overflows, the oldest entries overflow to a
+    :class:`~repro.storage.spillfile.DiskSpillFile` (if ``spill_path`` was
+    given) instead of being discarded -- a long outage then costs disk
+    space, not evidence; an entry is only counted in :attr:`dropped` when
+    there is no disk spill (or writing it fails).
     Reconnection attempts back off exponentially with *full jitter*
     (``uniform(0, backoff)``) so a fleet of clients that all watched the
     same server restart does not rejoin in lockstep.  The node keeps
@@ -1443,7 +1382,6 @@ class RemoteLogger:
             channel.dead = True
             waiters = list(channel.pending.values())
             channel.pending.clear()
-            channel.fifo.clear()
         for waiter in waiters:
             waiter.failure = message
             waiter.done = True
@@ -1472,9 +1410,8 @@ class RemoteLogger:
     def _rpc_send(self, request: LoggerRequest) -> Tuple[_Channel, _RpcWaiter]:
         """Stamp ``request`` with a fresh correlation id and put it on the
         wire; returns the channel and the waiter to collect the reply on.
-        The send happens under the channel lock so waiter registration
-        order equals wire order (the FIFO fallback for servers that do
-        not echo correlation ids depends on it)."""
+        The send happens under the channel lock so ``pending`` is in wire
+        order (:meth:`_nudge_reader` wakes its oldest waiter)."""
         connection = self._connect()
         if connection is None:
             raise RemoteUnavailable(
@@ -1496,15 +1433,10 @@ class RemoteLogger:
             request.corr_id = corr
             waiter = _RpcWaiter(corr)
             channel.pending[corr] = waiter
-            channel.fifo.append(waiter)
             try:
                 connection.send_frame(request.encode())
             except ConnectionClosed as exc:
                 channel.pending.pop(corr, None)
-                try:
-                    channel.fifo.remove(waiter)
-                except ValueError:
-                    pass
                 failure = exc
             else:
                 if len(channel.pending) > 1 and not channel.reader_started:
@@ -1562,7 +1494,7 @@ class RemoteLogger:
         followers parked in their poll interval with nobody reading --
         a latency cliff on every leadership change."""
         with channel.lock:
-            waiter = channel.fifo[0] if channel.fifo else None
+            waiter = next(iter(channel.pending.values()), None)
         if waiter is not None:
             waiter.event.set()
 
@@ -1588,35 +1520,21 @@ class RemoteLogger:
     def _abandon(
         self, channel: _Channel, waiter: _RpcWaiter
     ) -> LoggerResponse:
-        """Give up on one timed-out RPC."""
+        """Give up on one timed-out RPC.  Its late reply is discarded by
+        id when it arrives; the connection and its other in-flight RPCs
+        survive."""
         with channel.lock:
-            correlated = channel.correlated
             channel.pending.pop(waiter.corr, None)
-            try:
-                channel.fifo.remove(waiter)
-            except ValueError:
-                pass
         if waiter.done:  # the reply raced our abandonment: use it
             if waiter.failure is not None:
                 raise RemoteUnavailable(waiter.failure)
             return waiter.response
-        if not correlated:
-            # The server has never echoed a correlation id on this
-            # connection, so its late reply -- if one ever comes -- would
-            # be FIFO-matched to the NEXT exchange's waiter.  Drop the
-            # connection so every later RPC (and the breaker decisions
-            # fed by it) starts on a clean stream, exactly like the
-            # pre-envelope client.
-            self._fail_channel(channel, "log server did not answer in time")
-        # A correlating server's late reply is discarded by id when it
-        # arrives; the connection and its other in-flight RPCs survive.
         self._nudge_reader(channel)
         raise RemoteUnavailable("log server did not answer in time")
 
     def _pump(self, channel: _Channel, timeout: float) -> None:
         """Leader side of the shared reader: receive one frame and route
-        it to its waiter -- by correlation id when the server echoes one,
-        oldest-first otherwise."""
+        it to its waiter by correlation id."""
         try:
             frame = channel.connection.recv_frame(timeout=timeout)
         except ConnectionClosed as exc:
@@ -1628,26 +1546,14 @@ class RemoteLogger:
             response = LoggerResponse.decode(frame)
         except Exception:
             return  # a malformed response is dropped, never matched
-        corr = int(response.corr_id)
         with channel.lock:
-            if corr:
-                channel.correlated = True
-                waiter = channel.pending.pop(corr, None)
-                if waiter is None:
-                    # A reply whose RPC already timed out: discarded by
-                    # id, and the connection stays up.
-                    self.late_replies_discarded += 1
-                    return
-                try:
-                    channel.fifo.remove(waiter)
-                except ValueError:
-                    pass
-            else:
-                if not channel.fifo:
-                    self.late_replies_discarded += 1
-                    return
-                waiter = channel.fifo.popleft()
-                channel.pending.pop(waiter.corr, None)
+            # Ids start at 1, so a reply carrying 0 never has a waiter.
+            waiter = channel.pending.pop(int(response.corr_id), None)
+            if waiter is None:
+                # A reply whose RPC already timed out, or one with no id:
+                # discarded, and the connection stays up.
+                self.late_replies_discarded += 1
+                return
         waiter.response = response
         waiter.done = True
         waiter.event.set()
@@ -1937,39 +1843,19 @@ class RemoteLogger:
         ]
         tag = self._shard_tag(shard)
         count = 0
-        chunk: List[bytes] = []
-        size = 0
-        chunks: List[List[bytes]] = []
-        for record in records:
-            if chunk and size + len(record) > BATCH_FRAME_BYTES:
-                chunks.append(chunk)
-                chunk, size = [], 0
-            chunk.append(record)
-            size += len(record)
-        if chunk:
-            chunks.append(chunk)
-        if not chunks:
-            chunks = [[]]  # an empty batch still round-trips for the count
+        # an empty batch still round-trips for the count
+        chunks = list(_frame_chunks(records)) or [[]]
         # Deadline propagation: the server refuses (without ingesting)
         # work it cannot start before this client would have given up.
         deadline_ms = max(1, int(timeout * 1000))
         for chunk in chunks:
-            if len(chunk) == 1:
-                request = LoggerRequest(
-                    op=OP_SUBMIT,
-                    entry_bytes=chunk[0],
-                    shard=tag,
-                    sync=True,
-                    deadline_ms=deadline_ms,
-                )
-            else:
-                request = LoggerRequest(
-                    op=OP_SUBMIT_BATCH,
-                    entry_batch=chunk,
-                    shard=tag,
-                    sync=True,
-                    deadline_ms=deadline_ms,
-                )
+            request = LoggerRequest(
+                op=OP_SUBMIT_BATCH,
+                entry_batch=chunk,
+                shard=tag,
+                sync=True,
+                deadline_ms=deadline_ms,
+            )
             response = self._rpc(request, timeout=timeout)
             if not response.ok:
                 _raise_for_verdict(response)
@@ -1992,32 +1878,8 @@ class RemoteLogger:
         return json.loads(response.stats_json) if response.stats_json else {}
 
     def submit(self, entry: Union[LogEntry, bytes]) -> int:
-        """Fire-and-forget submission; returns 0 (no server-side index).
-
-        Never raises: on connection trouble the encoded entry is spilled
-        and retried on a later call (or via :meth:`flush_spill`).
-        """
-        record = entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
-        connection = self._connect()
-        if connection is None:
-            self._spill_entry(record)
-            return 0
-        if not self._drain_spill(connection):
-            self._spill_entry(record)
-            return 0
-        try:
-            connection.send_frame(
-                LoggerRequest(
-                    op=OP_SUBMIT, entry_bytes=record, shard=self._shard_tag(None)
-                ).encode()
-            )
-        except ConnectionClosed:
-            self._spill_entry(record)
-            return 0
-        if not self._confirm_sent(connection, [record]):
-            return 0
-        self._after_send([record])
-        return 0
+        """Fire-and-forget submission of one entry; returns 0."""
+        return self.submit_batch([entry])[0]
 
     def _confirm_sent(
         self, connection: Connection, records: List[bytes]
@@ -2048,13 +1910,14 @@ class RemoteLogger:
         entries: List[Union[LogEntry, bytes]],
         shard: Optional[int] = None,
     ) -> List[int]:
-        """Fire-and-forget batched submission: one ``OP_SUBMIT_BATCH``
-        frame (one send, one server round trip's worth of framing) carries
-        every entry.  Never raises; on connection trouble the whole batch
-        is spilled in order and re-sent later, exactly like per-entry
-        submits.  ``shard`` tags the frames for a sharded server (the
-        per-shard anti-entropy replay path); spilled entries are re-sent
-        untagged and route by topic, which lands them identically."""
+        """Fire-and-forget submission; returns 0 per entry (no server-side
+        index).  One ``OP_SUBMIT_BATCH`` frame (one send, one server round
+        trip's worth of framing) carries every entry.  Never raises; on
+        connection trouble the whole batch is spilled in order and re-sent
+        later (on a later call or via :meth:`flush_spill`).  ``shard`` tags
+        the frames for a sharded server (the per-shard anti-entropy replay
+        path); spilled entries are re-sent untagged and route by topic,
+        which lands them identically."""
         records = [
             entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
             for entry in entries
@@ -2083,32 +1946,14 @@ class RemoteLogger:
         records: List[bytes],
         shard: Optional[int] = None,
     ) -> None:
-        """Send records in as few frames as possible (``OP_SUBMIT`` for a
-        lone record, ``OP_SUBMIT_BATCH`` otherwise), splitting batches
-        whose payload bytes would approach the transport's frame cap."""
-        frame: List[bytes] = []
-        size = 0
-        for record in records:
-            if frame and size + len(record) > BATCH_FRAME_BYTES:
-                self._send_frame_of(connection, frame, shard)
-                frame, size = [], 0
-            frame.append(record)
-            size += len(record)
-        if frame:
-            self._send_frame_of(connection, frame, shard)
-
-    def _send_frame_of(
-        self,
-        connection: Connection,
-        records: List[bytes],
-        shard: Optional[int] = None,
-    ) -> None:
+        """Send records in as few ``OP_SUBMIT_BATCH`` frames as possible."""
         tag = self._shard_tag(shard)
-        if len(records) == 1:
-            request = LoggerRequest(op=OP_SUBMIT, entry_bytes=records[0], shard=tag)
-        else:
-            request = LoggerRequest(op=OP_SUBMIT_BATCH, entry_batch=records, shard=tag)
-        connection.send_frame(request.encode())
+        for chunk in _frame_chunks(records):
+            connection.send_frame(
+                LoggerRequest(
+                    op=OP_SUBMIT_BATCH, entry_batch=chunk, shard=tag
+                ).encode()
+            )
 
     def _after_send(self, records: List[bytes]) -> None:
         """Charge fire-and-forget sends to the credit window and, when it

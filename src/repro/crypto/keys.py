@@ -6,8 +6,7 @@ the private key local.  These classes bundle scheme-specific key material
 (``numbers``) with the signing/verification operations and a compact,
 scheme-tagged serialization used to ship public keys to the logger (see
 :mod:`repro.crypto.schemes` for the tag format and the pluggable backend
-registry).  Untagged keys serialized before the scheme layer existed still
-decode as RSA.
+registry).
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.crypto.schemes import (
+    DEFAULT_SCHEME,
     KEY_TAG_MAGIC,
     SignatureScheme,
     default_scheme_name,
@@ -27,9 +27,6 @@ from repro.errors import DecodingError
 #: Modulus size the paper uses (RSA; fixed-size schemes ignore it).
 DEFAULT_KEY_BITS = 1024
 
-#: Name of the legacy (and default) scheme untagged keys decode as.
-_LEGACY_SCHEME = "rsa"
-
 
 @dataclass(frozen=True)
 class PublicKey:
@@ -38,7 +35,7 @@ class PublicKey:
     #: scheme-specific public material (:class:`RsaPublicNumbers` for RSA,
     #: :class:`~repro.crypto.schemes.Ed25519Public` for Ed25519)
     numbers: Any
-    scheme_name: str = _LEGACY_SCHEME
+    scheme_name: str = DEFAULT_SCHEME
 
     @property
     def scheme(self) -> SignatureScheme:
@@ -67,22 +64,16 @@ class PublicKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicKey":
-        """Inverse of :meth:`to_bytes`.
-
-        Accepts both the scheme-tagged encoding and the legacy untagged
-        RSA encoding (``len(n) || n || len(e) || e`` with 2-byte lengths;
-        its first byte can never be ``0xA5`` for a real key, so the two
-        formats cannot collide).
-        """
+        """Inverse of :meth:`to_bytes`; anything but the scheme-tagged
+        encoding raises :class:`~repro.errors.DecodingError`."""
         if not data:
             raise DecodingError("empty public key bytes")
-        if data[0] == KEY_TAG_MAGIC:
-            if len(data) < 2:
-                raise DecodingError("truncated scheme-tagged public key")
-            scheme = scheme_for_tag(data[1])
-            return cls(scheme.public_from_bytes(data[2:]), scheme.name)
-        legacy = get_scheme(_LEGACY_SCHEME)
-        return cls(legacy.public_from_bytes(data), legacy.name)
+        if data[0] != KEY_TAG_MAGIC:
+            raise DecodingError("public key bytes carry no scheme tag")
+        if len(data) < 2:
+            raise DecodingError("truncated scheme-tagged public key")
+        scheme = scheme_for_tag(data[1])
+        return cls(scheme.public_from_bytes(data[2:]), scheme.name)
 
     def describe(self) -> str:
         """Human-readable scheme label, e.g. ``rsa-1024`` or ``ed25519``."""
@@ -100,7 +91,7 @@ class PrivateKey:
     """A component's private key; produces signatures under its scheme."""
 
     numbers: Any
-    scheme_name: str = _LEGACY_SCHEME
+    scheme_name: str = DEFAULT_SCHEME
 
     @property
     def scheme(self) -> SignatureScheme:

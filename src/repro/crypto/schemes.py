@@ -11,13 +11,9 @@ registered backends -- the paper-faithful RSA and a pure-Python Ed25519
 
     0xA5 || scheme tag (1 byte) || scheme-specific payload
 
-``0xA5`` cannot begin a legacy untagged RSA key (its first two bytes are
-the big-endian byte length of the modulus, so ``0xA5`` would claim a
-~338000-bit key), which is how
-:meth:`repro.crypto.keys.PublicKey.from_bytes` keeps decoding keys
-serialized before this layer existed.  Signatures stay raw bytes on the
-wire -- the verifying key carries the scheme, so log-entry and message
-formats are unchanged.
+:meth:`repro.crypto.keys.PublicKey.from_bytes` accepts nothing else.
+Signatures stay raw bytes on the wire -- the verifying key carries the
+scheme, so log-entry and message formats are unchanged.
 
 The process-wide default scheme is ``rsa`` (paper-faithful), overridable
 with the ``ADLP_SIG_SCHEME`` environment variable (how the CI matrix runs

@@ -244,13 +244,26 @@ class ReplicatedLogger:
             )
 
     def submit(self, entry: Union[LogEntry, bytes]) -> int:
-        """Fan the entry out to every admissible replica; returns 0.
+        """Fan one entry out to every admissible replica; returns 0."""
+        return self.submit_batch([entry])[0]
 
-        Never raises and never blocks on a dead replica: per-replica
-        trouble is absorbed by that replica's client (spill) or breaker
-        (skip).  Quorum accounting is visible via :meth:`quorum_status`.
+    def submit_batch(self, entries: Sequence[Union[LogEntry, bytes]]) -> List[int]:
+        """Fan a batch out to every admissible replica in one pass.
+
+        Each replica gets the batch as one ``OP_SUBMIT_BATCH`` frame, under
+        the submit lock, so every replica observes the identical
+        interleaving of batches.  Never raises and never blocks on a dead
+        replica: per-replica trouble is absorbed by that replica's client
+        (spill) or breaker (skip).  Quorum accounting is entry-denominated
+        -- a batch of N that reached a majority counts as N quorum submits
+        -- and visible via :meth:`quorum_status`.
         """
-        record = entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
+        if not entries:
+            return []
+        records = [
+            entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
+            for entry in entries
+        ]
 
         def submit_one(handle: _ReplicaHandle) -> int:
             # Only CLOSED replicas get data: a submit must never be the
@@ -260,10 +273,10 @@ class ReplicatedLogger:
             # :meth:`probe` (which demands an up-to-date commitment) or
             # :meth:`catch_up` (which restores one).
             if handle.breaker.state is not BreakerState.CLOSED:
-                handle.skipped += 1
+                handle.skipped += len(records)
                 return 0
-            handle.client.submit(record)
-            handle.submitted += 1
+            handle.client.submit_batch(records)
+            handle.submitted += len(records)
             if handle.client.connected:
                 handle.breaker.record_success()
                 return 1
@@ -272,48 +285,6 @@ class ReplicatedLogger:
 
         with self._submit_lock:
             reached = sum(self._fan_out(submit_one))
-        with self._counter_lock:
-            self.submits += 1
-            self.last_reached = reached
-            if reached >= self.quorum:
-                self.quorum_submits += 1
-            else:
-                self.degraded_submits += 1
-        return 0
-
-    def submit_batch(self, entries: Sequence[Union[LogEntry, bytes]]) -> List[int]:
-        """Fan a whole batch out to every admissible replica in one pass.
-
-        Group-commit analogue of :meth:`submit`: the batch is sent to each
-        replica as one ``OP_SUBMIT_BATCH`` frame (one round trip instead of
-        N), under the same submit lock so every replica still observes the
-        identical interleaving of batches.  Quorum accounting is
-        entry-denominated -- a batch of N that reached a majority counts as
-        N quorum submits -- so the counters stay comparable with per-entry
-        operation.  Never raises and never blocks on a dead replica.
-        """
-        if not entries:
-            return []
-        records = [
-            entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
-            for entry in entries
-        ]
-        def submit_batch_one(handle: _ReplicaHandle) -> int:
-            # Same readmission rule as submit(): only CLOSED replicas
-            # get data (see the comment there).
-            if handle.breaker.state is not BreakerState.CLOSED:
-                handle.skipped += len(records)
-                return 0
-            handle.client.submit_batch(records)
-            handle.submitted += len(records)
-            if handle.client.connected:
-                handle.breaker.record_success()
-                return 1
-            self._note_failure(handle, "batch submit could not connect")
-            return 0
-
-        with self._submit_lock:
-            reached = sum(self._fan_out(submit_batch_one))
         with self._counter_lock:
             self.submits += len(records)
             self.last_reached = reached

@@ -11,8 +11,9 @@ The router must be stable across process restarts and across machines: a
 recovered :class:`~repro.sharding.sharded_server.ShardedLogServer` reopens
 each shard's WAL directory and must route new entries for old topics to
 the same shard, and a remote client computes the shard id locally before
-tagging an ``OP_SUBMIT`` frame.  Python's builtin ``hash()`` is salted per
-process (PYTHONHASHSEED), so the router hashes with SHA-256 instead.
+tagging an ``OP_SUBMIT_BATCH`` frame.  Python's builtin ``hash()`` is
+salted per process (PYTHONHASHSEED), so the router hashes with SHA-256
+instead.
 """
 
 from __future__ import annotations

@@ -244,8 +244,7 @@ class ShardedLogServer:
     def submit(self, entry: Union[LogEntry, bytes]) -> int:
         """Ingest one entry into its topic's shard; returns the entry's
         index *within that shard*."""
-        shard, routed = self._route(entry)
-        return self._servers[shard].submit(routed)
+        return self.submit_batch([entry])[0]
 
     def submit_batch(self, entries: List[Union[LogEntry, bytes]]) -> List[int]:
         """Group-commit a batch, split by shard.
@@ -282,24 +281,14 @@ class ShardedLogServer:
                 indices[position] = index
         return indices
 
-    def submit_to_shard(self, shard: int, entry: Union[LogEntry, bytes]) -> int:
-        """Ingest one entry into an explicitly named shard, verifying that
-        the router agrees -- the server-side check behind shard-tagged
-        ``OP_SUBMIT`` frames (a client with a stale shard count must not
-        scatter a topic across shards)."""
-        expected, routed = self._route(entry)
-        if shard != expected:
-            raise LoggingError(
-                f"entry routed to shard {shard} but its topic belongs to "
-                f"shard {expected} of {self.shard_count}"
-            )
-        return self._servers[expected].submit(routed)
-
     def submit_batch_to_shard(
         self, shard: int, entries: List[Union[LogEntry, bytes]]
     ) -> List[int]:
-        """Batch variant of :meth:`submit_to_shard` (whole batch must route
-        to ``shard``; verified before anything is mutated)."""
+        """Ingest a batch into an explicitly named shard, verifying that
+        the router agrees for every entry before anything is mutated --
+        the server-side check behind shard-tagged ``OP_SUBMIT_BATCH``
+        frames (a client with a stale shard count must not scatter a
+        topic across shards)."""
         routed: List[Union[LogEntry, bytes]] = []
         for entry in entries:
             expected, item = self._route(entry)

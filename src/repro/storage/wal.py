@@ -361,13 +361,27 @@ class WriteAheadLog:
     def append(self, rtype: int, *parts: bytes) -> Tuple[int, int]:
         """Durably append one record whose payload is ``parts``
         concatenated (durability per the fsync policy); returns the
-        ``(segment, offset)`` it was written at."""
+        ``(segment, offset)`` it was written at.
+
+        An in-process failure (an I/O error mid-record) truncates the
+        segment back to the pre-record offset before re-raising, like
+        :meth:`append_many`: torn bytes left mid-segment would misplace
+        every later record's offset and make recovery cut the log there,
+        dropping acked records written after them.  A process death
+        (:class:`~repro.storage.crashpoints.SimulatedCrash` included)
+        still leaves the torn tail for the recovery scan.
+        """
         with self._lock:
             where = (self._segment_index, self._segment_bytes)
-            self._write_record(rtype, parts)
-            self._file.flush()
-            crashpoint("wal.pre_fsync")
-            self._maybe_sync()
+            start = self._file.tell()
+            try:
+                self._write_record(rtype, parts)
+                self._file.flush()
+                crashpoint("wal.pre_fsync")
+                self._maybe_sync()
+            except Exception:
+                self._discard_tail(start, where[1])
+                raise
             if self._segment_bytes >= self.segment_max_bytes:
                 self._rotate()
             return where
@@ -411,16 +425,20 @@ class WriteAheadLog:
                 crashpoint("wal.pre_fsync")
                 self._maybe_sync()
             except BaseException:
-                try:
-                    self._file.flush()
-                    self._file.truncate(start)
-                    self._segment_bytes = segment_bytes
-                except OSError:
-                    pass  # the recovery scan will truncate the tail instead
+                self._discard_tail(start, segment_bytes)
                 raise
             if self._segment_bytes >= self.segment_max_bytes:
                 self._rotate()
             return segment, offsets
+
+    def _discard_tail(self, start: int, segment_bytes: int) -> None:
+        """Cut an abandoned write off the active segment (lock held)."""
+        try:
+            self._file.flush()
+            self._file.truncate(start)
+            self._segment_bytes = segment_bytes
+        except OSError:
+            pass  # the recovery scan will truncate the tail instead
 
     def _maybe_sync(self) -> None:
         policy = self.fsync_policy

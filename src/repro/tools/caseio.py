@@ -113,8 +113,7 @@ def load_case(path: str) -> CaseBundle:
     server = LogServer()
     for component_id, key in keys.items():
         server.register_key(component_id, key)
-    for record in records:
-        server.submit(record)
+    server.submit_batch(records)
 
     # Cross-check the manifest commitments when present.
     manifest_path = os.path.join(path, MANIFEST_FILE)

@@ -10,8 +10,8 @@ from repro.util.concurrency import wait_for
 def naive_world():
     master = Master()
     server = LogServer()
-    pub_protocol = NaiveProtocol("/pub", server.submit)
-    sub_protocol = NaiveProtocol("/sub", server.submit)
+    pub_protocol = NaiveProtocol("/pub", server.submit_batch)
+    sub_protocol = NaiveProtocol("/sub", server.submit_batch)
     pub_node = Node("/pub", master, protocol=pub_protocol)
     sub_node = Node("/sub", master, protocol=sub_protocol)
     yield master, server, pub_node, sub_node, pub_protocol, sub_protocol
@@ -51,7 +51,7 @@ class TestNaiveProtocol:
 
     def test_publisher_logs_once_per_publication(self, naive_world):
         master, server, pub_node, _, pub_protocol, _ = naive_world
-        extra = Node("/sub2", master, protocol=NaiveProtocol("/sub2", server.submit))
+        extra = Node("/sub2", master, protocol=NaiveProtocol("/sub2", server.submit_batch))
         try:
             s1 = pub_node  # placeholder to keep names clear
             subs = [

@@ -481,43 +481,39 @@ class TestIdleReaping:
 
 class TestRpcTimeout:
     def test_late_response_is_not_decoded_as_next_reply(self):
-        """An RPC that times out must abandon its connection: responses
-        carry no correlation ids, so a late reply left queued on the
-        socket would otherwise be decoded as the NEXT rpc's answer."""
+        """An RPC that times out leaves its late reply queued on the
+        socket; replies are matched by correlation id, so the late one is
+        discarded, never decoded as the NEXT rpc's answer."""
         import threading
         import time as _time
 
-        from repro.core.remote import LoggerResponse
+        from repro.core.remote import LoggerRequest, LoggerResponse
         from repro.middleware.transport.tcp import TcpTransport
 
         transport = TcpTransport()
         listener = transport.listen()
 
         def serve():
-            # First connection: stall past the client's deadline, then
-            # deliver a poisoned late reply.
+            # Stall past the client's deadline, then deliver a poisoned
+            # late reply, then answer the next request correctly.
             conn = listener.accept(timeout=5.0)
-            assert conn.recv_frame(timeout=5.0) is not None
+            first = LoggerRequest.decode(conn.recv_frame(timeout=5.0))
             _time.sleep(0.4)
-            try:
-                conn.send_frame(
-                    LoggerResponse(
-                        ok=True, entries=999, chain_head=b"stale",
-                        merkle_root=b"stale", total_bytes=0,
-                    ).encode()
-                )
-            except Exception:
-                pass  # the client may already have hung up on us
-            # Second connection: answer promptly and correctly.
-            conn2 = listener.accept(timeout=5.0)
-            if conn2 is not None:
-                assert conn2.recv_frame(timeout=5.0) is not None
-                conn2.send_frame(
-                    LoggerResponse(
-                        ok=True, entries=7, chain_head=b"fresh",
-                        merkle_root=b"fresh", total_bytes=42,
-                    ).encode()
-                )
+            conn.send_frame(
+                LoggerResponse(
+                    ok=True, entries=999, chain_head=b"stale",
+                    merkle_root=b"stale", total_bytes=0,
+                    corr_id=int(first.corr_id),
+                ).encode()
+            )
+            second = LoggerRequest.decode(conn.recv_frame(timeout=5.0))
+            conn.send_frame(
+                LoggerResponse(
+                    ok=True, entries=7, chain_head=b"fresh",
+                    merkle_root=b"fresh", total_bytes=42,
+                    corr_id=int(second.corr_id),
+                ).encode()
+            )
 
         thread = threading.Thread(target=serve)
         thread.start()
@@ -525,10 +521,11 @@ class TestRpcTimeout:
         try:
             with pytest.raises(LoggingError, match="did not answer"):
                 client.health(timeout=0.1)
-            _time.sleep(0.5)  # let the late reply land on the old socket
+            _time.sleep(0.5)  # let the late reply land on the socket
             health = client.health(timeout=5.0)
             assert health.entries == 7
             assert health.chain_head == b"fresh"
+            assert client.stats()["late_replies_discarded"] == 1
         finally:
             thread.join(timeout=5.0)
             client.close()

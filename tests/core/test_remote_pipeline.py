@@ -1,7 +1,9 @@
 """Pipelined wire protocol regressions: correlated RPCs sharing one
-socket, late-reply discard, and the three remote-client races the
-pipelining work exposed (connect-under-lock and reap-vs-send TOCTOU),
-plus the retired BUSY verdict read from an old server."""
+socket, discard of replies with no waiter (late or id-less), and the
+three remote-client races the pipelining work exposed (connect-under-lock
+and reap-vs-send TOCTOU), plus the retired wire paths: the BUSY verdict
+read from an old server, frames without a correlation id, and the
+single-entry submit op."""
 
 import threading
 import time
@@ -11,6 +13,9 @@ import pytest
 from repro.core import LogServer, LogServerEndpoint, RemoteLogger
 from repro.core.entries import LogEntry, Scheme
 from repro.core.remote import (
+    OP_HEALTH,
+    OP_REGISTER_KEY,
+    OP_SUBMIT_BATCH,
     LoggerRequest,
     LoggerResponse,
     RemoteUnavailable,
@@ -22,7 +27,15 @@ from repro.middleware.transport.base import (
     Transport,
 )
 from repro.middleware.transport.tcp import TcpTransport
-from repro.serialization import wire
+from repro.serialization import (
+    WireMessage,
+    boolean,
+    bytes_,
+    repeated,
+    string,
+    uint64,
+    wire,
+)
 from repro.util.concurrency import wait_for
 
 
@@ -83,9 +96,9 @@ class TestPipelinedRpcs:
         endpoint.close()
 
     def test_late_reply_discarded_by_id_connection_survives(self):
-        """A reply that arrives after its RPC timed out is dropped by
-        correlation id; the connection (and later RPCs on it) survive.
-        Pre-envelope clients had to kill the connection instead."""
+        """A reply that arrives after its RPC timed out, and a reply
+        carrying no correlation id, are both dropped; the connection
+        (and later RPCs on it) survive."""
         transport = TcpTransport()
         listener = transport.listen()
         stop = threading.Event()
@@ -114,6 +127,8 @@ class TestPipelinedRpcs:
                     stalled = reply  # park: its RPC will time out
                     continue
                 conn.send_frame(reply.encode())
+                if seen == 1:  # a reply no request is waiting on
+                    conn.send_frame(LoggerResponse(ok=True).encode())
                 if stalled is not None:
                     conn.send_frame(stalled.encode())  # the LATE reply
                     stalled = None
@@ -122,14 +137,15 @@ class TestPipelinedRpcs:
         server_thread.start()
         client = RemoteLogger(listener.address)
         try:
-            client.health(timeout=5.0)  # latches "server correlates"
+            client.health(timeout=5.0)
             with pytest.raises(RemoteUnavailable):
-                client.health(timeout=0.3)  # server parks this reply
+                # server parks this reply; its pump discards the id-0 one
+                client.health(timeout=0.3)
             # Same connection: answered in order (reply 3, then late 2).
             client.health(timeout=5.0)
             client.health(timeout=5.0)  # pumps + discards the late reply
             assert wait_for(
-                lambda: client.stats()["late_replies_discarded"] >= 1,
+                lambda: client.stats()["late_replies_discarded"] == 2,
                 timeout=2.0,
             )
             assert client.connected
@@ -306,7 +322,7 @@ class TestPeerCloseRespill:
         assert client.stats()["spill_retries"] == 1
         assert len(good.frames) == 1
         resent = LoggerRequest.decode(good.frames[0])
-        assert bytes(resent.entry_bytes) == entry.encode()
+        assert [bytes(r) for r in resent.entry_batch] == [entry.encode()]
         client.close()
 
     def test_batch_respill_counts_every_record(self):
@@ -368,3 +384,83 @@ class TestRetiredBusyVerdict:
             client.close()
             server_thread.join(timeout=5.0)
             listener.close()
+
+
+class _UncorrelatedRequest(WireMessage):
+    """The request schema without ``corr_id`` (14): what a client that
+    stamps no correlation id puts on the wire."""
+
+    op = uint64(1)
+    component_id = string(2)
+    key_bytes = bytes_(3)
+    entry_batch = repeated(bytes_(7))
+    sync = boolean(9)
+
+
+class _UncorrelatedResponse(WireMessage):
+    """The response schema without ``corr_id`` (21), so decoding a reply
+    with it exercises the unknown-field skip."""
+
+    ok = boolean(1)
+    error = string(2)
+    entries = uint64(3)
+
+
+class TestUncorrelatedFrames:
+    @pytest.fixture()
+    def endpoint(self):
+        server = LogServer()
+        endpoint = LogServerEndpoint(server)
+        yield server, endpoint
+        endpoint.close()
+
+    def test_old_style_registration_and_batch(self, endpoint, keypool):
+        """Frames without a correlation id are still answered."""
+        server, ep = endpoint
+        conn = TcpTransport().connect(ep.address)
+        try:
+            conn.send_frame(
+                _UncorrelatedRequest(
+                    op=OP_REGISTER_KEY,
+                    component_id="/a",
+                    key_bytes=keypool[0].public.to_bytes(),
+                ).encode()
+            )
+            frame = conn.recv_frame(timeout=5.0)
+            assert _UncorrelatedResponse.decode(frame).ok
+            assert LoggerResponse.decode(frame).corr_id == 0  # echoed as 0
+            assert server.public_key("/a") == keypool[0].public
+
+            batch = [_entry(i).encode() for i in range(1, 4)]
+            conn.send_frame(
+                _UncorrelatedRequest(
+                    op=OP_SUBMIT_BATCH, entry_batch=batch, sync=True
+                ).encode()
+            )
+            reply = _UncorrelatedResponse.decode(conn.recv_frame(timeout=5.0))
+            assert reply.ok
+            assert int(reply.entries) == 3
+        finally:
+            conn.close()
+
+    def test_retired_single_submit_op_ingests_nothing(self, endpoint):
+        """Op code 2 with its record in field 4 (the retired single-entry
+        submit) is refused as an unknown op; the connection stays up."""
+        server, ep = endpoint
+        frame = LoggerRequest(op=2, corr_id=1).encode()
+        record = _entry(1).encode()
+        frame += wire.encode_tag(4, wire.WireType.LEN)
+        frame += wire.encode_varint(len(record)) + record
+        conn = TcpTransport().connect(ep.address)
+        try:
+            conn.send_frame(frame)
+            reply = LoggerResponse.decode(conn.recv_frame(timeout=5.0))
+            assert not reply.ok and int(reply.corr_id) == 1
+            assert "unknown op 2" in str(reply.error)
+            conn.send_frame(LoggerRequest(op=OP_HEALTH, corr_id=2).encode())
+            reply = LoggerResponse.decode(conn.recv_frame(timeout=5.0))
+            assert reply.ok and int(reply.corr_id) == 2
+            assert int(reply.entries) == 0
+            assert len(server) == 0
+        finally:
+            conn.close()

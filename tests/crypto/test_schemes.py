@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.log_server import LogServer
 from repro.core.policy import AdlpConfig
+from repro.core.remote import LogServerEndpoint, RemoteLogger
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import PublicKey, generate_keypair
 from repro.crypto.schemes import (
@@ -14,7 +16,7 @@ from repro.crypto.schemes import (
     scheme_for_tag,
     scheme_names,
 )
-from repro.errors import DecodingError, KeyGenerationError
+from repro.errors import DecodingError, KeyGenerationError, LoggingError
 
 
 class TestRegistry:
@@ -84,14 +86,26 @@ class TestTaggedKeys:
         assert restored == pair.public
         assert restored.scheme_name == scheme
 
-    def test_legacy_untagged_rsa_still_decodes(self, rsa_keypool):
+    def test_untagged_rsa_key_rejected(self, rsa_keypool):
         public = rsa_keypool[0].public
         # the pre-scheme encoding: payload only, no magic/tag prefix
-        legacy = get_scheme("rsa").public_to_bytes(public.numbers)
-        assert legacy[0] != 0xA5
-        restored = PublicKey.from_bytes(legacy)
-        assert restored == public
-        assert restored.scheme_name == "rsa"
+        untagged = get_scheme("rsa").public_to_bytes(public.numbers)
+        assert untagged[0] != 0xA5
+        with pytest.raises(DecodingError, match="no scheme tag"):
+            PublicKey.from_bytes(untagged)
+
+        server = LogServer()
+        endpoint = LogServerEndpoint(server)
+        client = RemoteLogger(endpoint.address)
+        try:
+            with pytest.raises(LoggingError, match="key registration rejected"):
+                client.register_key("/a", untagged)
+            assert client.connected  # an error reply, not a dropped link
+            client.register_key("/a", public)
+            assert server.public_key("/a") == public
+        finally:
+            client.close()
+            endpoint.close()
 
     def test_cross_scheme_signatures_do_not_verify(self, deterministic_seed):
         rsa_pair = generate_keypair(512, seed=deterministic_seed, scheme="rsa")

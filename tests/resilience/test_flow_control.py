@@ -193,9 +193,9 @@ class TestBarrierAfterRpc:
         gate = threading.Event()
 
         class _Gated:
-            def submit(self, record):
+            def submit_batch(self, records):
                 gate.wait(10.0)
-                return server.submit(record)
+                return server.submit_batch(records)
 
             def __len__(self):
                 return len(server)

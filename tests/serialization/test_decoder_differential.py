@@ -59,7 +59,7 @@ def _seeds(rng: random.Random):
     return {
         LogEntry: records,
         LoggerRequest: [
-            LoggerRequest(op=2, component_id="/camera", entry_bytes=records[0],
+            LoggerRequest(op=9, component_id="/camera", entry_batch=[records[0]],
                           sync=True, corr_id=7).encode(),
             LoggerRequest(op=9, entry_batch=records, shard=3, deadline_ms=250,
                           corr_id=300).encode(),

@@ -103,13 +103,13 @@ class TestBatching:
 class TestExplicitShardTargeting:
     def test_submit_to_matching_shard_accepted(self, sharded, keypool):
         pub, _ = pair_records(keypool, "/a")
-        assert sharded.submit_to_shard(GOLDEN_SHARDS_4["/a"], pub) == 0
+        assert sharded.submit_batch_to_shard(GOLDEN_SHARDS_4["/a"], [pub]) == [0]
 
     def test_misrouted_submit_rejected(self, sharded, keypool):
         pub, _ = pair_records(keypool, "/a")
         wrong = (GOLDEN_SHARDS_4["/a"] + 1) % 4
         with pytest.raises(LoggingError):
-            sharded.submit_to_shard(wrong, pub)
+            sharded.submit_batch_to_shard(wrong, [pub])
         assert len(sharded) == 0
 
     def test_misrouted_batch_rejected_whole(self, sharded, keypool):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 
 import pytest
@@ -139,6 +140,39 @@ class TestTornTail:
             reference.append(record)
         assert reopened.head() == reference.head()
         reopened.verify()  # post-truncation disk state is self-consistent
+        reopened.close()
+
+    def test_io_error_mid_key_record_loses_no_later_entry(self, tmp_path, keypool):
+        """An I/O error halfway through a KEY record must not leave torn
+        bytes mid-segment: recovery would cut the log at them and drop
+        every acked entry written after."""
+        store = open_store(tmp_path, fsync="always")
+        server = LogServer(store)
+        real = store._wal._file
+        writes = []
+
+        class FailingFile:
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == 3:  # head, half the payload, then EIO
+                    raise OSError(errno.EIO, "injected I/O error")
+                return real.write(data)
+
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+        store._wal._file = FailingFile()
+        with pytest.raises(OSError):
+            server.register_key("/pub", keypool[0].public)
+        store._wal._file = real
+        server.register_key("/pub", keypool[0].public)  # the caller retries
+        server.submit_batch([make_entry(1)])
+        server.close()
+
+        reopened = LogServer(open_store(tmp_path, fsync="always"))
+        assert reopened.public_key("/pub") == keypool[0].public
+        assert [entry.seq for entry in reopened.entries()] == [1]
+        reopened.verify_integrity()
         reopened.close()
 
     def test_wal_shorter_than_checkpoint_is_evidence_loss(self, tmp_path):
