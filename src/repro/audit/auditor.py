@@ -17,6 +17,10 @@ lemmas of Section IV-B rely on:
    whose transmission is proven by the present side's embedded signature is
    inferred **hidden** (Lemma 2).
 
+Both steps judge one entry or one transmission at a time, so the audit is
+an incremental fold (:class:`AuditFold`): the batch :class:`Auditor` feeds
+it the whole log once, the online auditor entry by entry.
+
 The guarantees match the paper: every faithful component's entries are
 classified valid (Theorem 1), and in a collusion-free run every unfaithful
 act is attributed (Theorem 2).  Colluding pairs can still manufacture
@@ -27,13 +31,14 @@ concedes (:math:`\\widehat{L_V} \\subseteq L_{V,f}` need not hold).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.audit.verdicts import (
     AuditReport,
     ClassifiedEntry,
     EntryClass,
     HiddenRecord,
+    PairAnomaly,
     Reason,
     TransmissionId,
 )
@@ -108,25 +113,446 @@ class _PubView:
     subscriber: str
     peer_hash: bytes
     peer_sig: bytes
-    index: int  # index of the parent entry in the input list
+    index: int  # index of the parent entry in the fold's input
+
+
+@dataclass
+class _Group:
+    """The usable entries of one ``(topic, seq)``: per subscriber, the
+    first OUT view toward it and the first IN entry by it."""
+
+    views: Dict[str, _PubView] = field(default_factory=dict)
+    subs: Dict[str, int] = field(default_factory=dict)
+
+
+#: an entry's verdict: its class and the reasons behind it
+Verdict = Tuple[EntryClass, Tuple[Reason, ...]]
+#: one transmission: (topic, seq, subscriber); subscriber '' is an un-ACKed view
+TransKey = Tuple[str, int, str]
+_Triple = Tuple[PublicKey, bytes, bytes]
+
+#: by Lemma 1 an entry no counterpart evidence backs proves nothing
+_UNPAIRED: Verdict = (EntryClass.INVALID, (Reason.UNPROVEN_PUBLICATION,))
+_REPLAYED: Verdict = (EntryClass.INVALID, (Reason.REPLAYED_SEQUENCE,))
+
+
+def _entry_subscribers(entry: LogEntry) -> List[str]:
+    """Subscribers an OUT entry claims ACKs from ('' for no-ACK)."""
+    if entry.aggregated:
+        return list(entry.ack_peer_ids)
+    return [entry.peer_id]
+
+
+def _pub_views(entry: LogEntry, index: int) -> List[_PubView]:
+    """Per-subscriber views of an OUT entry (aggregation-aware)."""
+    if entry.aggregated:
+        return [
+            _PubView(entry, sid, shash, ssig, index)
+            for sid, shash, ssig in zip(
+                entry.ack_peer_ids, entry.ack_peer_hashes, entry.ack_peer_sigs
+            )
+        ]
+    return [_PubView(entry, entry.peer_id, entry.peer_hash, entry.peer_sig, index)]
+
+
+def _combine(per_view: List[Verdict]) -> Verdict:
+    """One OUT entry's verdict from those of its views: valid only if every
+    view is (an aggregated entry answers for each subscriber)."""
+    if all(v[0] is EntryClass.VALID for v in per_view):
+        return EntryClass.VALID, tuple(sorted({r for v in per_view for r in v[1]}, key=str))
+    return EntryClass.INVALID, tuple(
+        sorted({r for v in per_view if v[0] is EntryClass.INVALID for r in v[1]}, key=str)
+    )
+
+
+class AuditFold:
+    """The Figure 5 classification as an incremental fold over a log.
+
+    - :meth:`feed` takes the next entries.  It verifies their distinct
+      ``(key, digest, signature)`` triples with one
+      :meth:`~repro.crypto.schemes.SignatureScheme.verify_batch` per
+      scheme, runs obvious detection (eq. 3) against the replay sets the
+      fold holds, and judges every transmission that now has both sides.
+    - :meth:`close` judges one-sided transmissions -- Lemma 2's hidden
+      inference.  A counterpart that arrives later re-opens its
+      transmission and judges it again, as does a subscriber-only
+      transmission whose publisher the first OUT entry of its ``(topic,
+      seq)`` reveals.
+    - :meth:`report` closes everything and returns the
+      :class:`AuditReport`: entries in input order, hidden records and
+      anomalies in ``(topic, seq, subscriber)`` order.
+
+    :meth:`feed` and :meth:`close` return what they changed: the entries
+    whose verdict is now decided or different, and new hidden records and
+    anomalies.  A triple is verified once for the life of the fold; a
+    check the batch did not anticipate is verified on the spot and kept.
+    However the entries are split into feeds and closes, :meth:`report`
+    equals one feed of all of them.  The topology is fixed for the life of
+    the fold: entries not fed yet cannot vote on it, so
+    :meth:`Auditor.audit` infers one from the whole log before the feed
+    when it was given none.
+    """
+
+    def __init__(self, keystore: KeyStore, topology: Topology):
+        self._keystore = keystore
+        self._topology = topology
+        self._entries: List[LogEntry] = []
+        #: per fed entry, its verdict once decided
+        self._classified: List[Optional[ClassifiedEntry]] = []
+        #: usable OUT entry index -> subscriber of each view it owns ->
+        #: that transmission's verdict on it (None until judged)
+        self._views: Dict[int, Dict[str, Optional[Tuple[Verdict, TransmissionId]]]] = {}
+        self._groups: Dict[Tuple[str, int], _Group] = {}
+        self._seen_in: Set[Tuple[str, str, int]] = set()
+        self._seen_out: Set[Tuple[str, str, int, str]] = set()
+        self._verified: Dict[_Triple, bool] = {}
+        self._judged: Set[TransKey] = set()
+        self._hidden: Dict[TransKey, HiddenRecord] = {}
+        self._anomalies: Dict[TransKey, PairAnomaly] = {}
+        #: one-sided transmissions not judged yet, in the order they opened
+        self.pending: Dict[TransKey, None] = {}
+        #: fed entries whose verdict is decided
+        self.judged_entries = 0
+
+    # -- the three operations ------------------------------------------
+
+    def feed(self, entries: List[LogEntry]) -> AuditReport:
+        """Fold ``entries`` in; judge every transmission now two-sided."""
+        start = len(self._entries)
+        self._entries.extend(entries)
+        self._classified.extend([None] * len(entries))
+        self._verify_batches(self._triples(start))
+        delta = AuditReport()
+        outs: Set[int] = set()
+        touched: Dict[TransKey, None] = {}
+        for i in range(start, len(self._entries)):
+            entry = self._entries[i]
+            verdict = self._obvious(entry)
+            if verdict is None and entry.direction is Direction.IN and not entry.component_id:
+                verdict = _UNPAIRED  # no subscriber to pair with
+            if verdict is not None:
+                self._decide(i, verdict, None, delta)
+                continue
+            self._index(i, touched)
+            if entry.direction is Direction.OUT:
+                outs.add(i)
+        for key in touched:
+            topic, seq, subscriber = key
+            group = self._groups[(topic, seq)]
+            two_sided = subscriber in group.views and subscriber in group.subs
+            if not subscriber or two_sided or key in self._judged:
+                self._judge(key, outs, delta)
+            else:
+                self.pending[key] = None
+        self._recombine(outs, delta)
+        return delta
+
+    def close(self, keys: Optional[Iterable[TransKey]] = None) -> AuditReport:
+        """Judge the pending transmissions among ``keys`` (all if None)
+        as they stand, one side missing."""
+        delta = AuditReport()
+        outs: Set[int] = set()
+        for key in list(self.pending if keys is None else keys):
+            if key in self.pending:
+                self._judge(key, outs, delta)
+        self._recombine(outs, delta)
+        return delta
+
+    def report(self) -> AuditReport:
+        """Close every transmission and report the whole log."""
+        self.close()
+        report = AuditReport(
+            classified=list(self._classified),
+            hidden=[self._hidden[key] for key in sorted(self._hidden)],
+            anomalies=[self._anomalies[key] for key in sorted(self._anomalies)],
+        )
+        report._account()
+        return report
+
+    # -- batched verification ------------------------------------------
+
+    def _triples(self, start: int) -> Iterator[Tuple[Optional[PublicKey], bytes, bytes]]:
+        """Every (key, digest, sig) the judgement of the entries from
+        ``start`` on will check -- own signatures, the publisher signature
+        each IN entry reports, the ACK signature behind each OUT view."""
+        for i in range(start, len(self._entries)):
+            entry = self._entries[i]
+            if entry.scheme is not Scheme.ADLP:
+                continue
+            digest = entry.reported_hash()
+            yield self._keystore.find(entry.component_id), digest, entry.own_sig
+            if entry.direction is Direction.IN:
+                publisher = self._topology.publisher_of.get(entry.topic)
+                pub_key = self._keystore.find(publisher) if publisher else None
+                yield pub_key, digest, entry.peer_sig
+            else:
+                for view in _pub_views(entry, i):
+                    if view.subscriber:
+                        yield self._keystore.find(view.subscriber), view.peer_hash, view.peer_sig
+
+    def _verify_batches(self, triples) -> None:
+        """Verify the triples the fold has not verified yet, one batch per
+        signature scheme."""
+        # scheme name -> its triples, first-seen order (the Ed25519 batch
+        # coefficients depend on it: same log, same batch, same booleans)
+        wanted: Dict[str, Dict[_Triple, None]] = {}
+        for key, digest, signature in triples:
+            if key is not None and digest and signature:
+                wanted.setdefault(key.scheme_name, {})[(key, digest, signature)] = None
+        for scheme_name, distinct in wanted.items():
+            batch = [triple for triple in distinct if triple not in self._verified]
+            if not batch:
+                continue
+            results = get_scheme(scheme_name).verify_batch(
+                [(key.numbers, digest, sig) for key, digest, sig in batch]
+            )
+            self._verified.update(zip(batch, results))
+
+    def _verify(self, key: PublicKey, digest: bytes, signature: bytes) -> bool:
+        """One signature check: the batch's answer, else verified now."""
+        triple = (key, digest, signature)
+        verified = self._verified.get(triple)
+        if verified is None:
+            verified = self._verified[triple] = key.verify_digest(digest, signature)
+        return verified
+
+    # -- obvious detection (eq. 3) ---------------------------------------
+
+    def _obvious(self, entry: LogEntry) -> Optional[Verdict]:
+        """The verdict of an obviously invalid entry; None if it is usable."""
+        if entry.scheme is not Scheme.ADLP:
+            # Naive/no-scheme entries carry no cryptographic commitment:
+            # nothing about them is provable (the paper's motivation).
+            return EntryClass.INVALID, (Reason.UNVERIFIABLE_SCHEME,)
+        key = self._keystore.find(entry.component_id)
+        if key is None:
+            return EntryClass.INVALID, (Reason.UNKNOWN_COMPONENT,)
+        digest = entry.reported_hash()
+        if not digest or not entry.own_sig:
+            return EntryClass.INVALID, (Reason.MISSING_COMMITMENT,)
+        if not self._verify(key, digest, entry.own_sig):
+            # eq. (3) fails: also covers impersonation -- an entry
+            # written under someone else's id cannot carry their
+            # signature (footnote on "Obvious Detection").
+            return EntryClass.INVALID, (Reason.BAD_OWN_SIGNATURE,)
+        expected_type = self._topology.type_of.get(entry.topic)
+        if expected_type is not None and entry.type_name != expected_type:
+            # "type(D_x) = type(D'_x) = ... always hold because
+            # otherwise it is obviously detectable" (Section IV-B).
+            return EntryClass.INVALID, (Reason.TYPE_MISMATCH,)
+        if entry.direction is Direction.OUT:
+            expected = self._topology.publisher_of.get(entry.topic)
+            if expected is not None and expected != entry.component_id:
+                return EntryClass.INVALID, (Reason.NOT_TOPIC_PUBLISHER,)
+            for subscriber in _entry_subscribers(entry):
+                out_key = (entry.component_id, entry.topic, entry.seq, subscriber)
+                if out_key in self._seen_out:
+                    return _REPLAYED
+                self._seen_out.add(out_key)
+        else:
+            in_key = (entry.component_id, entry.topic, entry.seq)
+            if in_key in self._seen_in:
+                return _REPLAYED
+            self._seen_in.add(in_key)
+        return None
+
+    # -- pairwise verification (Lemmas 1-3) ------------------------------
+
+    def _publisher(self, topic: str, group: _Group) -> Optional[str]:
+        publisher = self._topology.publisher_of.get(topic)
+        if publisher is None and group.views:
+            publisher = next(iter(group.views.values())).entry.component_id
+        return publisher
+
+    def _index(self, i: int, touched: Dict[TransKey, None]) -> None:
+        """File a usable entry under its transmissions; the first entry
+        per side of a transmission is the one judged."""
+        entry = self._entries[i]
+        topic, seq = entry.topic, entry.seq
+        group = self._groups.setdefault((topic, seq), _Group())
+        if entry.direction is Direction.IN:
+            group.subs[entry.component_id] = i
+            touched[(topic, seq, entry.component_id)] = None
+            return
+        owned = self._views[i] = {}
+        if not group.views and self._topology.publisher_of.get(topic) is None:
+            # this entry names the publisher subscriber-only
+            # transmissions were judged without
+            for subscriber in group.subs:
+                touched[(topic, seq, subscriber)] = None
+        for view in _pub_views(entry, i):
+            if view.subscriber not in group.views:
+                group.views[view.subscriber] = view
+                owned[view.subscriber] = None
+                touched[(topic, seq, view.subscriber)] = None
+
+    def _judge(
+        self, key: TransKey, outs: Set[int], delta: AuditReport
+    ) -> None:
+        """Apply Lemmas 1-3 to one (topic, seq, subscriber) transmission."""
+        topic, seq, subscriber = key
+        group = self._groups[(topic, seq)]
+        publisher = self._publisher(topic, group)
+        transmission = TransmissionId(topic, seq, publisher or "", subscriber)
+        pub_view = group.views.get(subscriber)
+        sub_index = group.subs.get(subscriber)
+        sub_entry = self._entries[sub_index] if sub_index is not None else None
+        self.pending.pop(key, None)
+        self._judged.add(key)
+        sub_verdict = pub_verdict = hidden = anomaly = None
+
+        if not subscriber:
+            # An OUT view with no acknowledged subscriber (ACK timeout).
+            pub_verdict = _UNPAIRED
+        else:
+            pub_key = self._keystore.find(publisher) if publisher else None
+            sub_key = self._keystore.find(subscriber)
+            # The subscriber's proof: the publisher's signature it reports
+            # must verify (under the publisher's key) for the digest it
+            # reports.
+            sub_proof = False
+            if sub_entry is not None and pub_key is not None and sub_entry.peer_sig:
+                sub_proof = self._verify(
+                    pub_key, sub_entry.reported_hash(), sub_entry.peer_sig
+                )
+            # The publisher's proof: the subscriber's ACK signature it
+            # reports must verify for the acknowledged hash, and that hash
+            # must equal the digest of the data the publisher claims to
+            # have sent.
+            pub_proof = False
+            pub_consistent = False
+            if pub_view is not None and sub_key is not None and pub_view.peer_sig:
+                pub_proof = self._verify(sub_key, pub_view.peer_hash, pub_view.peer_sig)
+                pub_consistent = pub_view.peer_hash == pub_view.entry.reported_hash()
+
+            if pub_view is not None and sub_entry is not None:
+                pub_digest = pub_view.entry.reported_hash()
+                sub_digest = sub_entry.reported_hash()
+                agree = pub_digest == sub_digest
+                if sub_proof and pub_proof and pub_consistent and not agree:
+                    # Both counterpart proofs verify for different digests:
+                    # each party signed two payloads for one seq -- provable
+                    # pairwise collusion (cf. DisputeVerdict UNRESOLVABLE).
+                    anomaly = PairAnomaly(transmission, pub_digest, sub_digest)
+                proven = (
+                    EntryClass.VALID,
+                    (Reason.CONSISTENT_PAIR if agree else Reason.COUNTERPART_ACK,),
+                )
+                # By (4) a faithful publisher's M_x carried a valid pair, so
+                # an unverifiable claimed s''_x means L_y lied (Lemma 3 ii /
+                # Figure 8 (b)).
+                sub_verdict = proven if sub_proof else (
+                    EntryClass.INVALID,
+                    (Reason.FABRICATED if agree else Reason.FALSIFIED_DATA,),
+                )
+                if pub_proof and pub_consistent:
+                    pub_verdict = proven
+                elif pub_proof:
+                    # The subscriber acknowledged something other than what
+                    # the publisher claims to have sent: L_x falsified
+                    # (Lemma 3 i).
+                    pub_verdict = EntryClass.INVALID, (Reason.FALSIFIED_DATA,)
+                else:
+                    pub_verdict = EntryClass.INVALID, (
+                        Reason.FALSIFIED_DATA if not agree and sub_proof
+                        else Reason.FABRICATED,
+                    )
+            elif pub_view is not None:
+                # Only the publisher logged.  Its embedded ACK, if valid,
+                # proves the subscriber received the data (Lemma 2) -> the
+                # subscriber's missing entry is hidden.
+                if not pub_view.peer_sig:
+                    pub_verdict = _UNPAIRED
+                elif pub_proof and pub_consistent:
+                    pub_verdict = EntryClass.VALID, (Reason.COUNTERPART_ACK,)
+                    hidden = HiddenRecord(subscriber, Direction.IN, transmission)
+                elif pub_proof:
+                    pub_verdict = EntryClass.INVALID, (Reason.FALSIFIED_DATA,)
+                else:
+                    # An ACK signature nobody can verify: fabricated (Lemma 1).
+                    pub_verdict = EntryClass.INVALID, (Reason.FABRICATED,)
+            elif sub_proof:
+                # Only the subscriber logged.  Its embedded publisher
+                # signature proves the publication (Lemma 2) -> the
+                # publisher's missing entry is hidden.
+                sub_verdict = EntryClass.VALID, (Reason.COUNTERPART_ACK,)
+                if publisher:
+                    hidden = HiddenRecord(publisher, Direction.OUT, transmission)
+            else:
+                # No publisher entry and no verifiable publisher signature:
+                # the subscriber fabricated the receipt (Lemma 1).
+                sub_verdict = EntryClass.INVALID, (Reason.FABRICATED,)
+
+        if sub_index is not None:
+            self._decide(sub_index, sub_verdict, transmission, delta)
+        if pub_view is not None:
+            self._views[pub_view.index][subscriber] = (pub_verdict, transmission)
+            outs.add(pub_view.index)
+        for found, store, out in (
+            (hidden, self._hidden, delta.hidden),
+            (anomaly, self._anomalies, delta.anomalies),
+        ):
+            old = store.pop(key, None)
+            if found is not None:
+                store[key] = found
+                if found != old:
+                    out.append(found)
+
+    def _decide(
+        self,
+        i: int,
+        verdict: Verdict,
+        transmission: Optional[TransmissionId],
+        delta: AuditReport,
+    ) -> None:
+        """Record entry ``i``'s verdict; report it if new or different."""
+        current = self._classified[i]
+        if current is None:
+            self.judged_entries += 1
+        if current is None or (
+            (current.verdict, current.reasons, current.transmission)
+            != (*verdict, transmission)
+        ):
+            current = self._classified[i] = ClassifiedEntry(
+                self._entries[i], *verdict, transmission
+            )
+            delta.classified.append(current)
+
+    def _recombine(self, outs: Set[int], delta: AuditReport) -> None:
+        """Decide the OUT entries among ``outs`` from their views."""
+        for i in sorted(outs):
+            verdict, transmission = self._out_verdict(i)
+            if verdict is not None:
+                self._decide(i, verdict, transmission, delta)
+
+    def _out_verdict(self, i: int) -> Tuple[Optional[Verdict], Optional[TransmissionId]]:
+        """A usable OUT entry's verdict: undecided while a view it owns is
+        unjudged; Lemma 1's default when an earlier entry owns them all."""
+        owned = self._views[i]
+        if not owned:
+            return _UNPAIRED, None
+        if None in owned.values():
+            return None, None
+        if len(owned) == 1:
+            return next(iter(owned.values()))
+        # the transmission judged last by subscriber, the un-ACKed view after all
+        last = "" if "" in owned else max(owned)
+        return _combine([verdict for verdict, _ in owned.values()]), owned[last][1]
 
 
 class Auditor:
     """Classifies a log into valid / invalid / hidden (Figure 5).
 
-    :meth:`audit` first verifies every distinct ``(key, digest,
-    signature)`` triple the classification will need, one
-    :meth:`~repro.crypto.schemes.SignatureScheme.verify_batch` per scheme,
-    and the phases read the booleans; a check the pre-pass did not
-    anticipate is verified on the spot.  A scheme's batch returns what its
-    single verify returns, so the report is the per-signature one.
+    :meth:`audit` feeds the whole log to one :class:`AuditFold` and reads
+    its report: every distinct ``(key, digest, signature)`` triple is
+    verified in one :meth:`~repro.crypto.schemes.SignatureScheme.verify_batch`
+    per scheme, and a scheme's batch returns what its single verify
+    returns, so the report is the per-signature one.
     """
 
     def __init__(self, keystore: KeyStore, topology: Optional[Topology] = None):
         self._keystore = keystore
         self._topology = topology
-        # (key, digest, signature) -> verified?; lives for one audit
-        self._verify_cache: Dict[Tuple[PublicKey, bytes, bytes], bool] = {}
 
     @classmethod
     def for_server(
@@ -139,438 +565,8 @@ class Auditor:
         server.verify_integrity()
         return self.audit(server.entries())
 
-    # ------------------------------------------------------------------
-
     def audit(self, entries: List[LogEntry]) -> AuditReport:
         """Run the full classification over ``entries``."""
-        topology = self._topology or Topology.from_entries(entries)
-        try:
-            self._precompute_verifications(entries, topology)
-            return self._classify(entries, topology)
-        finally:
-            # one audit's booleans never answer the next
-            self._verify_cache = {}
-
-    def _classify(self, entries: List[LogEntry], topology: Topology) -> AuditReport:
-        report = AuditReport()
-
-        # verdict slot per input entry; filled in phases 1 and 2
-        verdicts: List[Optional[Tuple[EntryClass, Tuple[Reason, ...]]]] = [
-            None
-        ] * len(entries)
-        transmissions: List[Optional[TransmissionId]] = [None] * len(entries)
-
-        usable = self._phase1_obvious(entries, topology, verdicts)
-        self._phase2_pairwise(entries, topology, verdicts, transmissions, usable, report)
-
-        for i, entry in enumerate(entries):
-            verdict = verdicts[i]
-            if verdict is None:
-                # An ADLP entry that never matched any transmission pairing
-                # (e.g. an OUT entry whose topic nobody audits); by Lemma 1
-                # an unpaired entry proves nothing.
-                verdict = (EntryClass.INVALID, (Reason.UNPROVEN_PUBLICATION,))
-            report.classified.append(
-                ClassifiedEntry(
-                    entry=entry,
-                    verdict=verdict[0],
-                    reasons=verdict[1],
-                    transmission=transmissions[i],
-                )
-            )
-        report._account()
-        return report
-
-    # -- batched verification ------------------------------------------
-
-    def _verify(self, key: PublicKey, digest: bytes, signature: bytes) -> bool:
-        """One signature check: the batch's answer when
-        :meth:`_precompute_verifications` anticipated it."""
-        hit = self._verify_cache.get((key, digest, signature))
-        if hit is not None:
-            return hit
-        return key.verify_digest(digest, signature)
-
-    def _precompute_verifications(
-        self, entries: List[LogEntry], topology: Topology
-    ) -> None:
-        """Collect every distinct (key, digest, sig) triple the two phases
-        will check -- own signatures, the publisher signature each IN
-        entry reports, the ACK signature behind each OUT view -- and
-        verify them as one batch per signature scheme."""
-        # scheme name -> its triples, first-seen order (the Ed25519 batch
-        # coefficients depend on it: same log, same batch, same booleans)
-        wanted: Dict[str, Dict[Tuple[PublicKey, bytes, bytes], None]] = {}
-
-        def want(key: Optional[PublicKey], digest: bytes, signature: bytes) -> None:
-            if key is not None and digest and signature:
-                wanted.setdefault(key.scheme_name, {})[(key, digest, signature)] = None
-
-        for i, entry in enumerate(entries):
-            if entry.scheme is not Scheme.ADLP:
-                continue
-            own_key = self._keystore.find(entry.component_id)
-            digest = entry.reported_hash()
-            want(own_key, digest, entry.own_sig)
-            if entry.direction is Direction.IN:
-                publisher = topology.publisher_of.get(entry.topic)
-                pub_key = self._keystore.find(publisher) if publisher else None
-                want(pub_key, digest, entry.peer_sig)
-            else:
-                for view in self._pub_views(entry, i):
-                    if view.subscriber:
-                        want(
-                            self._keystore.find(view.subscriber),
-                            view.peer_hash,
-                            view.peer_sig,
-                        )
-        for scheme_name, triples in wanted.items():
-            results = get_scheme(scheme_name).verify_batch(
-                [(key.numbers, digest, sig) for key, digest, sig in triples]
-            )
-            self._verify_cache.update(zip(triples, results))
-
-    # -- phase 1: obvious detection ------------------------------------
-
-    def _phase1_obvious(
-        self,
-        entries: List[LogEntry],
-        topology: Topology,
-        verdicts: List[Optional[Tuple[EntryClass, Tuple[Reason, ...]]]],
-    ) -> List[int]:
-        """Classify obviously invalid entries; return indices that survive."""
-        usable: List[int] = []
-        seen_in: Set[Tuple[str, str, int]] = set()
-        seen_out: Set[Tuple[str, str, int, str]] = set()
-        for i, entry in enumerate(entries):
-            reasons: List[Reason] = []
-            if entry.scheme is not Scheme.ADLP:
-                # Naive/no-scheme entries carry no cryptographic commitment:
-                # nothing about them is provable (the paper's motivation).
-                verdicts[i] = (EntryClass.INVALID, (Reason.UNVERIFIABLE_SCHEME,))
-                continue
-            key = self._keystore.find(entry.component_id)
-            if key is None:
-                verdicts[i] = (EntryClass.INVALID, (Reason.UNKNOWN_COMPONENT,))
-                continue
-            digest = entry.reported_hash()
-            if not digest or not entry.own_sig:
-                verdicts[i] = (EntryClass.INVALID, (Reason.MISSING_COMMITMENT,))
-                continue
-            if not self._verify(key, digest, entry.own_sig):
-                # eq. (3) fails: also covers impersonation -- an entry
-                # written under someone else's id cannot carry their
-                # signature (footnote on "Obvious Detection").
-                verdicts[i] = (EntryClass.INVALID, (Reason.BAD_OWN_SIGNATURE,))
-                continue
-            expected_type = topology.type_of.get(entry.topic)
-            if expected_type is not None and entry.type_name != expected_type:
-                # "type(D_x) = type(D'_x) = ... always hold because
-                # otherwise it is obviously detectable" (Section IV-B).
-                verdicts[i] = (EntryClass.INVALID, (Reason.TYPE_MISMATCH,))
-                continue
-            if entry.direction is Direction.OUT:
-                expected = topology.publisher_of.get(entry.topic)
-                if expected is not None and expected != entry.component_id:
-                    verdicts[i] = (EntryClass.INVALID, (Reason.NOT_TOPIC_PUBLISHER,))
-                    continue
-                for subscriber in self._entry_subscribers(entry):
-                    out_key = (entry.component_id, entry.topic, entry.seq, subscriber)
-                    if out_key in seen_out:
-                        reasons.append(Reason.REPLAYED_SEQUENCE)
-                        break
-                    seen_out.add(out_key)
-            else:
-                in_key = (entry.component_id, entry.topic, entry.seq)
-                if in_key in seen_in:
-                    reasons.append(Reason.REPLAYED_SEQUENCE)
-                seen_in.add(in_key)
-            if Reason.REPLAYED_SEQUENCE in reasons:
-                verdicts[i] = (EntryClass.INVALID, (Reason.REPLAYED_SEQUENCE,))
-                continue
-            usable.append(i)
-        return usable
-
-    @staticmethod
-    def _entry_subscribers(entry: LogEntry) -> List[str]:
-        """Subscribers an OUT entry claims ACKs from ('' for no-ACK)."""
-        if entry.aggregated:
-            return list(entry.ack_peer_ids)
-        return [entry.peer_id]
-
-    @staticmethod
-    def _pub_views(entry: LogEntry, index: int) -> List[_PubView]:
-        """Per-subscriber views of an OUT entry (aggregation-aware)."""
-        if entry.aggregated:
-            return [
-                _PubView(entry, sid, shash, ssig, index)
-                for sid, shash, ssig in zip(
-                    entry.ack_peer_ids, entry.ack_peer_hashes, entry.ack_peer_sigs
-                )
-            ]
-        return [_PubView(entry, entry.peer_id, entry.peer_hash, entry.peer_sig, index)]
-
-    # -- phase 2: pairwise verification ----------------------------------
-
-    def _phase2_pairwise(
-        self,
-        entries: List[LogEntry],
-        topology: Topology,
-        verdicts: List[Optional[Tuple[EntryClass, Tuple[Reason, ...]]]],
-        transmissions: List[Optional[TransmissionId]],
-        usable: List[int],
-        report: AuditReport,
-    ) -> None:
-        # Index usable entries by transmission.
-        pub_views: Dict[Tuple[str, int], Dict[str, _PubView]] = {}
-        sub_entries: Dict[Tuple[str, int], Dict[str, int]] = {}
-        for i in usable:
-            entry = entries[i]
-            key = (entry.topic, entry.seq)
-            if entry.direction is Direction.OUT:
-                views = pub_views.setdefault(key, {})
-                for view in self._pub_views(entry, i):
-                    views.setdefault(view.subscriber, view)
-            else:
-                subs = sub_entries.setdefault(key, {})
-                subs.setdefault(entry.component_id, i)
-
-        # Aggregated entries collect per-view verdicts and combine at the end.
-        view_verdicts: Dict[int, List[Tuple[EntryClass, Tuple[Reason, ...]]]] = {}
-
-        all_keys = set(pub_views) | set(sub_entries)
-        for topic, seq in sorted(all_keys):
-            views = pub_views.get((topic, seq), {})
-            subs = sub_entries.get((topic, seq), {})
-            publisher = topology.publisher_of.get(topic)
-            if publisher is None and views:
-                publisher = next(iter(views.values())).entry.component_id
-            for subscriber in sorted(set(views) | set(subs)):
-                if not subscriber:
-                    # publisher view with no ACK: handled below via its entry
-                    continue
-                self._judge_pair(
-                    topic,
-                    seq,
-                    publisher,
-                    subscriber,
-                    views.get(subscriber),
-                    subs.get(subscriber),
-                    entries,
-                    verdicts,
-                    transmissions,
-                    view_verdicts,
-                    report,
-                )
-            # OUT views with no acknowledged subscriber (ACK timeout)
-            no_ack = views.get("")
-            if no_ack is not None:
-                self._record_view_verdict(
-                    no_ack,
-                    (EntryClass.INVALID, (Reason.UNPROVEN_PUBLICATION,)),
-                    verdicts,
-                    view_verdicts,
-                )
-                transmissions[no_ack.index] = TransmissionId(
-                    topic=topic, seq=seq, publisher=publisher or "", subscriber=""
-                )
-
-        # combine per-view verdicts of aggregated entries
-        for index, per_view in view_verdicts.items():
-            if verdicts[index] is not None:
-                continue
-            if all(v[0] is EntryClass.VALID for v in per_view):
-                reasons = tuple(sorted({r for v in per_view for r in v[1]}, key=str))
-                verdicts[index] = (EntryClass.VALID, reasons)
-            else:
-                reasons = tuple(
-                    sorted(
-                        {
-                            r
-                            for v in per_view
-                            if v[0] is EntryClass.INVALID
-                            for r in v[1]
-                        },
-                        key=str,
-                    )
-                )
-                verdicts[index] = (EntryClass.INVALID, reasons)
-
-    def _record_view_verdict(
-        self,
-        view: _PubView,
-        verdict: Tuple[EntryClass, Tuple[Reason, ...]],
-        verdicts: List[Optional[Tuple[EntryClass, Tuple[Reason, ...]]]],
-        view_verdicts: Dict[int, List[Tuple[EntryClass, Tuple[Reason, ...]]]],
-    ) -> None:
-        if view.entry.aggregated:
-            view_verdicts.setdefault(view.index, []).append(verdict)
-        else:
-            verdicts[view.index] = verdict
-
-    def _judge_pair(
-        self,
-        topic: str,
-        seq: int,
-        publisher: Optional[str],
-        subscriber: str,
-        pub_view: Optional[_PubView],
-        sub_index: Optional[int],
-        entries: List[LogEntry],
-        verdicts: List[Optional[Tuple[EntryClass, Tuple[Reason, ...]]]],
-        transmissions: List[Optional[TransmissionId]],
-        view_verdicts: Dict[int, List[Tuple[EntryClass, Tuple[Reason, ...]]]],
-        report: AuditReport,
-    ) -> None:
-        """Apply Lemmas 1-3 to one (topic, seq, subscriber) transmission."""
-        transmission = TransmissionId(
-            topic=topic, seq=seq, publisher=publisher or "", subscriber=subscriber
-        )
-        pub_key = self._keystore.find(publisher) if publisher else None
-        sub_key = self._keystore.find(subscriber)
-
-        sub_entry = entries[sub_index] if sub_index is not None else None
-        if sub_index is not None:
-            transmissions[sub_index] = transmission
-        if pub_view is not None:
-            transmissions[pub_view.index] = transmission
-
-        # The subscriber's proof: the publisher's signature it reports must
-        # verify (under the publisher's key) for the digest it reports.
-        sub_proof = False
-        if sub_entry is not None and pub_key is not None and sub_entry.peer_sig:
-            sub_proof = self._verify(
-                pub_key, sub_entry.reported_hash(), sub_entry.peer_sig
-            )
-
-        # The publisher's proof: the subscriber's ACK signature it reports
-        # must verify for the acknowledged hash, and that hash must equal
-        # the digest of the data the publisher claims to have sent.
-        pub_proof = False
-        pub_consistent = False
-        if pub_view is not None and sub_key is not None and pub_view.peer_sig:
-            pub_proof = self._verify(sub_key, pub_view.peer_hash, pub_view.peer_sig)
-            pub_consistent = pub_view.peer_hash == pub_view.entry.reported_hash()
-
-        if pub_view is not None and sub_entry is not None:
-            digests_agree = (
-                pub_view.entry.reported_hash() == sub_entry.reported_hash()
-            )
-            if sub_proof and pub_proof and pub_consistent and not digests_agree:
-                # Both counterpart proofs verify for different digests:
-                # each party signed two payloads for one seq -- provable
-                # pairwise collusion (cf. DisputeVerdict UNRESOLVABLE).
-                from repro.audit.verdicts import PairAnomaly
-
-                report.anomalies.append(
-                    PairAnomaly(
-                        transmission=transmission,
-                        publisher_digest=pub_view.entry.reported_hash(),
-                        subscriber_digest=sub_entry.reported_hash(),
-                    )
-                )
-            # subscriber side
-            if sub_proof:
-                reason = (
-                    Reason.CONSISTENT_PAIR if digests_agree else Reason.COUNTERPART_ACK
-                )
-                verdicts[sub_index] = (EntryClass.VALID, (reason,))
-            else:
-                # By (4) a faithful publisher's M_x carried a valid pair, so
-                # an unverifiable claimed s''_x means L_y lied (Lemma 3 ii /
-                # Figure 8 (b)).
-                verdicts[sub_index] = (
-                    EntryClass.INVALID,
-                    (Reason.FALSIFIED_DATA if not digests_agree else Reason.FABRICATED,),
-                )
-            # publisher side
-            if pub_proof and pub_consistent:
-                reason = (
-                    Reason.CONSISTENT_PAIR if digests_agree else Reason.COUNTERPART_ACK
-                )
-                self._record_view_verdict(
-                    pub_view, (EntryClass.VALID, (reason,)), verdicts, view_verdicts
-                )
-            elif pub_proof and not pub_consistent:
-                # The subscriber acknowledged something other than what the
-                # publisher claims to have sent: L_x falsified (Lemma 3 i).
-                self._record_view_verdict(
-                    pub_view,
-                    (EntryClass.INVALID, (Reason.FALSIFIED_DATA,)),
-                    verdicts,
-                    view_verdicts,
-                )
-            else:
-                reason = (
-                    Reason.FALSIFIED_DATA if not digests_agree and sub_proof
-                    else Reason.FABRICATED
-                )
-                self._record_view_verdict(
-                    pub_view,
-                    (EntryClass.INVALID, (reason,)),
-                    verdicts,
-                    view_verdicts,
-                )
-            return
-
-        if pub_view is not None:
-            # Only the publisher logged.  Its embedded ACK, if valid, proves
-            # the subscriber received the data (Lemma 2) -> the subscriber's
-            # missing entry is hidden.
-            if not pub_view.peer_sig:
-                self._record_view_verdict(
-                    pub_view,
-                    (EntryClass.INVALID, (Reason.UNPROVEN_PUBLICATION,)),
-                    verdicts,
-                    view_verdicts,
-                )
-                return
-            if pub_proof and pub_consistent:
-                self._record_view_verdict(
-                    pub_view,
-                    (EntryClass.VALID, (Reason.COUNTERPART_ACK,)),
-                    verdicts,
-                    view_verdicts,
-                )
-                report.hidden.append(
-                    HiddenRecord(
-                        component_id=subscriber,
-                        direction=Direction.IN,
-                        transmission=transmission,
-                    )
-                )
-            elif pub_proof:
-                self._record_view_verdict(
-                    pub_view,
-                    (EntryClass.INVALID, (Reason.FALSIFIED_DATA,)),
-                    verdicts,
-                    view_verdicts,
-                )
-            else:
-                # An ACK signature nobody can verify: fabricated (Lemma 1).
-                self._record_view_verdict(
-                    pub_view,
-                    (EntryClass.INVALID, (Reason.FABRICATED,)),
-                    verdicts,
-                    view_verdicts,
-                )
-            return
-
-        if sub_entry is not None:
-            # Only the subscriber logged.  Its embedded publisher signature,
-            # if valid, proves the publication (Lemma 2) -> the publisher's
-            # missing entry is hidden.
-            if sub_proof:
-                verdicts[sub_index] = (EntryClass.VALID, (Reason.COUNTERPART_ACK,))
-                if publisher:
-                    report.hidden.append(
-                        HiddenRecord(
-                            component_id=publisher,
-                            direction=Direction.OUT,
-                            transmission=transmission,
-                        )
-                    )
-            else:
-                # No publisher entry and no verifiable publisher signature:
-                # the subscriber fabricated the receipt (Lemma 1).
-                verdicts[sub_index] = (EntryClass.INVALID, (Reason.FABRICATED,))
+        fold = AuditFold(self._keystore, self._topology or Topology.from_entries(entries))
+        fold.feed(entries)
+        return fold.report()

@@ -253,13 +253,49 @@ class TestBatchedVerification:
         assert len(report.valid_entries()) == len(entries)
         assert not singles  # the batch goes to the scheme; no per-check fallback
 
-    def test_booleans_do_not_outlive_the_audit(self, server, keypool, monkeypatch):
-        auditor = Auditor(server.keystore, TOPOLOGY)
-        auditor.audit(self._pairs(keypool, 2))
-        assert auditor._verify_cache == {}
+    def test_feeding_k_more_entries_verifies_only_theirs(self, server, keypool, monkeypatch):
+        """A fold of n entries fed k more verifies the k entries' triples,
+        each once, and nothing it verified before -- also not when the
+        report closes the fold."""
+        from repro.audit.auditor import AuditFold
+        from repro.crypto.schemes import get_scheme
+
+        scheme = get_scheme(keypool[0].public.scheme_name)
+        batches = []
+        original = scheme.verify_batch
         monkeypatch.setattr(
-            Auditor, "_classify", lambda *args: (_ for _ in ()).throw(RuntimeError("boom"))
+            scheme, "verify_batch",
+            lambda triples: batches.append(list(triples)) or original(triples),
+        )
+        entries = self._pairs(keypool, 23)
+        fold = AuditFold(server.keystore, TOPOLOGY)
+        fold.feed(entries[:40])
+        assert len(batches) == 1
+        new = entries[40:]
+        fold.feed(new)
+        fold.report()
+        assert len(batches) == 2
+        pub_key, sub_key = keypool[0].public.numbers, keypool[1].public.numbers
+        expected = [
+            (pub_key if entry.component_id == "/pub" else sub_key,
+             entry.reported_hash(), entry.own_sig)
+            for entry in new
+        ]
+        assert sorted(batches[1], key=repr) == sorted(expected, key=repr)
+        assert fold.report() == Auditor(server.keystore, TOPOLOGY).audit(entries)
+
+    def test_booleans_do_not_outlive_the_audit(self, server, keypool, monkeypatch):
+        """The booleans live in the audit's own fold: the ``Auditor`` keeps
+        nothing but its keystore and topology, also when the audit fails."""
+        from repro.audit.auditor import AuditFold
+
+        auditor = Auditor(server.keystore, TOPOLOGY)
+        state = dict(vars(auditor))
+        auditor.audit(self._pairs(keypool, 2))
+        assert vars(auditor) == state
+        monkeypatch.setattr(
+            AuditFold, "report", lambda *args: (_ for _ in ()).throw(RuntimeError("boom"))
         )
         with pytest.raises(RuntimeError):
             auditor.audit(self._pairs(keypool, 2))
-        assert auditor._verify_cache == {}
+        assert vars(auditor) == state

@@ -4,9 +4,10 @@ log contains."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.audit import Auditor, EntryClass, Topology
+from repro.audit import Auditor, EntryClass, OnlineAuditor, Topology
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.crypto.keystore import KeyStore
+from repro.util.clock import SimulatedClock
 
 
 def _keystore(keypool):
@@ -45,8 +46,8 @@ arbitrary_entries = st.builds(
 )
 @given(st.lists(arbitrary_entries, max_size=12))
 def test_auditor_never_crashes_and_accounts_every_entry(keypool, entries):
-    auditor = Auditor(_keystore(keypool), Topology(publisher_of={"/t": "/pub"}))
-    report = auditor.audit(entries)
+    keystore, topology = _keystore(keypool), Topology(publisher_of={"/t": "/pub"})
+    report = Auditor(keystore, topology).audit(entries)
     # partition property: every input entry gets exactly one verdict
     assert len(report.classified) == len(entries)
     assert all(c.verdict in (EntryClass.VALID, EntryClass.INVALID) for c in report.classified)
@@ -55,6 +56,25 @@ def test_auditor_never_crashes_and_accounts_every_entry(keypool, entries):
         v.valid_entries + v.invalid_entries for v in report.components.values()
     )
     assert total == len(entries)
+    # online == batch: the same entries streamed in, then drained, give
+    # the batch audit's findings and, at the end, its report
+    online = OnlineAuditor(keystore, topology, clock=SimulatedClock())
+    # grace 0 closes every one-sided transmission at once, so each late
+    # counterpart re-opens and re-judges one
+    eager = OnlineAuditor(keystore, topology, grace_period=0.0, clock=SimulatedClock())
+    for entry in entries:
+        online.ingest(entry)
+        eager.ingest(entry)
+    online.drain()
+    assert set(online.findings) == set(OnlineAuditor._findings_from(report))
+    assert online.final_audit() == report
+    assert eager.final_audit() == report
+    # the batch audit given no topology infers one from the whole log;
+    # streamed under that topology, the entries give the same report
+    inferred = OnlineAuditor(keystore, Topology.from_entries(entries), clock=SimulatedClock())
+    for entry in entries:
+        inferred.ingest(entry)
+    assert inferred.final_audit() == Auditor(keystore).audit(entries)
 
 
 @settings(

@@ -11,6 +11,7 @@ quarantines the logger on it and the online auditor reports it.
 import pytest
 
 from repro.adversary import ForkingLogServer, tamper_timestamp
+from repro.audit.auditor import Topology
 from repro.audit.online import OnlineAuditor
 from repro.core import LogServerEndpoint, RemoteLogger
 from repro.core.entries import Direction, LogEntry, Scheme
@@ -129,7 +130,7 @@ class TestSplitView:
         fork, _, clients = forked_world
         relay = GossipRelay("auditor-relay")
         relay.register_key(fork.log_id, keypool[0].public)
-        auditor = OnlineAuditor(KeyStore())
+        auditor = OnlineAuditor(KeyStore(), Topology())
         auditor.watch_gossip(relay)
         for label, client in zip(("a", "b"), clients):
             relay.observe(client.fetch_sth(), source=label)
@@ -138,7 +139,7 @@ class TestSplitView:
         assert findings[0].component_id == fork.log_id
         assert "split-view" in findings[0].detail or fork.log_id in findings[0].detail
         # Late subscribers replay accumulated evidence exactly once.
-        late = OnlineAuditor(KeyStore())
+        late = OnlineAuditor(KeyStore(), Topology())
         late.watch_gossip(relay)
         late.watch_gossip(relay)
         assert len([f for f in late.findings if f.kind == "equivocation"]) == 1
