@@ -4,13 +4,15 @@
 1. The *operator* runs components that push entries to a remote log server
    over TCP (components and logger in separate failure domains).
 2. After an incident, the evidence is exported as a tamper-evident **case
-   bundle** -- a plain directory any investigator can take away.
-3. The *investigator*, with no access to the live system, loads the
-   bundle, re-verifies the hash chain and Merkle commitment, audits every
-   entry, and resolves the dispute -- using only registered public keys.
+   bundle** -- a log-store directory (the logger's own WAL + checkpoint
+   format) plus a MANIFEST, which any investigator can take away.
+3. The *investigator*, with no access to the live system, opens the
+   bundle in place, re-verifies the hash chain and Merkle commitment,
+   audits every entry, and resolves the dispute -- using only registered
+   public keys.
 
 The same steps are scriptable via ``python -m repro.tools {verify,inspect,
-audit,trace} CASE_DIR``.
+audit,trace} DIR``.
 
 Run:  python examples/investigation_workflow.py
 """
@@ -85,6 +87,8 @@ def investigate(case_dir: str) -> None:
             text=True,
         )
         print(result.stdout.rstrip())
+        if command[0] in ("verify", "inspect"):
+            assert result.returncode == 0, result.stderr
         if command[0] == "audit":
             assert result.returncode == 1, "audit must flag the falsifier"
             assert "/telemetry_recorder" in result.stdout
@@ -97,12 +101,12 @@ def main() -> None:
     operate_system(log_server)
 
     print("\n=== phase 2: export the evidence as a case bundle ===")
-    case_dir = tempfile.mkdtemp(prefix="adlp_case_")
-    export_case(log_server, case_dir)
-    print(f"case bundle written to {case_dir}")
+    with tempfile.TemporaryDirectory(prefix="adlp_case_") as case_dir:
+        export_case(log_server, case_dir)
+        print(f"case bundle written to {case_dir}")
 
-    print("\n=== phase 3: independent investigation via the CLI ===")
-    investigate(case_dir)
+        print("\n=== phase 3: independent investigation via the CLI ===")
+        investigate(case_dir)
     print("\nOK: the falsifying telemetry recorder was convicted from the "
           "bundle alone.")
 

@@ -21,7 +21,7 @@ from repro.core.entries import Direction, Scheme, LogEntry
 from repro.core.protocol import AdlpMessage, AdlpAck, message_digest
 from repro.core.policy import AdlpConfig, ReplicationConfig
 from repro.core.log_server import LogCommitment, LogServer
-from repro.core.log_store import InMemoryLogStore, FileLogStore
+from repro.core.log_store import InMemoryLogStore
 from repro.core.dedup_store import DedupLogStore
 from repro.core.logging_thread import LoggingThread
 from repro.core.naive_protocol import NaiveProtocol
@@ -44,7 +44,6 @@ __all__ = [
     "LogServer",
     "LogCommitment",
     "InMemoryLogStore",
-    "FileLogStore",
     "DedupLogStore",
     "LoggingThread",
     "NaiveProtocol",

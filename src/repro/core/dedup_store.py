@@ -45,39 +45,45 @@ class DedupLogStore(LogStore):
 
     # -- ingestion -------------------------------------------------------
 
-    def append(self, record: bytes) -> int:
+    def append_batch(self, records: List[bytes]) -> List[int]:
+        """All or nothing: every record is chained and stripped before any
+        of them is stored, under one lock acquisition."""
         with self._lock:
-            self._head = chain_digest(self._head, record)
-            self._digests.append(self._head)
-            stripped, blob_ref = self._strip(record)
-            self._stripped.append(stripped)
-            self._blob_refs.append(blob_ref)
-            self._logical_bytes += len(record)
-            return len(self._digests) - 1
+            head, rows = self._head, []
+            for record in records:
+                head = chain_digest(head, record)
+                rows.append((head, *self._strip(record)))
+            base = len(self._digests)
+            for digest, stored, ref, payload in rows:
+                self._digests.append(digest)
+                self._stripped.append(stored)
+                self._blob_refs.append(ref)
+                if ref:
+                    self._blobs.setdefault(ref, payload)
+            self._head = head
+            self._logical_bytes += sum(map(len, records))
+            return list(range(base, base + len(records)))
 
-    def _strip(self, record: bytes) -> Tuple[bytes, bytes]:
-        """Move a large ``data`` payload into the blob table."""
+    def _strip(self, record: bytes) -> Tuple[bytes, bytes, bytes]:
+        """``(stored form, blob ref, blob)``: a large ``data`` payload
+        moves to the blob table; anything else is stored as is."""
         try:
             decoded = LogEntry.decode(record)
         except Exception:
-            return record, b""
-        if len(decoded.data) < self._min_dedup_size:
-            return record, b""
+            return record, b"", b""
         payload = decoded.data
-        ref = sha256(payload)
-        self._blobs.setdefault(ref, payload)
+        if len(payload) < self._min_dedup_size:
+            return record, b"", b""
         decoded.data = b""
         stripped = decoded.encode()
-        if self._reassemble(stripped, ref) != record:
+        if self._reassemble(stripped, payload) != record:
             # non-canonical encodings cannot be reconstructed exactly;
             # store such records verbatim rather than corrupt the chain
-            return record, b""
-        return stripped, ref
+            return record, b"", b""
+        return stripped, sha256(payload), payload
 
-    def _reassemble(self, stripped: bytes, ref: bytes) -> bytes:
-        payload = self._blobs.get(ref)
-        if payload is None:
-            raise LogIntegrityError(f"missing blob {ref.hex()}")
+    @staticmethod
+    def _reassemble(stripped: bytes, payload: bytes) -> bytes:
         decoded = LogEntry.decode(stripped)
         decoded.data = payload
         return decoded.encode()
@@ -87,7 +93,10 @@ class DedupLogStore(LogStore):
         ref = self._blob_refs[index]
         if not ref:
             return stripped
-        return self._reassemble(stripped, ref)
+        payload = self._blobs.get(ref)
+        if payload is None:
+            raise LogIntegrityError(f"missing blob {ref.hex()}")
+        return self._reassemble(stripped, payload)
 
     # -- LogStore interface ------------------------------------------------
 

@@ -100,7 +100,8 @@ class LogServer:
         self.rejected_submissions = 0
         if hasattr(self.store, "checkpoint_extra_provider"):
             self.store.checkpoint_extra_provider = self._checkpoint_extra
-        if len(self.store):
+        # an empty store's journal may still hold key registrations
+        if len(self.store) or getattr(self.store, "recovered_keys", None):
             self._recover_from_store()
 
     # -- crash recovery ----------------------------------------------------
@@ -255,10 +256,10 @@ class LogServer:
                     [record for _, record in pairs]
                 )
             except BaseException:
-                # A store whose group commit is atomic (in-memory, durable
-                # WAL) kept nothing; a plain per-record fallback store may
-                # have kept a prefix.  Either way, re-sync the derived
-                # state to exactly what the store now holds.
+                # An atomic group commit (every store here) kept nothing;
+                # a non-atomic wrapper may have kept a prefix.  Either way,
+                # re-sync the derived state to exactly what the store
+                # now holds.
                 landed = len(self.store) - store_size
                 self._rollback_derived(size + landed, pairs[landed:])
                 raise

@@ -1,50 +1,42 @@
-"""Tamper-evident log storage backends.
+"""Tamper-evident log storage: the interface and the in-memory backend.
 
 The paper assumes the logs themselves are protected by a tamper-evident
-mechanism (Section II-A).  Both backends realize this with the hash chain of
-:mod:`repro.crypto.hashchain`:
+mechanism (Section II-A).  Every backend realizes this with the hash chain
+of :mod:`repro.crypto.hashchain`:
 
 - :class:`InMemoryLogStore` -- fast, used by tests and benchmarks;
-- :class:`FileLogStore` -- appends length-framed records to disk and can
-  re-open and re-verify them, for the "remote log server / local file"
-  deployments the paper mentions.
+- :class:`~repro.core.dedup_store.DedupLogStore` -- in memory, with large
+  payloads stored once;
+- :class:`~repro.storage.durable_store.DurableLogStore` -- on disk, crash
+  recoverable; the format of the "remote log server / local file"
+  deployments the paper mentions and of an exported evidence case.
+
+A store has one write path, :meth:`LogStore.append_batch`: a lone record
+is a batch of one.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 import threading
 from typing import Iterator, List, Tuple
 
-from repro.crypto.hashchain import (
-    GENESIS,
-    HashChain,
-    chain_digest,
-    verify_chain,
-)
+from repro.crypto.hashchain import HashChain, verify_chain
 from repro.errors import LogIntegrityError
-
-_FRAME = struct.Struct("<I")
 
 
 class LogStore:
     """Interface: append-only store of encoded log records."""
 
-    def append(self, record: bytes) -> int:
-        """Store a record; returns its index."""
-        raise NotImplementedError
-
     def append_batch(self, records: List[bytes]) -> List[int]:
-        """Store several records as one group commit; returns their indices.
+        """Store records as one group commit; returns their indices.
 
         Implementations hold their lock once for the whole batch and roll
         back in-memory state if the batch cannot be stored completely, so
         a batch is never half-reflected in the live store.  The resulting
-        chain head and Merkle commitments are byte-identical to appending
-        the same records one at a time.
+        chain head and Merkle commitments are byte-identical to storing
+        the same records in batches of any other size.
         """
-        return [self.append(record) for record in records]
+        raise NotImplementedError
 
     def records(self) -> List[bytes]:
         """All records in append order."""
@@ -89,12 +81,6 @@ class InMemoryLogStore(LogStore):
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def append(self, record: bytes) -> int:
-        with self._lock:
-            self._records.append((record, self._chain.append(record)))
-            self._bytes += len(record)
-            return len(self._records) - 1
-
     def append_batch(self, records: List[bytes]) -> List[int]:
         with self._lock:
             base = len(self._records)
@@ -133,94 +119,3 @@ class InMemoryLogStore(LogStore):
         attacker modifying stored logs.  :meth:`verify` must detect this."""
         with self._lock:
             self._records[index] = (record, self._records[index][1])
-
-
-class FileLogStore(LogStore):
-    """Hash-chained records appended to a file.
-
-    On-disk layout per record: 4-byte little-endian length, the record
-    bytes, then the 32-byte chain digest.  Reopening an existing file
-    replays and re-verifies the chain.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._lock = threading.Lock()
-        self._count = 0
-        self._bytes = 0
-        self._head = GENESIS
-        if os.path.exists(path):
-            self._replay()
-        self._file = open(path, "ab")
-
-    def _replay(self) -> None:
-        prev = GENESIS
-        count = 0
-        total = 0
-        with open(self.path, "rb") as f:
-            while True:
-                raw_len = f.read(_FRAME.size)
-                if not raw_len:
-                    break
-                if len(raw_len) < _FRAME.size:
-                    raise LogIntegrityError("truncated record length")
-                (length,) = _FRAME.unpack(raw_len)
-                record = f.read(length)
-                digest = f.read(32)
-                if len(record) < length or len(digest) < 32:
-                    raise LogIntegrityError("truncated record")
-                if chain_digest(prev, record) != digest:
-                    raise LogIntegrityError(f"chain broken at record {count}")
-                prev = digest
-                count += 1
-                total += length
-        self._head = prev
-        self._count = count
-        self._bytes = total
-
-    def append(self, record: bytes) -> int:
-        with self._lock:
-            digest = chain_digest(self._head, record)
-            self._file.write(_FRAME.pack(len(record)) + record + digest)
-            self._file.flush()
-            self._head = digest
-            index = self._count
-            self._count += 1
-            self._bytes += len(record)
-            return index
-
-    def records(self) -> List[bytes]:
-        with self._lock:
-            self._file.flush()
-            result = []
-            with open(self.path, "rb") as f:
-                while True:
-                    raw_len = f.read(_FRAME.size)
-                    if not raw_len:
-                        break
-                    (length,) = _FRAME.unpack(raw_len)
-                    result.append(f.read(length))
-                    f.read(32)
-            return result
-
-    def __len__(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
-
-    def verify(self) -> None:
-        with self._lock:
-            self._file.flush()
-        self._replay()
-
-    def head(self) -> bytes:
-        with self._lock:
-            return self._head
-
-    def close(self) -> None:
-        with self._lock:
-            self._file.close()

@@ -148,7 +148,7 @@ class ShardedLogServer:
         self.router = ShardRouter(shards)
         self.store_dir = store_dir
         if store_dir is not None:
-            self._check_layout(store_dir, shards)
+            self.check_layout(store_dir, shards)
             # import deferred so the in-memory path never touches storage
             from repro.storage.durable_store import DurableLogStore
 
@@ -166,7 +166,7 @@ class ShardedLogServer:
         self._unroutable = 0
 
     @staticmethod
-    def _check_layout(store_dir: str, shards: int) -> None:
+    def check_layout(store_dir: str, shards: int) -> None:
         """Refuse to reopen a durable layout with a different shard count."""
         if not os.path.isdir(store_dir):
             return

@@ -16,8 +16,9 @@ accepted log:
   segment -- the affected entry is *absent*, never corrupt, and nothing
   before it is lost;
 - the latest checkpoint bounds both recovery work (only the tail after the
-  checkpoint is chain-re-verified on open) and silent truncation (a WAL
-  shorter than its checkpoint is evidence loss and raises);
+  checkpoint is chain-re-verified on open) and silent truncation: it is
+  written only after the WAL is synced, so a WAL ending before it is
+  tampering, refused before a byte on disk changes;
 - recovery streams: one record is in memory at a time.
 
 Reads (:meth:`DurableLogStore.iter_records`) run under the store lock and
@@ -29,9 +30,10 @@ caught by :meth:`DurableLogStore.verify` (and, behind a
 :class:`~repro.core.log_server.LogServer`, by its Merkle leaf check on
 every record it serves).
 
-Key registrations are journaled as unchained KEY records so the trusted
-logger's registry survives a restart without perturbing the hash chain or
-the Merkle root (which, per the paper, commit to log *entries* only).
+Key registrations are journaled as unchained KEY records (a batch of one
+through the same WAL write as entries) so the trusted logger's registry
+survives a restart without perturbing the hash chain or the Merkle root
+(which, per the paper, commit to log *entries* only).
 
 Recovery invariants (proved by ``tests/storage/test_crash_recovery.py``):
 after reopening a crashed store, ``head()``, ``merkle_root()``/frontier,
@@ -45,7 +47,7 @@ import os
 import threading
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.core.log_store import LogStore
 from repro.crypto.hashchain import GENESIS, HashChain
@@ -191,12 +193,14 @@ class DurableLogStore(LogStore):
         )
         self._wal = wal
 
+        # the replay only read: these checks refuse before resume() writes
         if checkpoint is not None:
             if len(self._chain) < anchor:
                 raise LogIntegrityError(
                     f"WAL holds {len(self._chain)} entries but the last "
                     f"checkpoint covers {anchor}: the journal lost "
-                    f"checkpointed evidence"
+                    f"checkpointed evidence, which a crash cannot do, so "
+                    f"the WAL was tampered with"
                 )
             if prefix["head"] != checkpoint.chain_head:
                 raise LogIntegrityError(
@@ -211,6 +215,7 @@ class DurableLogStore(LogStore):
 
         if len(self._frontier) != len(self._chain):
             raise LogIntegrityError("frontier size disagrees with chain")
+        wal.resume()
         return RecoveryInfo(
             entries=len(self._chain),
             checkpoint_entries=anchor if checkpoint is not None else None,
@@ -227,25 +232,17 @@ class DurableLogStore(LogStore):
 
     # -- LogStore interface ----------------------------------------------
 
-    def append(self, record: bytes) -> int:
-        with self._lock:
-            chain = self._chain.copy()
-            digest = chain.append(record)
-            segment, offset = self._wal.append(REC_ENTRY, digest, record)
-            self._commit(chain, segment, (offset,), (record,))
-            return len(self._chain) - 1
-
     def append_batch(self, records: List[bytes]) -> List[int]:
         """Group-commit ``records``: one WAL write burst, one fsync.
 
-        The chain digests are computed exactly as ``append`` would, so the
-        resulting chain head, frontier, and on-disk bytes are byte-identical
-        to appending the records one at a time -- only the fsync count
-        changes (one per batch under the ``always`` policy).  The digests
-        are computed on a copy of the chain and committed once the WAL
-        burst has succeeded, so a burst that fails partway leaves the live
-        store untouched; a crash mid-burst recovers the records written
-        before the tear, exactly like a torn per-entry tail.
+        The resulting chain head, frontier, and on-disk bytes are
+        byte-identical to storing the records in batches of any other size
+        -- only the fsync count changes (one per batch under the
+        ``always`` policy).  The digests are computed on a copy of the
+        chain and committed once the WAL burst has succeeded, so a burst
+        that fails partway leaves the live store untouched; a crash
+        mid-burst recovers the records written before the tear, exactly
+        like a torn per-entry tail.
         """
         if not records:
             return []
@@ -256,29 +253,19 @@ class DurableLogStore(LogStore):
             ]
             segment, offsets = self._wal.append_many(items)
             base = len(self._chain)
-            self._commit(chain, segment, offsets, records)
+            self._chain = chain
+            location = segment << _SEGMENT_SHIFT
+            self._locations.extend(location | offset for offset in offsets)
+            for record in records:
+                self._frontier.append(record)
+                self._bytes += len(record)
+            self._appends_since_checkpoint += len(records)
+            if (
+                self._checkpoint_every
+                and self._appends_since_checkpoint >= self._checkpoint_every
+            ):
+                self.checkpoint()
             return list(range(base, base + len(records)))
-
-    def _commit(
-        self,
-        chain: HashChain,
-        segment: int,
-        offsets: Sequence[int],
-        records: Sequence[bytes],
-    ) -> None:
-        """Count records the WAL now holds as stored (lock held)."""
-        self._chain = chain
-        base = segment << _SEGMENT_SHIFT
-        self._locations.extend(base | offset for offset in offsets)
-        for record in records:
-            self._frontier.append(record)
-            self._bytes += len(record)
-        self._appends_since_checkpoint += len(records)
-        if (
-            self._checkpoint_every
-            and self._appends_since_checkpoint >= self._checkpoint_every
-        ):
-            self.checkpoint()
 
     def iter_records(self, start: int = 0) -> Iterator[bytes]:
         """Records ``start .. len(self)`` (length taken at the first read),
@@ -330,7 +317,9 @@ class DurableLogStore(LogStore):
         with self._lock:
             if self._keys.get(component_id) == key_bytes:
                 return
-            self._wal.append(REC_KEY, _encode_key_record(component_id, key_bytes))
+            self._wal.append_many(
+                [(REC_KEY, _encode_key_record(component_id, key_bytes))]
+            )
             self._keys[component_id] = key_bytes
 
     # -- checkpointing ----------------------------------------------------

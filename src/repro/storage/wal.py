@@ -20,10 +20,11 @@ Two read paths with deliberately different strictness:
 
 - **Recovery** (:meth:`WriteAheadLog.__init__` replay) tolerates a *torn
   tail*: a short or CRC-invalid record in the **last** segment is treated
-  as an interrupted write -- the segment is truncated at the record's
-  start (never mid-record, never mid-log) and appending resumes from the
-  clean tail.  Anything wrong in a sealed (non-last) segment is tampering
-  and raises.
+  as an interrupted write -- :meth:`WriteAheadLog.resume` truncates the
+  segment at the record's start (never mid-record, never mid-log) and
+  appending continues from the clean tail.  Anything wrong in a sealed
+  (non-last) segment is tampering and raises.  The replay only reads, so
+  an owner that knows more (a checkpoint) can refuse the log first.
 - **Verification** (:func:`scan` with ``strict=True``) tolerates nothing:
   any short read or CRC mismatch anywhere raises
   :class:`~repro.errors.LogIntegrityError`.  A store believed intact has
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import LogIntegrityError
-from repro.storage.crashpoints import crashpoint
+from repro.storage.crashpoints import SimulatedCrash, crashpoint
 
 _MAGIC = b"ADLPWAL1"
 _SEG_INDEX = struct.Struct("<I")
@@ -266,8 +267,9 @@ class WriteAheadLog:
     """The writable WAL: replay-on-open, append, rotate, fsync policy.
 
     Opening replays every existing record through ``replay_sink`` (in
-    order), truncates a torn tail, then positions for appending.  The
-    number of tail bytes discarded is exposed as :attr:`truncated_bytes`.
+    order) and writes nothing.  :meth:`resume` -- which the first append
+    calls if the owner has not -- truncates the torn tail the replay found
+    (its size is :attr:`truncated_bytes`) and positions for appending.
     """
 
     def __init__(
@@ -287,37 +289,46 @@ class WriteAheadLog:
         #: ``(segment, fd)`` of the segment :meth:`read` last opened
         self._reader: Optional[Tuple[int, int]] = None
         self._last_sync = time.monotonic()
-        os.makedirs(directory, exist_ok=True)
+        #: the active segment, opened for appending by :meth:`resume`
+        self._file = None
         self._replay(replay_sink)
 
     # -- opening / replay -------------------------------------------------
 
     def _replay(self, sink: Optional[Callable[[WalRecord], None]]) -> None:
-        pairs = segment_paths(self.directory)
+        """Read every record and find the clean end of the log (lock-free:
+        nothing else holds the object yet); write nothing."""
+        pairs = segment_paths(self.directory) if os.path.isdir(self.directory) else []
         if not pairs:
-            self._create_segment(1)
+            self._segment_index, self._segment_bytes = 1, 0
             return
         tear = _scan_segments(pairs, sink or (lambda record: None))
-        index, path = pairs[-1]
-        if tear is not None:
-            truncate_at = tear.offset
-            size = os.path.getsize(path)
-            self.truncated_bytes = size - truncate_at
-            if truncate_at < SEGMENT_HEADER_SIZE:
-                # Even the header is torn (crash during rotation): restart
-                # the segment from scratch.
-                with open(path, "wb") as f:
-                    f.write(_encode_header(index))
-                    f.flush()
-                    os.fsync(f.fileno())
-            else:
-                with open(path, "r+b") as f:
-                    f.truncate(truncate_at)
-                    f.flush()
-                    os.fsync(f.fileno())
-        self._segment_index = index
-        self._file = open(path, "ab")
-        self._segment_bytes = os.path.getsize(path)
+        self._segment_index, path = pairs[-1]
+        size = os.path.getsize(path)
+        self._segment_bytes = size if tear is None else tear.offset
+        self.truncated_bytes = size - self._segment_bytes
+
+    def resume(self) -> None:
+        """Make the replayed log appendable: truncate its torn tail, or
+        create the first segment of a new log.  Idempotent."""
+        with self._lock:
+            self._resume()
+
+    def _resume(self) -> None:
+        if self._file is not None:
+            return
+        path = os.path.join(self.directory, _segment_name(self._segment_index))
+        if self.truncated_bytes:
+            with open(path, "r+b") as f:
+                f.truncate(self._segment_bytes)
+                os.fsync(f.fileno())
+        if self._segment_bytes < SEGMENT_HEADER_SIZE:
+            # a new log, or even the header is torn (crash during
+            # rotation): start the segment from scratch
+            os.makedirs(self.directory, exist_ok=True)
+            self._create_segment(self._segment_index)
+        else:
+            self._file = open(path, "ab")
 
     def _create_segment(self, index: int) -> None:
         path = os.path.join(self.directory, _segment_name(index))
@@ -358,34 +369,6 @@ class WriteAheadLog:
             cut -= len(buffer)
         self._segment_bytes += total
 
-    def append(self, rtype: int, *parts: bytes) -> Tuple[int, int]:
-        """Durably append one record whose payload is ``parts``
-        concatenated (durability per the fsync policy); returns the
-        ``(segment, offset)`` it was written at.
-
-        An in-process failure (an I/O error mid-record) truncates the
-        segment back to the pre-record offset before re-raising, like
-        :meth:`append_many`: torn bytes left mid-segment would misplace
-        every later record's offset and make recovery cut the log there,
-        dropping acked records written after them.  A process death
-        (:class:`~repro.storage.crashpoints.SimulatedCrash` included)
-        still leaves the torn tail for the recovery scan.
-        """
-        with self._lock:
-            where = (self._segment_index, self._segment_bytes)
-            start = self._file.tell()
-            try:
-                self._write_record(rtype, parts)
-                self._file.flush()
-                crashpoint("wal.pre_fsync")
-                self._maybe_sync()
-            except Exception:
-                self._discard_tail(start, where[1])
-                raise
-            if self._segment_bytes >= self.segment_max_bytes:
-                self._rotate()
-            return where
-
     def append_many(self, items: Sequence[Tuple]) -> Tuple[int, List[int]]:
         """Durably append ``(rtype, *parts)`` records as one group commit;
         returns the segment they were written to and their offsets in it
@@ -394,25 +377,30 @@ class WriteAheadLog:
         The whole batch is written as one burst and synced **once** per the
         fsync policy (one fsync per batch under ``always``, instead of one
         per record) -- the group-commit coalescing that makes batched
-        submission cheap.  A *process death* between two records of the
-        batch leaves a clean prefix on disk: recovery replays the records
-        written before the tear and truncates the rest, exactly like a
-        torn single-record tail.
+        submission cheap.  A lone record is a batch of one.  A *process
+        death* between two records of the batch leaves a clean prefix on
+        disk: recovery replays the records written before the tear and
+        truncates the rest, exactly like a torn single-record tail.  A
+        :class:`~repro.storage.crashpoints.SimulatedCrash` stands in for
+        that death, so it is re-raised with the disk left as it is.
 
-        An in-process failure (an I/O error surfacing mid-burst) instead
-        truncates the segment back to the pre-batch offset before
-        re-raising.  Unlike a torn half-record -- which the CRC makes
-        invisible to recovery -- a *complete* prefix of an abandoned batch
-        would replay as real entries, and the caller's per-entry fallback
-        re-submission would then append non-chaining duplicates after it,
-        wedging recovery permanently.  The live store and the segment must
-        agree on the same prefix, so the leaked prefix has to go.
+        Any other exception escaping into the live process (an I/O error
+        surfacing mid-burst) instead truncates the segment back to the
+        pre-batch offset before re-raising.  Unlike a torn half-record --
+        which the CRC makes invisible to recovery -- a *complete* prefix of
+        an abandoned batch would replay as real entries, and the caller's
+        per-entry fallback re-submission would then append non-chaining
+        duplicates after it, wedging recovery permanently; torn bytes left
+        mid-segment would likewise misplace every later record's offset.
+        The live store and the segment must agree on the same prefix, so
+        the leaked bytes have to go.
         """
         with self._lock:
-            segment = self._segment_index
             offsets: List[int] = []
             if not items:
-                return segment, offsets
+                return self._segment_index, offsets
+            self._resume()
+            segment = self._segment_index
             start = self._file.tell()
             segment_bytes = self._segment_bytes
             try:
@@ -424,6 +412,8 @@ class WriteAheadLog:
                 self._file.flush()
                 crashpoint("wal.pre_fsync")
                 self._maybe_sync()
+            except SimulatedCrash:
+                raise
             except BaseException:
                 self._discard_tail(start, segment_bytes)
                 raise
@@ -504,6 +494,8 @@ class WriteAheadLog:
     def sync(self) -> None:
         """Force everything appended so far to stable storage."""
         with self._lock:
+            if self._file is None:
+                return
             self._file.flush()
             os.fsync(self._file.fileno())
             self._last_sync = time.monotonic()
@@ -511,7 +503,8 @@ class WriteAheadLog:
     def flush(self) -> None:
         """Push buffered bytes to the OS (readable by other handles)."""
         with self._lock:
-            self._file.flush()
+            if self._file is not None:
+                self._file.flush()
 
     @property
     def segment_index(self) -> int:
@@ -522,7 +515,7 @@ class WriteAheadLog:
     def close(self) -> None:
         with self._lock:
             self._close_reader()
-            if not self._file.closed:
+            if self._file is not None and not self._file.closed:
                 self._file.flush()
                 os.fsync(self._file.fileno())
                 self._file.close()
@@ -533,5 +526,5 @@ class WriteAheadLog:
         recovered store has already reopened."""
         with self._lock:
             self._close_reader()
-            if not self._file.closed:
+            if self._file is not None and not self._file.closed:
                 self._file.close()

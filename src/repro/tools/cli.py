@@ -2,14 +2,13 @@
 
 ::
 
-    python -m repro.tools verify  CASE_DIR | --store STORE_DIR [--shards N]
-    python -m repro.tools inspect CASE_DIR | --store STORE_DIR [--shards N]
-                                  [--component C] [--topic T] [--limit N]
-                                  [--shard I]
-    python -m repro.tools audit   CASE_DIR | --store STORE_DIR [--shards N]
+    python -m repro.tools verify  DIR [--shards N]
+    python -m repro.tools inspect DIR [--shards N] [--component C]
+                                  [--topic T] [--limit N] [--shard I]
+    python -m repro.tools audit   DIR [--shards N]
                                   [--publisher TOPIC=COMPONENT ...]
-    python -m repro.tools trace   CASE_DIR TOPIC SEQ
-    python -m repro.tools recover STORE_DIR [--shards N | --shard I]
+    python -m repro.tools trace   DIR TOPIC SEQ
+    python -m repro.tools recover DIR [--shards N | --shard I]
     python -m repro.tools health  HOST:PORT [HOST:PORT ...]
     python -m repro.tools replicas HOST:PORT [HOST:PORT ...]
                                   [--quorum N] [--audit] [--key KEY_FILE]
@@ -18,10 +17,12 @@
     python -m repro.tools proof   HOST:PORT INDEX [--shard I]
                                   [--key KEY_FILE]
 
-``CASE_DIR`` is a bundle produced by :func:`repro.tools.caseio.export_case`;
-``STORE_DIR`` is a :class:`~repro.storage.durable_store.DurableLogStore`
-directory (a crashed logger's WAL + checkpoints), opened and replayed in
-place -- the investigator can work directly on the wreckage.
+``DIR`` is a :class:`~repro.storage.durable_store.DurableLogStore`
+directory -- a case from :func:`repro.tools.caseio.export_case`, or a
+logger's own, crashed or not -- opened in place by
+:func:`repro.tools.caseio.open_store` (``--shards N``: a sharded layout of
+N of them).  Exit codes: 0 intact/clean, 1 usage error or a flagged
+component, 2 tampered.
 """
 
 from __future__ import annotations
@@ -47,52 +48,30 @@ from repro.errors import LogIntegrityError, LoggingError, ProofError
 from repro.gossip import GossipRelay
 from repro.replication import DivergenceDetector, ReplicatedLogger
 from repro.sharding import ShardedLogServer, audit_sharded, shard_dirname
-from repro.storage.durable_store import DurableLogStore
-from repro.tools.caseio import load_case
-
-
-def _open_store(store_dir: str) -> DurableLogStore:
-    """Open an existing store directory; a typo'd path must error, not
-    quietly materialize an empty (and trivially "intact") store."""
-    if not os.path.isdir(store_dir):
-        raise SystemExit(f"no such store directory: {store_dir}")
-    return DurableLogStore(store_dir)
+from repro.tools.caseio import load_case, open_store
 
 
 def _load_server(args: argparse.Namespace) -> "LogServer | ShardedLogServer":
-    """The log server named by the arguments: an exported case bundle or,
-    with ``--store``, a durable store directory recovered in place
-    (``--shards N`` reopens it as a sharded layout)."""
-    store_dir = getattr(args, "store", None)
+    """The log server in ``DIR``: one store, checked by
+    :func:`~repro.tools.caseio.load_case`, or with ``--shards N`` a
+    sharded layout (checked per shard by the command)."""
     shards = getattr(args, "shards", None)
-    if shards is not None and store_dir is None:
-        raise SystemExit("--shards requires --store (case bundles are unsharded)")
-    if store_dir is not None:
-        if args.case is not None:
-            raise SystemExit("give either CASE_DIR or --store, not both")
-        if shards is not None:
-            if not os.path.isdir(store_dir):
-                raise SystemExit(f"no such store directory: {store_dir}")
-            return ShardedLogServer(shards=shards, store_dir=store_dir)
-        return LogServer(_open_store(store_dir))
-    if args.case is None:
-        raise SystemExit("either CASE_DIR or --store is required")
-    return load_case(args.case).server
-
-
-def _source_label(args: argparse.Namespace) -> str:
-    store_dir = getattr(args, "store", None)
-    return f"store {store_dir}" if store_dir is not None else f"case {args.case}"
+    if shards is None:
+        return load_case(args.dir).server
+    ShardedLogServer.check_layout(args.dir, shards)
+    return ShardedLogServer(
+        shards=shards,
+        store_factory=lambda index: open_store(
+            os.path.join(args.dir, shard_dirname(index))
+        ),
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        server = _load_server(args)
+    server = _load_server(args)
+    if isinstance(server, ShardedLogServer):
         server.verify_integrity()
-    except LogIntegrityError as exc:
-        print(f"TAMPERED: {exc}")
-        return 2
-    print(f"{_source_label(args)}: INTACT")
+    print(f"{args.dir}: INTACT")
     print(f"  entries:     {len(server)}")
     print(f"  components:  {len(server.keystore)}")
     for component_id, label in sorted(server.keystore.describe().items()):
@@ -115,11 +94,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    try:
-        server = _load_server(args)
-    except LogIntegrityError as exc:
-        print(f"TAMPERED: {exc}")
-        return 2
+    server = _load_server(args)
     if args.component:
         key = server.keystore.find(args.component)
         if key is not None:
@@ -127,12 +102,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 f"# {args.component} key: {key.describe()} "
                 f"fp={key.fingerprint()}"
             )
-    shard = getattr(args, "shard", None)
-    if shard is not None:
+    if args.shard is not None:
         if not isinstance(server, ShardedLogServer):
             raise SystemExit("--shard requires --shards (an unsharded source)")
         entries = server.entries(
-            component_id=args.component, topic=args.topic, shard=shard
+            component_id=args.component, topic=args.topic, shard=args.shard
         )
     else:
         entries = server.entries(component_id=args.component, topic=args.topic)
@@ -165,14 +139,7 @@ def _parse_topology(pairs: List[str]) -> Optional[Topology]:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    # Opening a durable store replays its journal, and replay itself can
-    # detect tampering (e.g. a WAL shorter than its checkpoint) -- report
-    # it like verify does instead of surfacing a traceback.
-    try:
-        server = _load_server(args)
-    except LogIntegrityError as exc:
-        print(f"TAMPERED: {exc}")
-        return 2
+    server = _load_server(args)
     topology = _parse_topology(args.publisher)
     labels = sorted(server.keystore.describe().values())
     if labels:
@@ -200,8 +167,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    bundle = load_case(args.case)
-    report = Auditor.for_server(bundle.server).audit_server(bundle.server)
+    server = _load_server(args)
+    report = Auditor.for_server(server).audit_server(server)
     valid = [c.entry for c in report.valid_entries()]
     graph = ProvenanceGraph(valid)
     if not graph.has_item(args.topic, args.seq):
@@ -219,7 +186,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _recover_one(store_dir: str, label: str) -> int:
     try:
-        store = _open_store(store_dir)
+        store = open_store(store_dir)
     except LogIntegrityError as exc:
         print(f"{label}: TAMPERED: {exc}")
         return 2
@@ -243,20 +210,19 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     investigator usually needs to replay a single shard's wreckage, not
     the whole set.
     """
-    shards = getattr(args, "shards", None)
-    shard = getattr(args, "shard", None)
-    if shard is not None:
-        target = os.path.join(args.store_dir, shard_dirname(shard))
-        return _recover_one(target, f"store {args.store_dir} shard {shard}")
-    if shards is not None:
-        worst = 0
-        for index in range(shards):
-            target = os.path.join(args.store_dir, shard_dirname(index))
-            worst = max(
-                worst, _recover_one(target, f"store {args.store_dir} shard {index}")
-            )
-        return worst
-    return _recover_one(args.store_dir, f"store {args.store_dir}")
+    if args.shard is not None:
+        shards = [args.shard]
+    elif args.shards is not None:
+        shards = range(args.shards)
+    else:
+        return _recover_one(args.dir, f"store {args.dir}")
+    return max(
+        _recover_one(
+            os.path.join(args.dir, shard_dirname(index)),
+            f"store {args.dir} shard {index}",
+        )
+        for index in shards
+    )
 
 
 def _parse_address(value: str):
@@ -501,19 +467,15 @@ def _cmd_replicas(args: argparse.Namespace) -> int:
 
 
 def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("case", nargs="?", default=None)
     parser.add_argument(
-        "--store",
-        default=None,
-        metavar="STORE_DIR",
-        help="operate on a durable log-store directory instead of a case",
+        "dir", metavar="DIR", help="a log-store (or exported case) directory"
     )
     parser.add_argument(
         "--shards",
         type=int,
         default=None,
         metavar="N",
-        help="open --store as a sharded layout of N shard directories",
+        help="open DIR as a sharded layout of N shard directories",
     )
 
 
@@ -555,7 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_trace = sub.add_parser("trace", help="provenance lineage of one datum")
-    p_trace.add_argument("case")
+    p_trace.add_argument(
+        "dir", metavar="DIR", help="a log-store (or exported case) directory"
+    )
     p_trace.add_argument("topic")
     p_trace.add_argument("seq", type=int)
     p_trace.set_defaults(func=_cmd_trace)
@@ -563,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_recover = sub.add_parser(
         "recover", help="replay a durable store's WAL after a crash"
     )
-    p_recover.add_argument("store_dir")
+    p_recover.add_argument("dir", metavar="DIR")
     p_recover.add_argument(
         "--shards",
         type=int,
@@ -657,7 +621,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except LogIntegrityError as exc:
+        print(f"TAMPERED: {exc}")
+        return 2
+    except FileNotFoundError as exc:  # DIR holds no log store
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -16,7 +16,7 @@ import pytest
 from repro.adversary.forking import ForkingLogServer
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.log_server import LogServer
-from repro.core.log_store import InMemoryLogStore, LogStore
+from repro.core.log_store import InMemoryLogStore
 from repro.core.logging_thread import LoggingThread
 from repro.core.remote import LogServerEndpoint, RemoteLogger
 from repro.errors import LoggingError
@@ -86,30 +86,10 @@ class TestLogStoreAppendBatch:
         a, b = InMemoryLogStore(), InMemoryLogStore()
         indices = a.append_batch(records)
         for record in records:
-            b.append(record)
+            b.append_batch([record])
         assert indices == list(range(10))
         assert a.records() == b.records()
         assert a.head() == b.head()
-
-    def test_base_class_default_loops(self):
-        class Minimal(LogStore):
-            def __init__(self):
-                super().__init__()
-                self.rows = []
-
-            def append(self, record):
-                self.rows.append(record)
-                return len(self.rows) - 1
-
-            def records(self):
-                return list(self.rows)
-
-            def __len__(self):
-                return len(self.rows)
-
-        store = Minimal()
-        assert store.append_batch([b"a", b"b"]) == [0, 1]
-        assert store.rows == [b"a", b"b"]
 
     def test_durable_batch_equals_loop(self, tmp_path):
         records = [b"record-%04d" % i for i in range(25)]
@@ -117,7 +97,7 @@ class TestLogStoreAppendBatch:
         looped = DurableLogStore(str(tmp_path / "looped"), fsync="always")
         indices = batched.append_batch(records)
         for record in records:
-            looped.append(record)
+            looped.append_batch([record])
         assert indices == list(range(25))
         assert batched.head() == looped.head()
         assert batched.merkle_root() == looped.merkle_root()
@@ -206,8 +186,7 @@ class TestLogServerSubmitBatch:
 
             def append_batch(self, records):
                 # Non-atomic store: commits a prefix, then dies.
-                for record in records[: self._explode_after]:
-                    self.append(record)
+                super().append_batch(records[: self._explode_after])
                 raise IOError("disk died mid-batch")
 
         store = ExplodingStore(explode_after=2)
@@ -281,7 +260,7 @@ class TestPropertyBatchedEqualsPerEntry:
         ]
         looped = DurableLogStore(str(tmp_path / "looped"), fsync="never")
         for record in records:
-            looped.append(record)
+            looped.append_batch([record])
         batched = DurableLogStore(str(tmp_path / "batched"), fsync="never")
         i = 0
         while i < len(records):

@@ -30,14 +30,14 @@ class TestDedup:
         payload = b"frame" * 10000  # 50 KB
         # 4 subscribers -> 4 publisher entries carrying the same frame
         for i, peer in enumerate(["/a", "/b", "/c", "/d"]):
-            store.append(entry_with_payload(payload, seq=1, peer=peer).encode())
+            store.append_batch([entry_with_payload(payload, seq=1, peer=peer).encode()])
         assert store.dedup_ratio > 3.0
         assert store.physical_bytes < store.total_bytes
 
     def test_small_payloads_not_deduped(self):
         store = DedupLogStore()
         for i in range(3):
-            store.append(entry_with_payload(b"tiny", seq=i + 1).encode())
+            store.append_batch([entry_with_payload(b"tiny", seq=i + 1).encode()])
         assert store.dedup_ratio == pytest.approx(1.0, rel=0.01)
 
     def test_records_reconstruct_byte_identically(self):
@@ -47,18 +47,18 @@ class TestDedup:
             for i, p in enumerate(["/a", "/b"])
         ]
         for record in originals:
-            store.append(record)
+            store.append_batch([record])
         assert store.records() == originals
 
     def test_verify_passes_on_clean_store(self):
         store = DedupLogStore()
         for i in range(5):
-            store.append(entry_with_payload(b"data" * 500, seq=i + 1).encode())
+            store.append_batch([entry_with_payload(b"data" * 500, seq=i + 1).encode()])
         store.verify()
 
     def test_blob_tamper_detected(self):
         store = DedupLogStore()
-        store.append(entry_with_payload(b"frame" * 1000).encode())
+        store.append_batch([entry_with_payload(b"frame" * 1000).encode()])
         ref = next(iter(store._blobs))
         store._blobs[ref] = b"tampered" * 1000
         with pytest.raises(LogIntegrityError):
@@ -66,7 +66,7 @@ class TestDedup:
 
     def test_stripped_record_tamper_detected(self):
         store = DedupLogStore()
-        store.append(entry_with_payload(b"frame" * 1000).encode())
+        store.append_batch([entry_with_payload(b"frame" * 1000).encode()])
         store._stripped[0] = entry_with_payload(b"", seq=99).encode()
         with pytest.raises(LogIntegrityError):
             store.verify()
@@ -74,7 +74,7 @@ class TestDedup:
     def test_non_entry_records_stored_verbatim(self):
         store = DedupLogStore()
         blob = b"\x00\x01\x02 not a LogEntry" * 100
-        store.append(blob)
+        store.append_batch([blob])
         assert store.records() == [blob]
         store.verify()
 
@@ -87,8 +87,8 @@ class TestDedup:
         dedup = DedupLogStore()
         for i in range(4):
             record = entry_with_payload(b"frame" * 1000, seq=i + 1).encode()
-            plain.append(record)
-            dedup.append(record)
+            plain.append_batch([record])
+            dedup.append_batch([record])
         assert plain.head() == dedup.head()
 
 

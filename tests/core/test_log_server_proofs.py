@@ -52,8 +52,7 @@ class FailingStore(InMemoryLogStore):
     def append_batch(self, records):
         self._calls += 1
         if self._calls == self._fail_on:
-            for record in records[: self._landed]:
-                self.append(record)
+            super().append_batch(records[: self._landed])
             raise IOError("disk died mid-batch")
         return super().append_batch(records)
 

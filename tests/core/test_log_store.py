@@ -1,7 +1,13 @@
+"""The store contract, in memory and on disk."""
+
+import os
+
 import pytest
 
-from repro.core.log_store import FileLogStore, InMemoryLogStore
+from repro.core.log_store import InMemoryLogStore
 from repro.errors import LogIntegrityError
+from repro.storage.durable_store import WAL_SUBDIR, DurableLogStore
+from repro.storage.wal import segment_paths
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -9,34 +15,40 @@ def store(request, tmp_path):
     if request.param == "memory":
         s = InMemoryLogStore()
     else:
-        s = FileLogStore(str(tmp_path / "log.bin"))
+        s = DurableLogStore(str(tmp_path / "store"))
     yield s
     s.close()
 
 
+def wal_segment(path):
+    """The one WAL segment of a small store at ``path``."""
+    [(_, segment)] = segment_paths(os.path.join(path, WAL_SUBDIR))
+    return segment
+
+
 class TestLogStoreContract:
     def test_append_returns_indices(self, store):
-        assert store.append(b"a") == 0
-        assert store.append(b"b") == 1
-        assert len(store) == 2
+        assert store.append_batch([b"a"]) == [0]
+        assert store.append_batch([b"b", b"c"]) == [1, 2]
+        assert len(store) == 3
 
     def test_records_in_order(self, store):
         for payload in (b"one", b"two", b"three"):
-            store.append(payload)
+            store.append_batch([payload])
         assert store.records() == [b"one", b"two", b"three"]
 
     def test_total_bytes(self, store):
-        store.append(b"1234")
-        store.append(b"56")
+        store.append_batch([b"1234"])
+        store.append_batch([b"56"])
         assert store.total_bytes == 6
 
     def test_verify_clean_store(self, store):
-        store.append(b"x")
+        store.append_batch([b"x"])
         store.verify()
 
     def test_head_changes_per_append(self, store):
         h0 = store.head()
-        store.append(b"x")
+        store.append_batch([b"x"])
         h1 = store.head()
         assert h0 != h1
 
@@ -45,56 +57,59 @@ class TestTamperDetection:
     def test_memory_tamper_detected(self):
         store = InMemoryLogStore()
         for i in range(5):
-            store.append(f"record {i}".encode())
+            store.append_batch([f"record {i}".encode()])
         store.tamper(2, b"evil")
         with pytest.raises(LogIntegrityError):
             store.verify()
 
     def test_file_tamper_detected(self, tmp_path):
-        path = str(tmp_path / "log.bin")
-        store = FileLogStore(path)
-        store.append(b"record-aa")
-        store.append(b"record-bb")
+        path = str(tmp_path / "store")
+        store = DurableLogStore(path)
+        store.append_batch([b"record-aa"])
+        store.append_batch([b"record-bb"])
+        store.checkpoint()
         store.close()
-        with open(path, "r+b") as f:
+        segment = wal_segment(path)
+        with open(segment, "r+b") as f:
             raw = f.read()
             index = raw.index(b"record-aa")
             f.seek(index)
             f.write(b"tampered!")
         with pytest.raises(LogIntegrityError):
-            FileLogStore(path)
+            DurableLogStore(path)
 
 
 class TestFilePersistence:
     def test_reopen_preserves_records(self, tmp_path):
-        path = str(tmp_path / "log.bin")
-        store = FileLogStore(path)
-        store.append(b"persisted")
+        path = str(tmp_path / "store")
+        store = DurableLogStore(path)
+        store.append_batch([b"persisted"])
         head = store.head()
         store.close()
-        reopened = FileLogStore(path)
+        reopened = DurableLogStore(path)
         assert reopened.records() == [b"persisted"]
         assert reopened.head() == head
         assert reopened.total_bytes == len(b"persisted")
         reopened.close()
 
     def test_append_after_reopen_continues_chain(self, tmp_path):
-        path = str(tmp_path / "log.bin")
-        store = FileLogStore(path)
-        store.append(b"first")
+        path = str(tmp_path / "store")
+        store = DurableLogStore(path)
+        store.append_batch([b"first"])
         store.close()
-        reopened = FileLogStore(path)
-        assert reopened.append(b"second") == 1
+        reopened = DurableLogStore(path)
+        assert reopened.append_batch([b"second"]) == [1]
         reopened.verify()
         assert reopened.records() == [b"first", b"second"]
         reopened.close()
 
     def test_truncated_file_detected(self, tmp_path):
-        path = str(tmp_path / "log.bin")
-        store = FileLogStore(path)
-        store.append(b"some record data")
+        path = str(tmp_path / "store")
+        store = DurableLogStore(path)
+        store.append_batch([b"some record data"])
+        store.checkpoint()
         store.close()
-        with open(path, "r+b") as f:
+        with open(wal_segment(path), "r+b") as f:
             f.truncate(10)
         with pytest.raises(LogIntegrityError):
-            FileLogStore(path)
+            DurableLogStore(path)

@@ -61,8 +61,8 @@ class TestHashChain:
 
     def test_payloads_in_order(self):
         store = InMemoryLogStore()
-        store.append(b"a")
-        store.append(b"b")
+        store.append_batch([b"a"])
+        store.append_batch([b"b"])
         assert store.records() == [b"a", b"b"]
         store.verify()
 

@@ -6,10 +6,15 @@ the per-entry one: recovery yields a store byte-identical to an uncrashed
 per-entry reference fed the same prefix -- never a torn or reordered
 record, and the live (crashing) store never claims more than one
 consistent prefix.
+
+A :class:`SimulatedCrash` stands in for a process death, so it leaves the
+disk as a death would.  An I/O error is the in-process failure: the burst
+is rolled back and the live store keeps running.
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import subprocess
 import sys
@@ -53,8 +58,30 @@ def make_entry(i: int) -> LogEntry:
 def reference_store(tmp_path, records):
     ref = DurableLogStore(str(tmp_path / "reference"), **GEOMETRY)
     for record in records:
-        ref.append(record)
+        ref.append_batch([record])
     return ref
+
+
+def fail_next_batch(store, batch_size):
+    """Make ``store``'s WAL raise EIO halfway through the next batch of
+    ``batch_size`` records: mid-record, after whole records of the batch
+    (an ENTRY record goes out as five writes -- head, digest, payload and
+    CRC, with the buffer holding its midpoint split in two)."""
+    real = store._wal._file
+    writes = []
+
+    class FailingFile:
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) == 5 * (batch_size // 2) + 3:
+                raise OSError(errno.EIO, "injected I/O error")
+            return real.write(data)
+
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+    store._wal._file = FailingFile()
+    return real
 
 
 class TestBatchCrashpoint:
@@ -80,23 +107,55 @@ class TestBatchCrashpoint:
                 break
             i += batch_size
         assert crashed, "wal.batch_mid never fired"
-        # The crashing store rolled the whole batch back: the live object
-        # claims exactly the pre-batch prefix.
+        # The live object never counted the crashed batch.
         assert len(store) == accepted
         store.abandon()
         reset()
 
         recovered = DurableLogStore(str(tmp_path / "crashing"), **GEOMETRY)
         n = len(recovered)
-        # An in-process failure truncates the abandoned burst from the
-        # WAL: disk agrees with what the live store claimed.
-        assert n == accepted
+        # The death left a prefix of the crashed batch on disk, never all
+        # of it (the crashpoint fires between two of its records).
+        assert accepted <= n < accepted + len(batch)
         reference = reference_store(tmp_path, records[:n])
         assert recovered.head() == reference.head()
         assert recovered.merkle_root() == reference.merkle_root()
         assert recovered.records() == reference.records()
         recovered.verify()
         recovered.close()
+        reference.close()
+
+    @pytest.mark.parametrize("fail_on", [1, 2, 4])
+    @pytest.mark.parametrize("batch_size", [2, 5, 16])
+    def test_io_error_rolls_back_batch(self, tmp_path, fail_on, batch_size):
+        records = make_records(64)
+        store = DurableLogStore(str(tmp_path / "failing"), **GEOMETRY)
+        batches = [
+            records[i : i + batch_size]
+            for i in range(0, len(records), batch_size)
+        ]
+        accepted = 0
+        for batch in batches[: fail_on - 1]:
+            store.append_batch(batch)
+            accepted += len(batch)
+        real = fail_next_batch(store, len(batches[fail_on - 1]))
+        with pytest.raises(OSError):
+            store.append_batch(batches[fail_on - 1])
+        store._wal._file = real
+        # The live store claims exactly the pre-batch prefix, and the
+        # burst was truncated from the WAL: disk agrees.
+        assert len(store) == accepted
+        store.verify()
+        store.close()
+
+        reopened = DurableLogStore(str(tmp_path / "failing"), **GEOMETRY)
+        assert len(reopened) == accepted
+        reference = reference_store(tmp_path, records[:accepted])
+        assert reopened.head() == reference.head()
+        assert reopened.merkle_root() == reference.merkle_root()
+        assert reopened.records() == reference.records()
+        reopened.verify()
+        reopened.close()
         reference.close()
 
     def test_live_continue_after_failed_batch(self, tmp_path):
@@ -108,13 +167,15 @@ class TestBatchCrashpoint:
         records = make_records(30)
         store = DurableLogStore(str(tmp_path / "crashing"), **GEOMETRY)
         store.append_batch(records[:4])
-        arm("wal.batch_mid", action="raise", fire_on=3)
-        with pytest.raises(SimulatedCrash):
+        real = fail_next_batch(store, 8)
+        with pytest.raises(OSError):
             store.append_batch(records[4:12])
-        reset()
+        store._wal._file = real
+        assert len(store) == 4
+        store.verify()  # the burst was rolled back on disk too
         # Per-entry fallback on the SAME live store, then keep batching.
         for record in records[4:12]:
-            store.append(record)
+            store.append_batch([record])
         store.append_batch(records[12:])
         store.verify()  # live store and disk agree
         head, root = store.head(), store.merkle_root()
@@ -163,8 +224,9 @@ class TestBatchCrashpoint:
 class TestServerBatchCrash:
     def test_submit_batch_crash_rolls_back_then_recovers(self, tmp_path, rng):
         """SimulatedCrash inside a LogServer group commit: the live server
-        rolls the batch back; recovery equals a per-entry reference over
-        the surviving prefix (the S5 property, raise-mode half)."""
+        rolls its derived state back; recovery equals a per-entry
+        reference over the surviving prefix (the S5 property, raise-mode
+        half)."""
         entries = [make_entry(i) for i in range(1, 41)]
         arm("wal.batch_mid", action="raise", fire_on=2)
         store = DurableLogStore(str(tmp_path / "crashing"), **GEOMETRY)
@@ -186,12 +248,12 @@ class TestServerBatchCrash:
         # Derived state rolled back with the store: memory never claims
         # more than the pre-batch prefix.
         assert len(server) == accepted
-        server.verify_integrity()
         store.abandon()
         reset()
 
         recovered = LogServer(DurableLogStore(str(tmp_path / "crashing"), **GEOMETRY))
         n = len(recovered)
+        assert accepted <= n < accepted + len(batch)
         reference = LogServer(InMemoryLogStore())
         for entry in entries[:n]:
             reference.submit(entry)
@@ -268,3 +330,38 @@ class TestBatchProcessDeath:
         recovered.verify()
         recovered.close()
         reference.close()
+
+
+class TestServerBatchIoError:
+    def test_submit_batch_io_error_rolls_back(self, tmp_path):
+        """An I/O error inside a LogServer group commit: the server and
+        the WAL both roll the batch back, and per-entry re-submission on
+        the same live server lands every entry exactly once."""
+        entries = [make_entry(i) for i in range(1, 41)]
+        store = DurableLogStore(str(tmp_path / "failing"), **GEOMETRY)
+        server = LogServer(store)
+        server.submit_batch(entries[:6])
+        real = fail_next_batch(store, 6)
+        with pytest.raises(OSError):
+            server.submit_batch(entries[6:12])
+        store._wal._file = real
+        assert len(server) == 6
+        server.verify_integrity()
+        for entry in entries[6:12]:
+            server.submit_batch([entry])
+        server.submit_batch(entries[12:])
+        server.verify_integrity()
+        server.close()
+
+        recovered = LogServer(DurableLogStore(str(tmp_path / "failing"), **GEOMETRY))
+        reference = LogServer(InMemoryLogStore())
+        for entry in entries:
+            reference.submit(entry)
+        rec_c, ref_c = recovered.commitment(), reference.commitment()
+        assert (rec_c.entries, rec_c.chain_head, rec_c.merkle_root) == (
+            ref_c.entries,
+            ref_c.chain_head,
+            ref_c.merkle_root,
+        )
+        recovered.verify_integrity()
+        recovered.close()

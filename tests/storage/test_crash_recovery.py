@@ -65,7 +65,7 @@ def make_entry(i: int) -> LogEntry:
 def reference_store(tmp_path, records):
     ref = DurableLogStore(str(tmp_path / "reference"), **GEOMETRY)
     for record in records:
-        ref.append(record)
+        ref.append_batch([record])
     return ref
 
 
@@ -83,7 +83,7 @@ class TestNamedCrashpoints:
         crashed = False
         for record in records:
             try:
-                store.append(record)
+                store.append_batch([record])
                 accepted += 1
             except SimulatedCrash:
                 crashed = True
@@ -119,7 +119,7 @@ class TestNamedCrashpoints:
         crashed = False
         for record in records:
             try:
-                store.append(record)
+                store.append_batch([record])
             except SimulatedCrash:
                 crashed = True
                 break
@@ -130,7 +130,7 @@ class TestNamedCrashpoints:
         recovered = DurableLogStore(str(tmp_path / "crashing"), **GEOMETRY)
         n = len(recovered)
         for record in records[n:]:
-            recovered.append(record)
+            recovered.append_batch([record])
         reference = reference_store(tmp_path, records)
         assert recovered.head() == reference.head()
         assert recovered.merkle_root() == reference.merkle_root()
@@ -246,7 +246,7 @@ _CHILD_SCRIPT = textwrap.dedent(
             direction=Direction.OUT, seq=i, timestamp=float(i),
             scheme=Scheme.ADLP, data=b"payload-%04d" % i, own_sig=b"Z" * 16,
         )
-        store.append(entry.encode())
+        store.append_batch([entry.encode()])
     """
 )
 

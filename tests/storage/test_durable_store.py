@@ -48,7 +48,7 @@ class TestLogStoreSemantics:
         durable = open_store(tmp_path)
         memory = InMemoryLogStore()
         for record in make_records(25):
-            assert durable.append(record) == memory.append(record)
+            assert durable.append_batch([record]) == memory.append_batch([record])
         assert len(durable) == len(memory)
         assert durable.total_bytes == memory.total_bytes
         assert durable.head() == memory.head()
@@ -59,7 +59,7 @@ class TestLogStoreSemantics:
     def test_reopen_restores_identical_state(self, tmp_path):
         durable = open_store(tmp_path)
         for record in make_records(25):
-            durable.append(record)
+            durable.append_batch([record])
         head, count, total = durable.head(), len(durable), durable.total_bytes
         root = durable.merkle_root()
         durable.close()
@@ -83,21 +83,21 @@ class TestLogStoreSemantics:
         records = make_records(30)
         durable = open_store(tmp_path)
         for record in records[:17]:
-            durable.append(record)
+            durable.append_batch([record])
         durable.close()
         reopened = open_store(tmp_path)
         for record in records[17:]:
-            reopened.append(record)
+            reopened.append_batch([record])
         reference = InMemoryLogStore()
         for record in records:
-            reference.append(record)
+            reference.append_batch([record])
         assert reopened.head() == reference.head()
         reopened.verify()
         reopened.close()
 
     def test_key_records_survive_restart_without_touching_chain(self, tmp_path):
         durable = open_store(tmp_path)
-        durable.append(b"entry-before")
+        durable.append_batch([b"entry-before"])
         head_before = durable.head()
         durable.append_key("/pub", b"\x01\x02\x03")
         durable.append_key("/pub", b"\x01\x02\x03")  # idempotent
@@ -111,7 +111,7 @@ class TestLogStoreSemantics:
     def test_checkpoint_cadence_and_manual_checkpoint(self, tmp_path):
         durable = open_store(tmp_path, checkpoint_every=8)
         for record in make_records(20):
-            durable.append(record)
+            durable.append_batch([record])
         assert durable.last_checkpoint_entries == 16  # appends 8 and 16
         durable.checkpoint()
         assert durable.last_checkpoint_entries == 20
@@ -123,7 +123,7 @@ class TestTornTail:
         durable = open_store(tmp_path)
         records = make_records(12)
         for record in records:
-            durable.append(record)
+            durable.append_batch([record])
         durable.close()
         wal_path = segment_paths(
             str(tmp_path / "store" / WAL_SUBDIR)
@@ -137,7 +137,7 @@ class TestTornTail:
         assert reopened.records() == records[:11]
         reference = InMemoryLogStore()
         for record in records[:11]:
-            reference.append(record)
+            reference.append_batch([record])
         assert reopened.head() == reference.head()
         reopened.verify()  # post-truncation disk state is self-consistent
         reopened.close()
@@ -178,7 +178,7 @@ class TestTornTail:
     def test_wal_shorter_than_checkpoint_is_evidence_loss(self, tmp_path):
         durable = open_store(tmp_path, checkpoint_every=10)
         for record in make_records(12):
-            durable.append(record)
+            durable.append_batch([record])
         durable.close()
         # Wipe the WAL entirely: the checkpoint still promises 10 entries.
         wal_dir = str(tmp_path / "store" / WAL_SUBDIR)
@@ -201,7 +201,7 @@ class TestTamperDetection:
     def test_flipped_wal_byte_fails_verify(self, tmp_path):
         durable = open_store(tmp_path)
         for record in make_records(12):
-            durable.append(record)
+            durable.append_batch([record])
         wal_path = segment_paths(
             str(tmp_path / "store" / WAL_SUBDIR)
         )[-1][1]
@@ -213,7 +213,7 @@ class TestTamperDetection:
     def test_flipped_sealed_segment_byte_fails_recovery(self, tmp_path):
         durable = open_store(tmp_path, segment_max_bytes=256)
         for record in make_records(30):
-            durable.append(record)
+            durable.append_batch([record])
         durable.close()
         sealed = segment_paths(str(tmp_path / "store" / WAL_SUBDIR))[0][1]
         self._flip_byte(sealed, SEGMENT_HEADER_SIZE + 9)
@@ -223,7 +223,7 @@ class TestTamperDetection:
     def test_flipped_checkpoint_byte_fails_verify(self, tmp_path):
         durable = open_store(tmp_path, checkpoint_every=5)
         for record in make_records(12):
-            durable.append(record)
+            durable.append_batch([record])
         durable.close()
         ckpt_dir = str(tmp_path / "store" / CHECKPOINT_SUBDIR)
         newest = sorted(os.listdir(ckpt_dir))[-1]
@@ -245,7 +245,7 @@ class TestTamperDetection:
 
         durable = open_store(tmp_path, checkpoint_every=0)
         for record in make_records(6):
-            durable.append(record)
+            durable.append_batch([record])
         frontier = MerkleFrontier()
         for record in make_records(6):
             frontier.append(record)

@@ -34,7 +34,7 @@ class TestRoundTrip:
         wal = WriteAheadLog(d, fsync="never")
         payloads = [b"alpha", b"", b"x" * 300]
         for i, payload in enumerate(payloads):
-            wal.append(i + 1, payload)
+            wal.append_many([(i + 1, payload)])
         wal.close()
 
         reopened, seen = replay(d)
@@ -48,10 +48,10 @@ class TestRoundTrip:
     def test_append_after_reopen_continues_log(self, tmp_path):
         d = wal_dir(tmp_path)
         wal = WriteAheadLog(d, fsync="never")
-        wal.append(1, b"first")
+        wal.append_many([(1, b"first")])
         wal.close()
         wal2, seen = replay(d)
-        wal2.append(1, b"second")
+        wal2.append_many([(1, b"second")])
         wal2.close()
         records, torn = scan(d)
         assert [r.payload for r in records] == [b"first", b"second"]
@@ -71,7 +71,7 @@ class TestRotation:
         d = wal_dir(tmp_path)
         wal = WriteAheadLog(d, fsync="never", segment_max_bytes=256)
         for i in range(20):
-            wal.append(1, b"payload-%02d" % i)
+            wal.append_many([(1, b"payload-%02d" % i)])
         assert wal.segment_index > 1
         wal.close()
         indices = [index for index, _ in segment_paths(d)]
@@ -83,7 +83,7 @@ class TestRotation:
         d = wal_dir(tmp_path)
         wal = WriteAheadLog(d, fsync="never", segment_max_bytes=128)
         for i in range(20):
-            wal.append(1, b"payload-%02d" % i)
+            wal.append_many([(1, b"payload-%02d" % i)])
         wal.close()
         paths = segment_paths(d)
         assert len(paths) >= 3
@@ -97,7 +97,7 @@ class TestTornTail:
         d = wal_dir(tmp_path)
         wal = WriteAheadLog(d, fsync="never")
         for i in range(5):
-            wal.append(1, b"payload-%02d" % i)
+            wal.append_many([(1, b"payload-%02d" % i)])
         wal.close()
         path = segment_paths(d)[-1][1]
         size = os.path.getsize(path)
@@ -121,7 +121,7 @@ class TestTornTail:
         wal, seen = replay(d)
         assert len(seen) == 4
         assert wal.truncated_bytes > 0
-        wal.append(1, b"after-crash")
+        wal.append_many([(1, b"after-crash")])
         wal.close()
         records, torn = scan(d, strict=True)  # strict: the tear is healed
         assert torn == 0
@@ -133,7 +133,7 @@ class TestTornTail:
         d = wal_dir(tmp_path)
         wal = WriteAheadLog(d, fsync="never", segment_max_bytes=128)
         for i in range(20):
-            wal.append(1, b"payload-%02d" % i)
+            wal.append_many([(1, b"payload-%02d" % i)])
         wal.close()
         first = segment_paths(d)[0][1]
         with open(first, "r+b") as f:
@@ -151,11 +151,11 @@ class TestCrashpoints:
     def test_mid_record_crash_recovers_prefix(self, tmp_path):
         d = wal_dir(tmp_path)
         wal = WriteAheadLog(d, fsync="never")
-        wal.append(1, b"safe-one")
-        wal.append(1, b"safe-two")
+        wal.append_many([(1, b"safe-one")])
+        wal.append_many([(1, b"safe-two")])
         arm("wal.mid_record")
         with pytest.raises(SimulatedCrash):
-            wal.append(1, b"torn")
+            wal.append_many([(1, b"torn")])
         wal.abandon()
 
         reopened, seen = replay(d)
@@ -167,10 +167,10 @@ class TestCrashpoints:
         the record is complete on disk, so recovery keeps it."""
         d = wal_dir(tmp_path)
         wal = WriteAheadLog(d, fsync="always")
-        wal.append(1, b"durable")
+        wal.append_many([(1, b"durable")])
         arm("wal.pre_fsync")
         with pytest.raises(SimulatedCrash):
-            wal.append(1, b"flushed-not-synced")
+            wal.append_many([(1, b"flushed-not-synced")])
         wal.abandon()
         _, seen = replay(d)
         assert [r.payload for r in seen] == [b"durable", b"flushed-not-synced"]
@@ -183,7 +183,7 @@ class TestCrashpoints:
         with pytest.raises(SimulatedCrash):
             for i in range(10):
                 attempted.append(b"payload-%02d" % i)
-                wal.append(1, attempted[-1])
+                wal.append_many([(1, attempted[-1])])
         wal.abandon()
         _, seen = replay(d)
         # The record whose append triggered the rotation was fully written

@@ -5,6 +5,7 @@ import pytest
 from repro.adversary import SubscriberBehavior
 from repro.adversary.behaviors import flip_first_byte
 from repro.core import DurableLogStore, LogServer
+from repro.errors import LogIntegrityError
 from repro.tools.caseio import export_case
 from repro.tools.cli import main
 
@@ -58,14 +59,13 @@ class TestVerify:
         assert "INTACT" in out and "merkle root" in out
 
     def test_tampered_case(self, clean_case, capsys):
-        import os
+        from tests.tools.test_caseio import flip_wal_byte, snapshot
 
-        entries = os.path.join(clean_case, "entries.log")
-        data = bytearray(open(entries, "rb").read())
-        data[-1] ^= 0x01
-        open(entries, "wb").write(bytes(data))
+        flip_wal_byte(clean_case, position=-1)  # the last record's CRC
+        before = snapshot(clean_case)
         assert main(["verify", clean_case]) == 2
         assert "TAMPERED" in capsys.readouterr().out
+        assert snapshot(clean_case) == before
 
 
 class TestInspect:
@@ -133,10 +133,10 @@ class TestRecover:
 
 
 class TestStoreSource:
-    """verify/inspect/audit accept --store as an alternative to a case."""
+    """verify/inspect/audit take any store directory, not only a case."""
 
     def test_verify_store(self, durable_store, capsys):
-        assert main(["verify", "--store", durable_store]) == 0
+        assert main(["verify", durable_store]) == 0
         out = capsys.readouterr().out
         assert "INTACT" in out and durable_store in out
 
@@ -150,24 +150,20 @@ class TestStoreSource:
             byte = f.read(1)
             f.seek(SEGMENT_HEADER_SIZE + 7)
             f.write(bytes([byte[0] ^ 0x01]))
-        assert main(["verify", "--store", durable_store]) == 2
+        assert main(["verify", durable_store]) == 2
         assert "TAMPERED" in capsys.readouterr().out
 
     def test_inspect_store(self, durable_store, capsys):
-        assert main(["inspect", "--store", durable_store]) == 0
+        assert main(["inspect", durable_store]) == 0
         out = capsys.readouterr().out
         assert "/pub" in out and "seq=1" in out
 
     def test_audit_store(self, durable_store, capsys):
         assert (
-            main(["audit", "--store", durable_store, "--publisher", "/t=/pub"])
+            main(["audit", durable_store, "--publisher", "/t=/pub"])
             == 0
         )
         assert "FLAGGED" not in capsys.readouterr().out
-
-    def test_both_sources_rejected(self, clean_case, durable_store):
-        with pytest.raises(SystemExit):
-            main(["verify", clean_case, "--store", durable_store])
 
     def test_no_source_rejected(self):
         with pytest.raises(SystemExit):
@@ -178,10 +174,50 @@ class TestStoreSource:
         that then verifies as trivially intact."""
         ghost = str(tmp_path / "no-such-store")
         with pytest.raises(SystemExit):
-            main(["verify", "--store", ghost])
+            main(["verify", ghost])
         with pytest.raises(SystemExit):
             main(["recover", ghost])
         assert not os.path.exists(ghost)
+
+    def test_directory_without_store_rejected(self, tmp_path):
+        """A directory holding no WAL segment is not an empty, intact
+        store: every command refuses it and creates nothing there."""
+        (tmp_path / "readme.txt").write_text("not evidence")
+        plain = str(tmp_path)
+        for argv in (["verify", plain], ["inspect", plain], ["audit", plain],
+                     ["recover", plain], ["trace", plain, "/t", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert "no log store" in str(exc.value.code)  # a message: exit 1
+        assert os.listdir(plain) == ["readme.txt"]
+
+    def test_tamper_in_checkpointed_prefix_is_refused_untouched(self, tmp_path):
+        """A torn record the last checkpoint covers is tampering, not a
+        crash: verify exits 2 and leaves the journal byte-identical."""
+        from repro.storage.durable_store import WAL_SUBDIR
+        from repro.storage.wal import segment_paths
+
+        from tests.tools.test_caseio import snapshot
+
+        store_dir = str(tmp_path / "store")
+        store = DurableLogStore(store_dir, checkpoint_every=0)
+        store.append_batch([b"r%02d-" % i + b"x" * 54 for i in range(20)])
+        store.checkpoint()
+        store.close()
+        [(_, segment)] = segment_paths(os.path.join(store_dir, WAL_SUBDIR))
+        size = os.path.getsize(segment)
+        with open(segment, "r+b") as f:
+            f.seek(size // 2)
+            byte = f.read(1)
+            f.seek(size // 2)
+            f.write(bytes([byte[0] ^ 0x01]))
+        before = snapshot(store_dir)
+        with pytest.raises(LogIntegrityError, match="tampered"):
+            DurableLogStore(store_dir, checkpoint_every=0)
+        assert snapshot(store_dir) == before
+        assert main(["verify", store_dir]) == 2
+        assert main(["recover", store_dir]) == 2
+        assert snapshot(store_dir) == before
 
 
 class TestTrace:

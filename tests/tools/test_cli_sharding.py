@@ -63,7 +63,7 @@ def layout(tmp_path, keypool):
 
 class TestVerify:
     def test_intact_sharded_layout(self, layout, capsys):
-        assert main(["verify", "--store", layout, "--shards", str(SHARDS)]) == 0
+        assert main(["verify", layout, "--shards", str(SHARDS)]) == 0
         out = capsys.readouterr().out
         assert "INTACT" in out
         assert "shards:      3" in out
@@ -73,28 +73,38 @@ class TestVerify:
 
     def test_tampered_shard_fails_verify(self, layout, capsys):
         flip_checkpoint_byte(layout, 1)
-        assert main(["verify", "--store", layout, "--shards", str(SHARDS)]) == 2
+        assert main(["verify", layout, "--shards", str(SHARDS)]) == 2
         out = capsys.readouterr().out
         assert "TAMPERED" in out and "shard 1" in out
 
     def test_wrong_shard_count_refused(self, layout, capsys):
-        assert main(["verify", "--store", layout, "--shards", "4"]) == 2
+        assert main(["verify", layout, "--shards", "4"]) == 2
         assert "TAMPERED" in capsys.readouterr().out
 
-    def test_shards_without_store_rejected(self, layout):
+    def test_shards_without_store_rejected(self, tmp_path, keypool):
+        """--shards over a directory that holds one unsharded store: there
+        is no shard store to open, so the command refuses it."""
+        from repro.core import DurableLogStore, LogServer
+
+        store_dir = str(tmp_path / "plain")
+        server = LogServer(DurableLogStore(store_dir, fsync="never"))
+        pub, _ = honest_pair(keypool, "/a", 1, b"x")
+        server.submit(pub.encode())
+        server.close()
         with pytest.raises(SystemExit):
-            main(["verify", layout, "--shards", str(SHARDS)])
+            main(["verify", store_dir, "--shards", str(SHARDS)])
+        assert not os.path.exists(os.path.join(store_dir, shard_dirname(0)))
 
     def test_missing_store_directory_rejected(self, tmp_path):
         ghost = str(tmp_path / "no-such-store")
         with pytest.raises(SystemExit):
-            main(["verify", "--store", ghost, "--shards", str(SHARDS)])
+            main(["verify", ghost, "--shards", str(SHARDS)])
         assert not os.path.exists(ghost)
 
 
 class TestInspect:
     def test_lists_every_shard_by_default(self, layout, capsys):
-        assert main(["inspect", "--store", layout, "--shards", str(SHARDS)]) == 0
+        assert main(["inspect", layout, "--shards", str(SHARDS)]) == 0
         out = capsys.readouterr().out
         for topic in TOPICS:
             assert topic in out
@@ -105,7 +115,7 @@ class TestInspect:
         server.close()
         assert (
             main(
-                ["inspect", "--store", layout, "--shards", str(SHARDS),
+                ["inspect", layout, "--shards", str(SHARDS),
                  "--shard", "0"]
             )
             == 0
@@ -118,7 +128,7 @@ class TestInspect:
         # Dropping a checkpointed shard's WAL makes store-open itself fail
         # during journal replay; the CLI must report it, not traceback.
         drop_wal(layout, 1)
-        assert main(["inspect", "--store", layout, "--shards", str(SHARDS)]) == 2
+        assert main(["inspect", layout, "--shards", str(SHARDS)]) == 2
         out = capsys.readouterr().out
         assert "TAMPERED" in out and "checkpointed evidence" in out
 
@@ -131,30 +141,30 @@ class TestInspect:
         server.submit(pub.encode())
         server.close()
         with pytest.raises(SystemExit):
-            main(["inspect", "--store", store_dir, "--shard", "0"])
+            main(["inspect", store_dir, "--shard", "0"])
 
 
 class TestAudit:
     def test_clean_layout_exits_zero(self, layout, capsys):
-        assert main(["audit", "--store", layout, "--shards", str(SHARDS)]) == 0
+        assert main(["audit", layout, "--shards", str(SHARDS)]) == 0
         out = capsys.readouterr().out
         assert out.count("intact") == SHARDS
         assert "FLAGGED" not in out
 
     def test_forged_entry_exits_one(self, tmp_path, keypool, capsys):
         layout = build_layout(tmp_path, keypool, dirty=True)
-        assert main(["audit", "--store", layout, "--shards", str(SHARDS)]) == 1
+        assert main(["audit", layout, "--shards", str(SHARDS)]) == 1
         assert "/pub" in capsys.readouterr().out
 
     def test_evidence_loss_at_open_is_reported_not_raised(self, layout, capsys):
         drop_wal(layout, 1)
-        assert main(["audit", "--store", layout, "--shards", str(SHARDS)]) == 2
+        assert main(["audit", layout, "--shards", str(SHARDS)]) == 2
         out = capsys.readouterr().out
         assert "TAMPERED" in out and "checkpointed evidence" in out
 
     def test_tampered_shard_exits_two_and_is_named(self, layout, capsys):
         flip_checkpoint_byte(layout, 2)
-        assert main(["audit", "--store", layout, "--shards", str(SHARDS)]) == 2
+        assert main(["audit", layout, "--shards", str(SHARDS)]) == 2
         out = capsys.readouterr().out
         assert "shard 2: TAMPERED" in out
         assert "tampered shards: [2]" in out
