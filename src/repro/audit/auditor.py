@@ -191,12 +191,17 @@ class AuditFold:
     the fold: entries not fed yet cannot vote on it, so
     :meth:`Auditor.audit` infers one from the whole log before the feed
     when it was given none.
+
+    A fed entry is treated as immutable: :meth:`feed` hashes its reported
+    data once, and every later check reads that digest.
     """
 
     def __init__(self, keystore: KeyStore, topology: Topology):
         self._keystore = keystore
         self._topology = topology
         self._entries: List[LogEntry] = []
+        #: per fed entry, its :meth:`LogEntry.reported_hash`
+        self._digests: List[bytes] = []
         #: per fed entry, its verdict once decided
         self._classified: List[Optional[ClassifiedEntry]] = []
         #: usable OUT entry index -> subscriber of each view it owns ->
@@ -220,6 +225,7 @@ class AuditFold:
         """Fold ``entries`` in; judge every transmission now two-sided."""
         start = len(self._entries)
         self._entries.extend(entries)
+        self._digests.extend([e.reported_hash() for e in self._entries[start:]])
         self._classified.extend([None] * len(entries))
         self._verify_batches(self._triples(start))
         delta = AuditReport()
@@ -227,7 +233,7 @@ class AuditFold:
         touched: Dict[TransKey, None] = {}
         for i in range(start, len(self._entries)):
             entry = self._entries[i]
-            verdict = self._obvious(entry)
+            verdict = self._obvious(entry, self._digests[i])
             if verdict is None and entry.direction is Direction.IN and not entry.component_id:
                 verdict = _UNPAIRED  # no subscriber to pair with
             if verdict is not None:
@@ -279,7 +285,7 @@ class AuditFold:
             entry = self._entries[i]
             if entry.scheme is not Scheme.ADLP:
                 continue
-            digest = entry.reported_hash()
+            digest = self._digests[i]
             yield self._keystore.find(entry.component_id), digest, entry.own_sig
             if entry.direction is Direction.IN:
                 publisher = self._topology.publisher_of.get(entry.topic)
@@ -318,7 +324,7 @@ class AuditFold:
 
     # -- obvious detection (eq. 3) ---------------------------------------
 
-    def _obvious(self, entry: LogEntry) -> Optional[Verdict]:
+    def _obvious(self, entry: LogEntry, digest: bytes) -> Optional[Verdict]:
         """The verdict of an obviously invalid entry; None if it is usable."""
         if entry.scheme is not Scheme.ADLP:
             # Naive/no-scheme entries carry no cryptographic commitment:
@@ -327,7 +333,6 @@ class AuditFold:
         key = self._keystore.find(entry.component_id)
         if key is None:
             return EntryClass.INVALID, (Reason.UNKNOWN_COMPONENT,)
-        digest = entry.reported_hash()
         if not digest or not entry.own_sig:
             return EntryClass.INVALID, (Reason.MISSING_COMMITMENT,)
         if not self._verify(key, digest, entry.own_sig):
@@ -413,7 +418,7 @@ class AuditFold:
             sub_proof = False
             if sub_entry is not None and pub_key is not None and sub_entry.peer_sig:
                 sub_proof = self._verify(
-                    pub_key, sub_entry.reported_hash(), sub_entry.peer_sig
+                    pub_key, self._digests[sub_index], sub_entry.peer_sig
                 )
             # The publisher's proof: the subscriber's ACK signature it
             # reports must verify for the acknowledged hash, and that hash
@@ -423,11 +428,11 @@ class AuditFold:
             pub_consistent = False
             if pub_view is not None and sub_key is not None and pub_view.peer_sig:
                 pub_proof = self._verify(sub_key, pub_view.peer_hash, pub_view.peer_sig)
-                pub_consistent = pub_view.peer_hash == pub_view.entry.reported_hash()
+                pub_consistent = pub_view.peer_hash == self._digests[pub_view.index]
 
             if pub_view is not None and sub_entry is not None:
-                pub_digest = pub_view.entry.reported_hash()
-                sub_digest = sub_entry.reported_hash()
+                pub_digest = self._digests[pub_view.index]
+                sub_digest = self._digests[sub_index]
                 agree = pub_digest == sub_digest
                 if sub_proof and pub_proof and pub_consistent and not agree:
                     # Both counterpart proofs verify for different digests:

@@ -14,12 +14,18 @@ from) protobuf wire format.  Example::
 
 Semantics follow proto3: fields at their default value (0, "", b"", False)
 are omitted on the wire; unknown fields are skipped on decode.
+
+A set field lives in the instance ``__dict__``, so reading it is a plain
+attribute lookup; the class's :class:`Field` only supplies the default of
+an unset one.  Every write -- constructor keyword or attribute
+assignment -- is coerced by the field, and ``vars(msg)`` holds exactly
+the fields that were set.
 """
 
 from __future__ import annotations
 
 import enum as _enum
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import DecodingError, SchemaError
 from repro.serialization import wire
@@ -31,7 +37,8 @@ _UINT, _SINT, _BOOL, _ENUM, _DOUBLE, _BYTES, _STRING, _MESSAGE = range(8)
 
 
 class Field:
-    """Descriptor for a single numbered field of a :class:`WireMessage`."""
+    """A numbered field of a :class:`WireMessage`: a non-data descriptor
+    that answers for the field only while the instance has not set it."""
 
     def __init__(self, number: int, default: Any):
         if number < 1:
@@ -44,12 +51,7 @@ class Field:
         self.name = name
 
     def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
-        if instance is None:
-            return self
-        return instance.__dict__.get(self.name, self.default_value())
-
-    def __set__(self, instance: Any, value: Any) -> None:
-        instance.__dict__[self.name] = self.coerce(value)
+        return self if instance is None else self.default_value()
 
     def default_value(self) -> Any:
         return self.default
@@ -57,6 +59,13 @@ class Field:
     def coerce(self, value: Any) -> Any:
         """Validate/convert an assigned value; subclasses override."""
         return value
+
+    def _convert(self, convert: Callable[[Any], Any], value: Any) -> Any:
+        """``convert(value)``; a failure is a SchemaError naming the field."""
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{self.name}: {exc}") from exc
 
     def is_default(self, value: Any) -> bool:
         return value == self.default_value()
@@ -99,7 +108,7 @@ class UInt64Field(_ScalarField):
         super().__init__(number, default=0)
 
     def coerce(self, value: Any) -> int:
-        value = int(value)
+        value = self._convert(int, value)
         if not 0 <= value < 1 << 64:
             raise SchemaError(f"{self.name}: value out of uint64 range")
         return value
@@ -120,7 +129,7 @@ class SInt64Field(_ScalarField):
         super().__init__(number, default=0)
 
     def coerce(self, value: Any) -> int:
-        value = int(value)
+        value = self._convert(int, value)
         if not -(1 << 63) <= value < 1 << 63:
             raise SchemaError(f"{self.name}: value out of int64 range")
         return value
@@ -159,7 +168,7 @@ class DoubleField(_ScalarField):
         super().__init__(number, default=0.0)
 
     def coerce(self, value: Any) -> float:
-        return float(value)
+        return self._convert(float, value)
 
     def encode(self, value: float) -> bytes:
         if value == 0.0:
@@ -222,7 +231,7 @@ class EnumField(_ScalarField):
         super().__init__(number, default=default)
 
     def coerce(self, value: Any) -> _enum.IntEnum:
-        return self.enum_type(value)
+        return self._convert(self.enum_type, value)
 
     def encode(self, value: _enum.IntEnum) -> bytes:
         if int(value) == int(self.default):
@@ -357,10 +366,19 @@ class WireMessage:
             )
 
     def __init__(self, **kwargs: Any) -> None:
+        values = self.__dict__
         for name, value in kwargs.items():
-            if name not in self._fields_by_name:
+            field = self._fields_by_name.get(name)
+            if field is None:
                 raise SchemaError(f"{type(self).__name__} has no field {name!r}")
-            setattr(self, name, value)
+            values[name] = field.coerce(value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        field = self._fields_by_name.get(name)
+        if field is None:
+            object.__setattr__(self, name, value)
+        else:
+            self.__dict__[name] = field.coerce(value)
 
     def encode(self) -> bytes:
         """Serialize to protobuf wire format (fields in number order)."""

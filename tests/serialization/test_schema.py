@@ -2,6 +2,7 @@ import enum
 
 import pytest
 
+from repro.core.entries import LogEntry
 from repro.errors import SchemaError
 from repro.serialization import (
     WireMessage,
@@ -15,6 +16,7 @@ from repro.serialization import (
     string,
     uint64,
 )
+from repro.serialization.schema import Field
 from repro.serialization.wire import WireType, encode_tag, encode_varint
 
 
@@ -134,6 +136,89 @@ class TestValidation:
     def test_enum_coercion(self):
         msg = Sample(color=2)
         assert msg.color is Color.BLUE
+
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        [
+            (LogEntry, "direction", 7),
+            (LogEntry, "seq", "x"),
+            (LogEntry, "timestamp", "a"),
+            (Sample, "color", 7),
+            (Sample, "count", "x"),
+            (Sample, "delta", "x"),
+            (Sample, "ratio", "a"),
+            (Sample, "values", ["x"]),
+        ],
+    )
+    def test_unconvertible_value_names_the_field(self, cls, name, value):
+        with pytest.raises(SchemaError, match=f"^{name}: ") as raised:
+            cls(**{name: value})
+        assert isinstance(raised.value.__cause__, ValueError)
+        msg = cls()
+        with pytest.raises(SchemaError, match=f"^{name}: "):
+            setattr(msg, name, value)
+
+
+class TestStorageModel:
+    """A set field lives in the instance ``__dict__``; the class's
+    :class:`Field` supplies only the default of an unset one."""
+
+    def test_class_access_returns_the_field(self):
+        assert isinstance(Sample.count, Field)
+        assert Sample.count is Sample._fields_by_name["count"]
+        assert Sample.tags.number == 9
+
+    def test_unset_fields_read_their_defaults(self):
+        msg = Sample()
+        assert (msg.count, msg.name, msg.ratio, msg.color) == (0, "", 0.0, Color.RED)
+        assert msg.inner is None
+
+    def test_unset_repeated_field_reads_a_fresh_list(self):
+        a, b = Sample(), Sample()
+        assert a.tags == [] and a.tags is not b.tags
+        a.tags.append("dropped")  # the fresh list is not stored
+        assert a.tags == [] and b.tags == []
+
+    def test_constructor_and_assignment_both_coerce(self):
+        built = Sample(count=True, ratio=2, color=1, blob=bytearray(b"x"), values=(1, 2))
+        assigned = Sample()
+        assigned.count = True
+        assigned.ratio = 2
+        assigned.color = 1
+        assigned.blob = bytearray(b"x")
+        assigned.values = (1, 2)
+        for msg in (built, assigned):
+            assert type(msg.count) is int and type(msg.ratio) is float
+            assert msg.color is Color.GREEN
+            assert type(msg.blob) is bytes and msg.values == [1, 2]
+        assert built == assigned
+
+    def test_constructor_and_assignment_both_reject(self):
+        with pytest.raises(SchemaError):
+            Sample(count=-1)
+        msg = Sample(count=3)
+        with pytest.raises(SchemaError):
+            msg.count = -1
+        with pytest.raises(SchemaError):
+            msg.name = b"bytes"
+        assert msg.count == 3 and vars(msg) == {"count": 3}
+
+    def test_non_field_attribute_can_be_set(self):
+        msg = Sample(count=1)
+        msg.note = object()
+        assert msg.note is vars(msg)["note"]
+        assert msg.encode() == Sample(count=1).encode()
+
+    def test_vars_holds_only_set_fields(self):
+        msg = Sample(name="n")
+        msg.count = 0  # set at its default: held, still omitted on the wire
+        assert vars(msg) == {"name": "n", "count": 0}
+        assert msg.encode() == (
+            encode_tag(5, WireType.LEN) + encode_varint(1) + b"n"
+        )
+        decoded = Sample.decode(msg.encode())
+        assert vars(decoded) == {"name": "n"}
+        assert decoded.encode() == msg.encode()
 
 
 class TestInheritance:
