@@ -21,8 +21,9 @@ from typing import Dict, List, Tuple
 
 from repro.core.entries import LogEntry
 from repro.core.log_store import LogStore
-from repro.crypto.hashchain import GENESIS, chain_digest
+from repro.crypto.hashchain import GENESIS, HashChain, chain_digest
 from repro.crypto.hashing import sha256
+from repro.crypto.merkle import leaf_hash
 from repro.errors import LogIntegrityError
 
 #: data fields smaller than this are kept inline (dedup bookkeeping would
@@ -35,7 +36,7 @@ class DedupLogStore(LogStore):
 
     def __init__(self, min_dedup_size: int = MIN_DEDUP_SIZE):
         self._digests: List[bytes] = []  # chain digests over ORIGINAL records
-        self._head = GENESIS
+        self._chain = HashChain()
         self._stripped: List[bytes] = []  # stored, possibly deduped records
         self._blob_refs: List[bytes] = []  # b"" when not deduped
         self._blobs: Dict[bytes, bytes] = {}
@@ -45,24 +46,23 @@ class DedupLogStore(LogStore):
 
     # -- ingestion -------------------------------------------------------
 
-    def append_batch(self, records: List[bytes]) -> List[int]:
+    def append_batch(self, records: List[bytes]) -> List[bytes]:
         """All or nothing: every record is chained and stripped before any
         of them is stored, under one lock acquisition."""
+        leaves = [leaf_hash(record) for record in records]
         with self._lock:
-            head, rows = self._head, []
-            for record in records:
-                head = chain_digest(head, record)
-                rows.append((head, *self._strip(record)))
-            base = len(self._digests)
+            chain, rows = self._chain.copy(), []
+            for record, leaf in zip(records, leaves):
+                rows.append((chain.append_leaf(leaf), *self._strip(record)))
             for digest, stored, ref, payload in rows:
                 self._digests.append(digest)
                 self._stripped.append(stored)
                 self._blob_refs.append(ref)
                 if ref:
                     self._blobs.setdefault(ref, payload)
-            self._head = head
+            self._chain = chain
             self._logical_bytes += sum(map(len, records))
-            return list(range(base, base + len(records)))
+        return leaves
 
     def _strip(self, record: bytes) -> Tuple[bytes, bytes, bytes]:
         """``(stored form, blob ref, blob)``: a large ``data`` payload
@@ -142,4 +142,4 @@ class DedupLogStore(LogStore):
 
     def head(self) -> bytes:
         with self._lock:
-            return self._head
+            return self._chain.head

@@ -117,9 +117,8 @@ class LogServer:
                 index = len(self._merkle)
                 try:
                     # decoded over a view (no copy of the data field)
-                    self._apply_derived(
-                        LogEntry.decode(memoryview(record)), record
-                    )
+                    self._count(LogEntry.decode(memoryview(record)), record, 1)
+                    self._merkle.append(record)
                 except DecodingError as exc:
                     # CRC and chain both passed, so these bytes are what
                     # was originally accepted -- an undecodable record here
@@ -224,7 +223,9 @@ class LogServer:
         claims more than the store holds -- callers may then re-submit
         per entry to isolate a poison entry without double-ingesting its
         batchmates.  The resulting chain head and Merkle root are
-        byte-identical to per-entry submission of the same stream.
+        byte-identical to per-entry submission of the same stream.  The
+        tree grows on the leaf hashes the store returns, so ingest hashes
+        each record in full once, inside the store.
 
         Accepts decoded :class:`LogEntry` objects or their wire encoding
         (what a remote logging thread pushes over a socket).  This is the
@@ -249,10 +250,11 @@ class LogServer:
         with self._lock:
             size = len(self._merkle)
             store_size = len(self.store)
+            # counted before the store call: its auto-checkpoint reads them
             for decoded, record in pairs:
-                self._apply_derived(decoded, record)
+                self._count(decoded, record, 1)
             try:
-                indices = self.store.append_batch(
+                leaves = self.store.append_batch(
                     [record for _, record in pairs]
                 )
             except BaseException:
@@ -261,8 +263,13 @@ class LogServer:
                 # re-sync the derived state to exactly what the store
                 # now holds.
                 landed = len(self.store) - store_size
-                self._rollback_derived(size + landed, pairs[landed:])
+                for decoded, record in pairs[landed:]:
+                    self._count(decoded, record, -1)
+                for _, record in pairs[:landed]:
+                    self._merkle.append(record)
                 raise
+            for leaf in leaves:
+                self._merkle.append_leaf(leaf)
             observers = list(self._observers)
         for decoded, _ in pairs:
             for observer in observers:
@@ -270,30 +277,19 @@ class LogServer:
                     observer(decoded)
                 except Exception:
                     pass  # an analysis failure must not reject the entry
-        return indices
+        return list(range(size, size + len(pairs)))
 
-    def _apply_derived(self, decoded: LogEntry, record: bytes) -> None:
-        """Fold one accepted entry into the derived state (lock held);
-        ``decoded`` is read, not kept."""
-        self._merkle.append(record)
+    def _count(self, decoded: LogEntry, record: bytes, sign: int) -> None:
+        """Add (``sign=1``) or take back (``-1``) one entry in the
+        per-component counters (lock held); ``decoded`` is read, not kept."""
         cid = decoded.component_id
-        self._by_component[cid] = self._by_component.get(cid, 0) + 1
+        self._by_component[cid] = self._by_component.get(cid, 0) + sign
         self._bytes_by_component[cid] = (
-            self._bytes_by_component.get(cid, 0) + len(record)
+            self._bytes_by_component.get(cid, 0) + sign * len(record)
         )
-
-    def _rollback_derived(self, size: int, pairs: List) -> None:
-        """Undo :meth:`_apply_derived` for ``pairs``, shrinking the derived
-        state back to ``size`` entries (lock held)."""
-        self._merkle.truncate(size)
-        for decoded, record in pairs:
-            cid = decoded.component_id
-            self._by_component[cid] -= 1
-            if not self._by_component[cid]:
-                del self._by_component[cid]
-            self._bytes_by_component[cid] -= len(record)
-            if not self._bytes_by_component[cid]:
-                del self._bytes_by_component[cid]
+        if not self._by_component[cid]:
+            del self._by_component[cid]
+            del self._bytes_by_component[cid]
 
     # -- auditor/query API ---------------------------------------------------
 

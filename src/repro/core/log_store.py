@@ -12,7 +12,10 @@ of :mod:`repro.crypto.hashchain`:
   deployments the paper mentions and of an exported evidence case.
 
 A store has one write path, :meth:`LogStore.append_batch`: a lone record
-is a batch of one.
+is a batch of one.  It hashes each record in full once, into its RFC 6962
+leaf hash; the chain steps on that leaf, and the batch returns the leaves
+so a :class:`~repro.core.log_server.LogServer` grows its Merkle tree
+without hashing the records again.
 """
 
 from __future__ import annotations
@@ -21,14 +24,16 @@ import threading
 from typing import Iterator, List, Tuple
 
 from repro.crypto.hashchain import HashChain, verify_chain
+from repro.crypto.merkle import leaf_hash
 from repro.errors import LogIntegrityError
 
 
 class LogStore:
     """Interface: append-only store of encoded log records."""
 
-    def append_batch(self, records: List[bytes]) -> List[int]:
-        """Store records as one group commit; returns their indices.
+    def append_batch(self, records: List[bytes]) -> List[bytes]:
+        """Store records as one group commit; returns their leaf hashes
+        (their indices run on from the store's length before the call).
 
         Implementations hold their lock once for the whole batch and roll
         back in-memory state if the batch cannot be stored completely, so
@@ -81,13 +86,13 @@ class InMemoryLogStore(LogStore):
         self._bytes = 0
         self._lock = threading.Lock()
 
-    def append_batch(self, records: List[bytes]) -> List[int]:
+    def append_batch(self, records: List[bytes]) -> List[bytes]:
+        leaves = [leaf_hash(record) for record in records]
         with self._lock:
-            base = len(self._records)
-            for record in records:
-                self._records.append((record, self._chain.append(record)))
+            for record, leaf in zip(records, leaves):
+                self._records.append((record, self._chain.append_leaf(leaf)))
                 self._bytes += len(record)
-            return list(range(base, base + len(records)))
+        return leaves
 
     def records(self) -> List[bytes]:
         with self._lock:

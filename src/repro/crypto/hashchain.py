@@ -7,6 +7,10 @@ chain: each appended record is bound to the digest of everything before it,
 so any retroactive modification, deletion, or reordering of records changes
 every subsequent chain digest and is detected by :func:`verify_chain`.
 
+A chain step consumes a record's RFC 6962 leaf hash, the same digest the
+Merkle commitment takes: a store hashes each record in full once and feeds
+that one leaf to both structures (:meth:`HashChain.append_leaf`).
+
 :class:`HashChain` is the running state only -- head digest and length.
 The records and their per-record digests live wherever the store keeps
 them (a list in memory, the WAL on disk).
@@ -17,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from repro.crypto.hashing import sha256
+from repro.crypto.merkle import leaf_hash
 
 #: Well-known digest anchoring the start of every chain.
 GENESIS = sha256(b"repro.hashchain.genesis")
@@ -25,11 +30,11 @@ GENESIS = sha256(b"repro.hashchain.genesis")
 def chain_digest(prev_digest: bytes, payload: bytes) -> bytes:
     """Digest binding ``payload`` to the running chain state.
 
-    Computed as ``h(prev || h(payload))``; hashing the payload first keeps
-    the combiner fixed-width and prevents boundary-shifting collisions
-    between ``prev`` and ``payload``.
+    Computed as ``h(prev || leaf_hash(payload))``; hashing the payload
+    first keeps the combiner fixed-width and prevents boundary-shifting
+    collisions between ``prev`` and ``payload``.
     """
-    return sha256(prev_digest + sha256(payload))
+    return sha256(prev_digest + leaf_hash(payload))
 
 
 class HashChain:
@@ -41,7 +46,11 @@ class HashChain:
 
     def append(self, payload: bytes) -> bytes:
         """Chain ``payload`` onto the head; returns its chain digest."""
-        self._head = chain_digest(self._head, payload)
+        return self.append_leaf(leaf_hash(payload))
+
+    def append_leaf(self, leaf: bytes) -> bytes:
+        """Chain a record by its already computed :func:`leaf_hash`."""
+        self._head = sha256(self._head + leaf)
         self._length += 1
         return self._head
 

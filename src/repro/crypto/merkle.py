@@ -163,9 +163,13 @@ class MerkleTree:
 
     def append(self, payload: bytes) -> int:
         """Append a record; returns its leaf index."""
+        return self.append_leaf(leaf_hash(payload))
+
+    def append_leaf(self, digest: bytes) -> int:
+        """Append a record by its already computed :func:`leaf_hash`;
+        returns its leaf index."""
         rows = self._rows
         index = self._size
-        digest = leaf_hash(payload)
         rows[0] += digest
         height, position = 0, index
         while position & 1:
@@ -355,9 +359,11 @@ class MerkleFrontier:
             frontier.append_leaf(leaf)
         return frontier
 
-    def append(self, payload: bytes) -> None:
-        """Fold one record into the frontier."""
-        self.append_leaf(leaf_hash(payload))
+    def append(self, payload: bytes) -> bytes:
+        """Fold one record into the frontier; returns its leaf hash."""
+        leaf = leaf_hash(payload)
+        self.append_leaf(leaf)
+        return leaf
 
     def append_leaf(self, leaf: bytes) -> None:
         """Fold an already-hashed leaf into the frontier."""

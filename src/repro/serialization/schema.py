@@ -20,6 +20,11 @@ attribute lookup; the class's :class:`Field` only supplies the default of
 an unset one.  Every write -- constructor keyword or attribute
 assignment -- is coerced by the field, and ``vars(msg)`` holds exactly
 the fields that were set.
+
+Encoding builds one list of chunks for the whole message, nested messages
+included, and joins it once: a bytes field contributes its short header
+and then the value object itself, so :meth:`WireMessage.encode` copies a
+large payload exactly once.
 """
 
 from __future__ import annotations
@@ -71,8 +76,10 @@ class Field:
         return value == self.default_value()
 
     # -- wire interface -------------------------------------------------
-    def encode(self, value: Any) -> bytes:
-        """Encode tag + value; empty bytes when the value is default."""
+    def encode(self, value: Any, out: List[bytes]) -> None:
+        """Append tag + value to ``out`` as chunks, default or not (the
+        message skips a default singular field; a repeated element is
+        always written)."""
         raise NotImplementedError
 
     def mismatch(self, wire_type: WireType) -> DecodingError:
@@ -113,10 +120,8 @@ class UInt64Field(_ScalarField):
             raise SchemaError(f"{self.name}: value out of uint64 range")
         return value
 
-    def encode(self, value: int) -> bytes:
-        if value == 0:
-            return b""
-        return self.tag + wire.encode_varint(value)
+    def encode(self, value: int, out: List[bytes]) -> None:
+        out.append(self.tag + wire.encode_varint(value))
 
 
 class SInt64Field(_ScalarField):
@@ -134,10 +139,8 @@ class SInt64Field(_ScalarField):
             raise SchemaError(f"{self.name}: value out of int64 range")
         return value
 
-    def encode(self, value: int) -> bytes:
-        if value == 0:
-            return b""
-        return self.tag + wire.encode_varint(wire.zigzag_encode(value))
+    def encode(self, value: int, out: List[bytes]) -> None:
+        out.append(self.tag + wire.encode_varint(wire.zigzag_encode(value)))
 
 
 class BoolField(_ScalarField):
@@ -152,10 +155,8 @@ class BoolField(_ScalarField):
     def coerce(self, value: Any) -> bool:
         return bool(value)
 
-    def encode(self, value: bool) -> bytes:
-        if not value:
-            return b""
-        return self.tag + b"\x01"
+    def encode(self, value: bool, out: List[bytes]) -> None:
+        out.append(self.tag + (b"\x01" if value else b"\x00"))
 
 
 class DoubleField(_ScalarField):
@@ -170,10 +171,9 @@ class DoubleField(_ScalarField):
     def coerce(self, value: Any) -> float:
         return self._convert(float, value)
 
-    def encode(self, value: float) -> bytes:
-        if value == 0.0:
-            return b""
-        return self.tag + wire.encode_double(value)
+    def encode(self, value: float, out: List[bytes]) -> None:
+        # -0.0 equals the default, so it is written as the default is
+        out.append(self.tag + wire.encode_double(value or 0.0))
 
 
 class BytesField(_ScalarField):
@@ -192,10 +192,9 @@ class BytesField(_ScalarField):
             raise SchemaError(f"{self.name}: expected bytes, got {type(value).__name__}")
         return value
 
-    def encode(self, value: bytes) -> bytes:
-        if not value:
-            return b""
-        return self.tag + wire.encode_length_delimited(value)
+    def encode(self, value: bytes, out: List[bytes]) -> None:
+        out.append(self.tag + wire.encode_varint(len(value)))
+        out.append(value)
 
 
 class StringField(BytesField):
@@ -211,10 +210,9 @@ class StringField(BytesField):
             raise SchemaError(f"{self.name}: expected str, got {type(value).__name__}")
         return value
 
-    def encode(self, value: str) -> bytes:
-        if not value:
-            return b""
-        return self.tag + wire.encode_length_delimited(value.encode("utf-8"))
+    def encode(self, value: str, out: List[bytes]) -> None:
+        raw = value.encode("utf-8")
+        out.append(self.tag + wire.encode_varint(len(raw)) + raw)
 
 
 class EnumField(_ScalarField):
@@ -233,10 +231,8 @@ class EnumField(_ScalarField):
     def coerce(self, value: Any) -> _enum.IntEnum:
         return self._convert(self.enum_type, value)
 
-    def encode(self, value: _enum.IntEnum) -> bytes:
-        if int(value) == int(self.default):
-            return b""
-        return self.tag + wire.encode_varint(int(value))
+    def encode(self, value: _enum.IntEnum, out: List[bytes]) -> None:
+        out.append(self.tag + wire.encode_varint(int(value)))
 
 
 class MessageField(Field):
@@ -267,10 +263,10 @@ class MessageField(Field):
             )
         return value
 
-    def encode(self, value: Optional["WireMessage"]) -> bytes:
-        if value is None:
-            return b""
-        return self.tag + wire.encode_length_delimited(value.encode())
+    def encode(self, value: "WireMessage", out: List[bytes]) -> None:
+        at = len(out)
+        value._encode_into(out)
+        out.insert(at, self.tag + wire.encode_varint(sum(map(len, out[at:]))))
 
     def mismatch(self, wire_type: WireType) -> DecodingError:
         return DecodingError(f"field {self.number}: nested messages use LEN")
@@ -302,27 +298,9 @@ class RepeatedField(Field):
             return []
         return [self.element.coerce(v) for v in value]
 
-    def encode(self, value: List[Any]) -> bytes:
-        parts = []
+    def encode(self, value: List[Any], out: List[bytes]) -> None:
         for item in value:
-            encoded = self.element.encode(item)
-            if not encoded:
-                # Element at its default value still needs explicit encoding:
-                # emit tag + canonical default representation.
-                encoded = self._encode_default_element(item)
-            parts.append(encoded)
-        return b"".join(parts)
-
-    def _encode_default_element(self, item: Any) -> bytes:
-        element = self.element
-        if isinstance(element, (StringField,)):
-            return wire.encode_tag(element.number, WireType.LEN) + wire.encode_length_delimited(b"")
-        if isinstance(element, BytesField):
-            return wire.encode_tag(element.number, WireType.LEN) + wire.encode_length_delimited(b"")
-        if isinstance(element, DoubleField):
-            return wire.encode_tag(element.number, WireType.I64) + wire.encode_double(0.0)
-        # varint-coded kinds (uint, sint, bool, enum)
-        return wire.encode_tag(element.number, WireType.VARINT) + wire.encode_varint(0)
+            self.element.encode(item, out)
 
     def mismatch(self, wire_type: WireType) -> DecodingError:
         return self.element.mismatch(wire_type)
@@ -382,14 +360,17 @@ class WireMessage:
 
     def encode(self) -> bytes:
         """Serialize to protobuf wire format (fields in number order)."""
+        out: List[bytes] = []
+        self._encode_into(out)
+        return b"".join(out)
+
+    def _encode_into(self, out: List[bytes]) -> None:
+        """Append every non-default field's chunks to ``out``."""
         values = self.__dict__
-        parts = []
         for field in self._encode_order:
             value = values.get(field.name)
-            if value is None or field.is_default(value):
-                continue
-            parts.append(field.encode(value))
-        return b"".join(parts)
+            if value is not None and not field.is_default(value):
+                field.encode(value, out)
 
     @classmethod
     def decode(cls, data: bytes):

@@ -12,6 +12,10 @@ accepted log:
 - the WAL record of entry ``i`` carries its chain digest, so recovery
   rebuilds the identical hash chain and Merkle commitment a never-crashed
   run would have;
+- each record is hashed in full once, into its Merkle leaf hash: the
+  frontier computes it and the chain steps on it, on append, on the
+  recovery tail and in :meth:`DurableLogStore.verify` alike, and
+  :meth:`DurableLogStore.append_batch` hands the leaves to the caller;
 - a torn tail write is truncated at the first corrupt record of the active
   segment -- the affected entry is *absent*, never corrupt, and nothing
   before it is lost;
@@ -172,12 +176,10 @@ class DurableLogStore(LogStore):
                 # Pre-checkpoint prefix: adopt the stored digest; the
                 # checkpoint head check below anchors the whole prefix.
                 self._chain.adopt(digest)
-            else:
-                if self._chain.append(payload) != digest:
-                    raise LogIntegrityError(
-                        f"chain broken at recovered entry {index}"
-                    )
-                self._frontier.append(payload)
+            elif self._chain.append_leaf(self._frontier.append(payload)) != digest:
+                raise LogIntegrityError(
+                    f"chain broken at recovered entry {index}"
+                )
             self._bytes += len(payload)
             if index + 1 == anchor:
                 prefix["head"], prefix["bytes"] = digest, self._bytes
@@ -232,40 +234,41 @@ class DurableLogStore(LogStore):
 
     # -- LogStore interface ----------------------------------------------
 
-    def append_batch(self, records: List[bytes]) -> List[int]:
-        """Group-commit ``records``: one WAL write burst, one fsync.
+    def append_batch(self, records: List[bytes]) -> List[bytes]:
+        """Group-commit ``records``: one WAL write burst, one fsync;
+        returns their leaf hashes.
 
         The resulting chain head, frontier, and on-disk bytes are
         byte-identical to storing the records in batches of any other size
         -- only the fsync count changes (one per batch under the
-        ``always`` policy).  The digests are computed on a copy of the
-        chain and committed once the WAL burst has succeeded, so a burst
-        that fails partway leaves the live store untouched; a crash
-        mid-burst recovers the records written before the tear, exactly
-        like a torn per-entry tail.
+        ``always`` policy).  Each record is hashed once, by a copy of the
+        frontier, and a copy of the chain steps on that leaf; both copies
+        are committed once the WAL burst has succeeded, so a burst that
+        fails partway leaves the live store untouched; a crash mid-burst
+        recovers the records written before the tear, exactly like a torn
+        per-entry tail.
         """
         if not records:
             return []
         with self._lock:
-            chain = self._chain.copy()
+            chain, frontier = self._chain.copy(), self._frontier.copy()
+            leaves = [frontier.append(record) for record in records]
             items = [
-                (REC_ENTRY, chain.append(record), record) for record in records
+                (REC_ENTRY, chain.append_leaf(leaf), record)
+                for leaf, record in zip(leaves, records)
             ]
             segment, offsets = self._wal.append_many(items)
-            base = len(self._chain)
-            self._chain = chain
+            self._chain, self._frontier = chain, frontier
             location = segment << _SEGMENT_SHIFT
             self._locations.extend(location | offset for offset in offsets)
-            for record in records:
-                self._frontier.append(record)
-                self._bytes += len(record)
+            self._bytes += sum(map(len, records))
             self._appends_since_checkpoint += len(records)
             if (
                 self._checkpoint_every
                 and self._appends_since_checkpoint >= self._checkpoint_every
             ):
                 self.checkpoint()
-            return list(range(base, base + len(records)))
+            return leaves
 
     def iter_records(self, start: int = 0) -> Iterator[bytes]:
         """Records ``start .. len(self)`` (length taken at the first read),
@@ -383,11 +386,11 @@ class DurableLogStore(LogStore):
                     )
                 view = memoryview(record.payload)
                 payload = view[_DIGEST_SIZE:]
-                if chain.append(payload) != view[:_DIGEST_SIZE]:
+                leaf = frontier.append(payload)
+                if chain.append_leaf(leaf) != view[:_DIGEST_SIZE]:
                     raise LogIntegrityError(
                         f"chain broken at record {len(chain) - 1}"
                     )
-                frontier.append(payload)
                 total += len(payload)
                 self._check_checkpoint(
                     checkpoints.get(len(chain)), chain.head, frontier, total

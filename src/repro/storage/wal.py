@@ -6,8 +6,11 @@ On-disk layout: a directory of numbered segment files ::
     wal-00000002.seg
     ...
 
-Each segment starts with a 16-byte header (magic, segment index, CRC).
-Each record is::
+Each segment starts with a 16-byte header (magic ``ADLPWAL2``, segment
+index, CRC).  A segment longer than its header whose header is damaged, or
+a CRC-valid header of another format version, is refused before anything
+is written: only a segment shorter than a header (a crash while rotating)
+is a torn write.  Each record is::
 
     uint32 length | uint8 type | payload (length bytes) | uint32 crc32
 
@@ -53,7 +56,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import LogIntegrityError
 from repro.storage.crashpoints import SimulatedCrash, crashpoint
 
-_MAGIC = b"ADLPWAL1"
+_MAGIC = b"ADLPWAL2"
 _SEG_INDEX = struct.Struct("<I")
 _REC_HEAD = struct.Struct("<IB")  # payload length, record type
 _CRC = struct.Struct("<I")
@@ -169,11 +172,18 @@ def _scan_segment(path: str, expected_index: int) -> Iterator[WalRecord]:
         if len(header) < SEGMENT_HEADER_SIZE:
             raise _TornTail(0, "short segment header")
         body, crc_raw = header[: -_CRC.size], header[-_CRC.size :]
-        if (
-            body[: len(_MAGIC)] != _MAGIC
-            or _CRC.unpack(crc_raw)[0] != _crc(body)
-        ):
-            raise _TornTail(0, "corrupt segment header")
+        magic = body[: len(_MAGIC)]
+        if _CRC.unpack(crc_raw)[0] != _crc(body) or magic[:-1] != _MAGIC[:-1]:
+            if os.fstat(f.fileno()).st_size == SEGMENT_HEADER_SIZE:
+                raise _TornTail(0, "corrupt segment header")
+            # records follow it: a damaged header is no torn write
+            raise LogIntegrityError(f"corrupt segment header in {path}")
+        if magic != _MAGIC:
+            raise LogIntegrityError(
+                f"segment {path} is WAL format version "
+                f"{magic[-1:].decode('latin-1')}; this build reads version "
+                f"{_MAGIC[-1:].decode()} only"
+            )
         (seg_index,) = _SEG_INDEX.unpack(body[len(_MAGIC) :])
         if seg_index != expected_index:
             raise LogIntegrityError(

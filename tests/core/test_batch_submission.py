@@ -19,6 +19,7 @@ from repro.core.log_server import LogServer
 from repro.core.log_store import InMemoryLogStore
 from repro.core.logging_thread import LoggingThread
 from repro.core.remote import LogServerEndpoint, RemoteLogger
+from repro.crypto.merkle import leaf_hash
 from repro.errors import LoggingError
 from repro.replication.replicated import ReplicatedLogger
 from repro.sharding.sharded_server import ShardedLogServer
@@ -84,10 +85,9 @@ class TestLogStoreAppendBatch:
     def test_in_memory_batch_equals_loop(self):
         records = [b"r%d" % i for i in range(10)]
         a, b = InMemoryLogStore(), InMemoryLogStore()
-        indices = a.append_batch(records)
-        for record in records:
-            b.append_batch([record])
-        assert indices == list(range(10))
+        leaves = a.append_batch(records)
+        looped = [leaf for record in records for leaf in b.append_batch([record])]
+        assert leaves == looped == [leaf_hash(record) for record in records]
         assert a.records() == b.records()
         assert a.head() == b.head()
 
@@ -95,10 +95,10 @@ class TestLogStoreAppendBatch:
         records = [b"record-%04d" % i for i in range(25)]
         batched = DurableLogStore(str(tmp_path / "batched"), fsync="always")
         looped = DurableLogStore(str(tmp_path / "looped"), fsync="always")
-        indices = batched.append_batch(records)
+        leaves = batched.append_batch(records)
         for record in records:
-            looped.append_batch([record])
-        assert indices == list(range(25))
+            assert looped.append_batch([record]) == [leaf_hash(record)]
+        assert leaves == [leaf_hash(record) for record in records]
         assert batched.head() == looped.head()
         assert batched.merkle_root() == looped.merkle_root()
         assert batched.records() == looped.records()

@@ -4,7 +4,12 @@ import os
 
 import pytest
 
+from repro.core.dedup_store import DedupLogStore
+from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.log_store import InMemoryLogStore
+from repro.crypto.hashchain import GENESIS
+from repro.crypto.hashing import sha256
+from repro.crypto.merkle import leaf_hash
 from repro.errors import LogIntegrityError
 from repro.storage.durable_store import WAL_SUBDIR, DurableLogStore
 from repro.storage.wal import segment_paths
@@ -28,8 +33,11 @@ def wal_segment(path):
 
 class TestLogStoreContract:
     def test_append_returns_indices(self, store):
-        assert store.append_batch([b"a"]) == [0]
-        assert store.append_batch([b"b", b"c"]) == [1, 2]
+        """A batch returns its records' leaf hashes; their indices run on
+        from the length before the call."""
+        assert store.append_batch([b"a"]) == [leaf_hash(b"a")]
+        assert len(store) == 1
+        assert store.append_batch([b"b", b"c"]) == [leaf_hash(b"b"), leaf_hash(b"c")]
         assert len(store) == 3
 
     def test_records_in_order(self, store):
@@ -98,7 +106,8 @@ class TestFilePersistence:
         store.append_batch([b"first"])
         store.close()
         reopened = DurableLogStore(path)
-        assert reopened.append_batch([b"second"]) == [1]
+        assert reopened.append_batch([b"second"]) == [leaf_hash(b"second")]
+        assert len(reopened) == 2
         reopened.verify()
         assert reopened.records() == [b"first", b"second"]
         reopened.close()
@@ -113,3 +122,31 @@ class TestFilePersistence:
             f.truncate(10)
         with pytest.raises(LogIntegrityError):
             DurableLogStore(path)
+
+
+class TestOneLeafPerRecord:
+    def test_every_store_returns_the_same_leaves_and_head(self, tmp_path):
+        """In memory, deduplicating and on disk, a record is hashed into
+        one leaf, and the chain steps on that leaf."""
+        a = LogEntry(
+            component_id="/pub",
+            topic="/t",
+            direction=Direction.OUT,
+            seq=1,
+            scheme=Scheme.ADLP,
+            data=b"frame" * 200,  # large enough to be deduplicated
+            own_sig=b"s" * 64,
+        ).encode()
+        b = b"not a log entry"
+        stores = [
+            InMemoryLogStore(),
+            DedupLogStore(),
+            DurableLogStore(str(tmp_path / "store")),
+        ]
+        expected = sha256(sha256(GENESIS + leaf_hash(a)) + leaf_hash(b))
+        for store in stores:
+            assert store.append_batch([a, b]) == [leaf_hash(a), leaf_hash(b)]
+            assert store.head() == expected
+            store.verify()
+            assert store.records() == [a, b]
+            store.close()

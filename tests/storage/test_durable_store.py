@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import os
+import zlib
 
 import pytest
 
@@ -186,6 +187,65 @@ class TestTornTail:
             os.remove(path)
         with pytest.raises(LogIntegrityError):
             open_store(tmp_path)
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+class TestSegmentHeader:
+    """Only a segment shorter than its header is a torn write; a damaged
+    or foreign header in front of records is refused, and nothing on disk
+    changes."""
+
+    def _segment(self, tmp_path, records: int) -> str:
+        durable = open_store(tmp_path, checkpoint_every=0)
+        for record in make_records(records):
+            durable.append_batch([record])
+        durable.close()
+        [(_, path)] = segment_paths(str(tmp_path / "store" / WAL_SUBDIR))
+        return path
+
+    def test_damaged_header_before_records_is_refused(self, tmp_path):
+        path = self._segment(tmp_path, 10)
+        with open(path, "r+b") as f:
+            f.seek(7)
+            byte = f.read(1)
+            f.seek(7)
+            f.write(bytes([byte[0] ^ 0x01]))
+        before = read_bytes(path)
+        with pytest.raises(LogIntegrityError, match="corrupt segment header"):
+            open_store(tmp_path, checkpoint_every=0)
+        assert read_bytes(path) == before
+
+    def test_other_format_version_is_refused_by_name(self, tmp_path):
+        path = self._segment(tmp_path, 3)
+        body = b"ADLPWAL1" + (1).to_bytes(4, "little")
+        with open(path, "r+b") as f:
+            f.write(body + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little"))
+        before = read_bytes(path)
+        with pytest.raises(LogIntegrityError, match="format version 1"):
+            open_store(tmp_path, checkpoint_every=0)
+        assert read_bytes(path) == before
+
+    def test_header_torn_by_rotation_still_recovers(self, tmp_path):
+        durable = open_store(tmp_path, checkpoint_every=0, segment_max_bytes=64)
+        records = make_records(3)
+        for record in records:
+            durable.append_batch([record])
+        durable.close()
+        pairs = segment_paths(str(tmp_path / "store" / WAL_SUBDIR))
+        sealed = [read_bytes(path) for _, path in pairs[:-1]]
+        # a crash while the next segment's header was being written
+        with open(pairs[-1][1], "r+b") as f:
+            f.truncate(SEGMENT_HEADER_SIZE - 6)
+        reopened = open_store(tmp_path, checkpoint_every=0, segment_max_bytes=64)
+        assert reopened.recovery.truncated_bytes == SEGMENT_HEADER_SIZE - 6
+        assert reopened.records() == records
+        assert [read_bytes(path) for _, path in pairs[:-1]] == sealed
+        reopened.verify()
+        reopened.close()
 
 
 class TestTamperDetection:
