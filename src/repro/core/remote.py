@@ -84,6 +84,12 @@ class RemoteUnavailable(LoggingError):
     would just replay the same refusal.
     """
 
+
+class RecordTooLarge(LoggingError):
+    """A record larger than any frame can carry: the batch holding it was
+    refused before anything was sent."""
+
+
 #: RPC operation codes.  Code 2 was the retired single-entry submit (a
 #: lone record is now a batch of one); it is never reused, and a frame
 #: still carrying it ingests nothing.
@@ -129,6 +135,18 @@ BATCH_FRAME_BYTES = 8 * 1024 * 1024
 #: seen a reply it also drops the connection while its frames are still
 #: queued at the server.
 CREDIT_SYNC_TIMEOUT = 30.0
+
+
+#: Bytes an ``OP_SUBMIT_BATCH`` frame carrying one record spends besides
+#: the record: its tag and length, the op, shard tag, sync flag, deadline
+#: and correlation id take 42 at most.
+_REQUEST_OVERHEAD = 64
+
+
+def _fits_a_frame(record: bytes) -> bool:
+    """Whether an ``OP_SUBMIT_BATCH`` frame can carry ``record`` within
+    the transport's frame cap."""
+    return len(record) <= framing.MAX_FRAME_SIZE - _REQUEST_OVERHEAD
 
 
 def _frame_chunks(records: List[bytes]) -> Iterator[List[bytes]]:
@@ -308,14 +326,21 @@ class LoggerResponse(WireMessage):
 _READ_PAUSE_DEPTH = 1024
 _READ_RESUME_DEPTH = 256
 
+#: Bytes one event-loop read takes off a socket.  A frame longer than
+#: this cannot arrive in one read, so it is reassembled in a buffer of
+#: its own (see :meth:`LogServerEndpoint._parse_frames`).
+_READ_BYTES = 1 << 18
+
 _PREAMBLE = struct.Struct("<I")
 
 
 class _EventConn:
     """Event-loop state for one raw-socket connection.
 
-    The loop thread owns the socket and the frame reassembly buffer;
-    dispatch workers own ``pending`` (under ``lock``) and append framed
+    The loop thread owns the socket and the frame reassembly buffers:
+    ``rbuf`` for whatever arrives, or ``frame`` (``filled`` bytes in so
+    far) while one large frame body is read into a buffer of its exact
+    size; dispatch workers own ``pending`` (under ``lock``) and append framed
     response bytes to ``out``, which only the loop thread writes to the
     socket.  ``running`` guarantees at most one dispatch worker drains
     this connection at a time -- per-connection FIFO execution is
@@ -327,6 +352,8 @@ class _EventConn:
         "connection",
         "sock",
         "rbuf",
+        "frame",
+        "filled",
         "out",
         "lock",
         "pending",
@@ -341,6 +368,8 @@ class _EventConn:
         self.connection = connection
         self.sock = sock
         self.rbuf = bytearray()
+        self.frame: Optional[bytearray] = None
+        self.filled = 0
         self.out: Deque[memoryview] = deque()
         self.lock = threading.Lock()
         self.pending: Deque[Tuple[LoggerRequest, float]] = deque()
@@ -566,35 +595,67 @@ class LogServerEndpoint:
 
     def _loop_read(self, state: _EventConn) -> None:
         try:
-            data = state.sock.recv(1 << 18)
+            if state.frame is None:
+                data = state.sock.recv(_READ_BYTES)
+                received = len(data)
+            else:
+                data = None
+                received = state.sock.recv_into(
+                    memoryview(state.frame)[state.filled :]
+                )
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
             self._loop_close(state)
             return
-        if not data:
+        if not received:
             self._loop_close(state)
             return
         state.last_active = time.monotonic()
-        state.rbuf += data
+        if data is None:
+            state.filled += received
+        else:
+            state.rbuf += data
         self._parse_frames(state)
 
     def _parse_frames(self, state: _EventConn) -> None:
+        """Decode and queue every complete frame received so far.
+
+        A frame that cannot arrive in one read moves, once a quarter of
+        it is in, into a buffer of its exact size that the following
+        reads fill in place; it is decoded through a ``memoryview``, so
+        its records are copied once, by :meth:`_dispatch`.  Waiting for a
+        quarter bounds what a bare preamble can make the loop reserve.
+        """
         arrival = time.monotonic()
-        spawn = False
+        frames: List[Union[bytes, memoryview]] = []
+        if state.frame is not None:
+            if state.filled < len(state.frame):
+                return
+            frames.append(memoryview(state.frame))
+            state.frame = None
         rbuf = state.rbuf
-        while True:
-            if len(rbuf) < framing.PREAMBLE_SIZE:
-                break
+        violation = False
+        while len(rbuf) >= framing.PREAMBLE_SIZE:
             (length,) = _PREAMBLE.unpack_from(rbuf)
             if length > framing.MAX_FRAME_SIZE:
-                self._loop_close(state)  # protocol violation
-                return
-            end = framing.PREAMBLE_SIZE + length
-            if len(rbuf) < end:
+                violation = True
                 break
-            frame = bytes(rbuf[framing.PREAMBLE_SIZE : end])
-            del rbuf[:end]
+            end = framing.PREAMBLE_SIZE + length
+            if len(rbuf) >= end:
+                with memoryview(rbuf) as view:
+                    frames.append(bytes(view[framing.PREAMBLE_SIZE : end]))
+                del rbuf[:end]
+                continue
+            arrived = len(rbuf) - framing.PREAMBLE_SIZE
+            if length > _READ_BYTES and 4 * arrived >= length:
+                state.frame = bytearray(length)
+                state.frame[:arrived] = memoryview(rbuf)[framing.PREAMBLE_SIZE :]
+                state.filled = arrived
+                state.rbuf = bytearray()
+            break
+        spawn = False
+        for frame in frames:
             try:
                 request = LoggerRequest.decode(frame)
             except Exception:
@@ -609,10 +670,16 @@ class LogServerEndpoint:
                     and not state.read_paused
                 ):
                     state.read_paused = True
-        if state.read_paused or state.out:
-            self._update_interest(state)
+        # keep no view of a large frame's buffer: the requests hold it
+        # until dispatch has copied their records out
+        frames = frame = None
         if spawn:
             self._executor.submit(self._drain_pending, state)
+        if violation:
+            # the frames before it are accepted work, queued above
+            self._loop_close(state)
+        elif state.read_paused or state.out:
+            self._update_interest(state)
 
     def _loop_write(self, state: _EventConn) -> None:
         with state.lock:
@@ -705,6 +772,9 @@ class LogServerEndpoint:
         correlation id."""
         if request.op == OP_SUBMIT_BATCH:
             batch = [bytes(record) for record in request.entry_batch]
+            # the records may be views of the frame's receive buffer: now
+            # that they are copied, the buffer goes before the ingest
+            request.entry_batch = []
             with self._lock:
                 self.submissions += len(batch)
             if not request.sync:
@@ -870,7 +940,9 @@ class LogServerEndpoint:
         """Build the response for a synchronous non-ingest request."""
         try:
             if request.op == OP_REGISTER_KEY:
-                self.server.register_key(request.component_id, request.key_bytes)
+                self.server.register_key(
+                    request.component_id, bytes(request.key_bytes)
+                )
                 return LoggerResponse(ok=True)
             if request.op == OP_HEALTH:
                 return self._health_response(request.shard)
@@ -1253,7 +1325,8 @@ class RemoteLogger:
         self._backoff = reconnect_backoff
         self._next_attempt = 0.0
         self._overflow_warned = False
-        #: Entries permanently lost to spill-queue overflow.
+        #: Entries permanently lost to spill-queue overflow, or too large
+        #: for any frame.
         self.dropped = 0
         #: Entries that overflowed the memory queue onto disk.
         self.spilled_to_disk = 0
@@ -1434,10 +1507,13 @@ class RemoteLogger:
             waiter = _RpcWaiter(corr)
             channel.pending[corr] = waiter
             try:
-                connection.send_frame(request.encode())
+                connection.send_frame(request.encode_parts())
             except ConnectionClosed as exc:
                 channel.pending.pop(corr, None)
                 failure = exc
+            except TransportError:
+                channel.pending.pop(corr, None)  # refused unsent
+                raise
             else:
                 if len(channel.pending) > 1 and not channel.reader_started:
                     channel.reader_started = True
@@ -1828,7 +1904,8 @@ class RemoteLogger:
         (frames on one connection are ingested in order, so the count
         identifies the accepted prefix exactly); a plain
         :class:`LoggingError` means the server answered and refused
-        (nothing was ingested).
+        (nothing was ingested), and :class:`RecordTooLarge` that a record
+        cannot fit a frame (nothing was sent).
 
         Chunks of one oversized batch are exchanged serially on purpose:
         the accepted-prefix property depends on stop-on-refusal, and a
@@ -1841,6 +1918,12 @@ class RemoteLogger:
             entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
             for entry in entries
         ]
+        for record in records:
+            if not _fits_a_frame(record):
+                raise RecordTooLarge(
+                    f"record of {len(record)} bytes exceeds the "
+                    f"{framing.MAX_FRAME_SIZE}-byte frame cap"
+                )
         tag = self._shard_tag(shard)
         count = 0
         # an empty batch still round-trips for the count
@@ -1914,31 +1997,44 @@ class RemoteLogger:
         index).  One ``OP_SUBMIT_BATCH`` frame (one send, one server round
         trip's worth of framing) carries every entry.  Never raises; on
         connection trouble the whole batch is spilled in order and re-sent
-        later (on a later call or via :meth:`flush_spill`).  ``shard`` tags
+        later (on a later call or via :meth:`flush_spill`).  A record no
+        frame can carry is counted in :attr:`dropped` and its batchmates
+        are sent without it: a retry could only re-send them.  ``shard`` tags
         the frames for a sharded server (the per-shard anti-entropy replay
         path); spilled entries are re-sent untagged and route by topic,
         which lands them identically."""
+        indexes = [0] * len(entries)
         records = [
             entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
             for entry in entries
         ]
+        shippable = [record for record in records if _fits_a_frame(record)]
+        if len(shippable) < len(records):
+            logger.warning(
+                "RemoteLogger dropped %d record(s) over the %d-byte frame cap",
+                len(records) - len(shippable),
+                framing.MAX_FRAME_SIZE,
+            )
+            with self._lock:
+                self.dropped += len(records) - len(shippable)
+            records = shippable
         if not records:
-            return []
+            return indexes
         connection = self._connect()
         if connection is None or not self._drain_spill(connection):
             for record in records:
                 self._spill_entry(record)
-            return [0] * len(records)
+            return indexes
         try:
             self._send_records(connection, records, shard)
         except ConnectionClosed:
             for record in records:
                 self._spill_entry(record)
-            return [0] * len(records)
+            return indexes
         if not self._confirm_sent(connection, records):
-            return [0] * len(records)
+            return indexes
         self._after_send(records)
-        return [0] * len(records)
+        return indexes
 
     def _send_records(
         self,
@@ -1952,7 +2048,7 @@ class RemoteLogger:
             connection.send_frame(
                 LoggerRequest(
                     op=OP_SUBMIT_BATCH, entry_batch=chunk, shard=tag
-                ).encode()
+                ).encode_parts()
             )
 
     def _after_send(self, records: List[bytes]) -> None:

@@ -19,9 +19,27 @@ property.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import TransportError
+
+#: What :meth:`Connection.send_frame` takes: one bytes-like frame, or a
+#: list of bytes-like parts that are sent back to back as one frame (as
+#: :meth:`~repro.serialization.WireMessage.encode_parts` returns them).
+Frame = Union[bytes, bytearray, memoryview, List[bytes]]
+
+
+def join_frame(frame: Frame) -> bytes:
+    """``frame`` as one ``bytes`` object, for transports that cannot send
+    parts without joining them."""
+    if isinstance(frame, list):
+        try:
+            return b"".join(frame)
+        except TypeError as exc:
+            raise TransportError(f"frame parts must be bytes: {exc}") from exc
+    if not isinstance(frame, (bytes, bytearray, memoryview)):
+        raise TransportError("frames must be bytes")
+    return bytes(frame)
 
 
 class ConnectionClosed(TransportError):
@@ -31,8 +49,9 @@ class ConnectionClosed(TransportError):
 class Connection:
     """A bidirectional, ordered, reliable frame pipe."""
 
-    def send_frame(self, frame: bytes) -> None:
-        """Send one frame.  Raises :class:`ConnectionClosed` if closed."""
+    def send_frame(self, frame: Frame) -> None:
+        """Send one frame, given whole or as a list of parts.  Raises
+        :class:`ConnectionClosed` if closed."""
         raise NotImplementedError
 
     def recv_frame(self, timeout: Optional[float] = None) -> Optional[bytes]:

@@ -40,8 +40,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.middleware.transport.base import (
     Connection,
     ConnectionClosed,
+    Frame,
     Listener,
     Transport,
+    join_frame,
 )
 from repro.middleware.transport.inproc import InprocTransport
 
@@ -260,7 +262,8 @@ class FaultyConnection(Connection):
             held, self._held = self._held, None
             self._inner.send_frame(held)
 
-    def send_frame(self, frame: bytes) -> None:
+    def send_frame(self, frame: Frame) -> None:
+        frame = join_frame(frame)
         with self._fault_lock:
             index = self._send_index
             self._send_index += 1

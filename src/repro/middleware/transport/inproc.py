@@ -15,8 +15,10 @@ from repro.errors import TransportError
 from repro.middleware.transport.base import (
     Connection,
     ConnectionClosed,
+    Frame,
     Listener,
     Transport,
+    join_frame,
 )
 from repro.util.idgen import unique_id
 
@@ -43,12 +45,10 @@ class InprocConnection(Connection):
         b._peer = a  # type: ignore[attr-defined]
         return a, b
 
-    def send_frame(self, frame: bytes) -> None:
+    def send_frame(self, frame: Frame) -> None:
         if self._closed.is_set() or self._peer_closed.is_set():
             raise ConnectionClosed("connection is closed")
-        if not isinstance(frame, (bytes, bytearray)):
-            raise TransportError("frames must be bytes")
-        self._outbox.put(bytes(frame))
+        self._outbox.put(join_frame(frame))
 
     def recv_frame(self, timeout: Optional[float] = None) -> Optional[bytes]:
         if self._closed.is_set():

@@ -20,6 +20,7 @@ from repro.middleware.transport import framing
 from repro.middleware.transport.base import (
     Connection,
     ConnectionClosed,
+    Frame,
     Listener,
     Transport,
 )
@@ -71,7 +72,7 @@ class TcpConnection(Connection):
         self._recv_lock = threading.Lock()
         self._closed = threading.Event()
 
-    def send_frame(self, frame: bytes) -> None:
+    def send_frame(self, frame: Frame) -> None:
         if self._closed.is_set():
             raise ConnectionClosed("connection is closed")
         try:

@@ -22,9 +22,12 @@ assignment -- is coerced by the field, and ``vars(msg)`` holds exactly
 the fields that were set.
 
 Encoding builds one list of chunks for the whole message, nested messages
-included, and joins it once: a bytes field contributes its short header
-and then the value object itself, so :meth:`WireMessage.encode` copies a
-large payload exactly once.
+included: a bytes field contributes its short header and then the value
+object itself.  :meth:`WireMessage.encode_parts` joins only the short runs
+between values of :data:`LARGE_VALUE` bytes or more, which stay their own
+buffers, so a scatter-gather send copies no payload at all;
+:meth:`WireMessage.encode` joins those parts, so it copies a large
+payload exactly once.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ from repro.serialization.wire import WireType
 # Value decoders of :meth:`WireMessage.decode`, ordered so one comparison
 # separates the varint-coded kinds from the length-delimited ones.
 _UINT, _SINT, _BOOL, _ENUM, _DOUBLE, _BYTES, _STRING, _MESSAGE = range(8)
+
+#: Chunks at least this long stay their own part in
+#: :meth:`WireMessage.encode_parts`; shorter ones are joined.
+LARGE_VALUE = 64 * 1024
 
 
 class Field:
@@ -360,9 +367,29 @@ class WireMessage:
 
     def encode(self) -> bytes:
         """Serialize to protobuf wire format (fields in number order)."""
+        return b"".join(self.encode_parts())
+
+    def encode_parts(self) -> List[bytes]:
+        """The wire format as a list of buffers whose concatenation is
+        :meth:`encode`: each value of :data:`LARGE_VALUE` bytes or more
+        is its own part, uncopied, and the runs between them are joined."""
         out: List[bytes] = []
         self._encode_into(out)
-        return b"".join(out)
+        if not out or max(map(len, out)) < LARGE_VALUE:
+            return [b"".join(out)]
+        parts: List[bytes] = []
+        run: List[bytes] = []
+        for chunk in out:
+            if len(chunk) < LARGE_VALUE:
+                run.append(chunk)
+                continue
+            if run:
+                parts.append(b"".join(run))
+                run = []
+            parts.append(chunk)
+        if run:
+            parts.append(b"".join(run))
+        return parts
 
     def _encode_into(self, out: List[bytes]) -> None:
         """Append every non-default field's chunks to ``out``."""

@@ -9,7 +9,11 @@ copied) more than once:
   only transient copy on ingest is the ``data`` slice of the decode check,
   and hashing and the WAL write copy nothing;
 * the publisher's pending window -- a publication ACKed in time is logged
-  from its frame and kept nowhere.
+  from its frame and kept nowhere;
+* the logger link -- ``RemoteLogger`` sends a record's encoded request as
+  parts, so it builds no frame-sized buffer, and ``LogServerEndpoint``
+  reads a large frame into one buffer, copies each record out once and
+  keeps nothing of the frame after dispatch.
 
 Budgets are ratios of the payload size, so they are deterministic: no
 timing, no sleeps (waits are on counters).
@@ -19,16 +23,20 @@ from __future__ import annotations
 
 import gc
 import random
+import socket
 import threading
 import tracemalloc
 import types
 
 import pytest
 
-from repro.core import AdlpConfig, AdlpProtocol, LogServer
+from repro.core import AdlpConfig, AdlpProtocol, LogServer, LogServerEndpoint
+from repro.core import RemoteLogger
 from repro.core.entries import Direction, LogEntry, Scheme
+from repro.core.remote import OP_SUBMIT_BATCH, LoggerRequest, LoggerResponse
 from repro.middleware import Master, Node
 from repro.middleware.msgtypes import RawBytes
+from repro.middleware.transport import framing
 from repro.storage.durable_store import DurableLogStore
 from repro.util.concurrency import wait_for
 
@@ -277,3 +285,122 @@ class TestPublisherWindow:
             (seq, peer) for seq in (1, 2, 3) for peer in ("/sub1", "/sub2")
         ]
         assert not publisher._protocol._pending
+
+
+#: What the endpoint may hold at once while it ingests one large frame,
+#: as a ratio of the record: the frame's receive buffer and the record
+#: copied out of it, then that copy and the logger's transient on ingest
+#: (2.0 each).  A frame buffer that outlives the copy reads 3.1.
+ENDPOINT_PEAK_BUDGET = 2.5
+
+
+class _DiscardSink:
+    """A logger endpoint that reads every frame into one buffer it
+    allocated up front (``recv_into``), answers acknowledged requests and
+    keeps nothing, so the traced memory of a submit is the client's."""
+
+    def __init__(self, capacity: int) -> None:
+        self.frames = 0
+        self._buffer = bytearray(capacity)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = ("tcp",) + self._listener.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _read(self, sock: socket.socket, view: memoryview) -> bool:
+        while view:
+            received = sock.recv_into(view)
+            if not received:
+                return False
+            view = view[received:]
+        return True
+
+    def _serve(self) -> None:
+        sock, _ = self._listener.accept()
+        with sock, memoryview(self._buffer) as buffer:
+            while self._read(sock, buffer[: framing.PREAMBLE_SIZE]):
+                length = int.from_bytes(buffer[: framing.PREAMBLE_SIZE], "little")
+                if not self._read(sock, buffer[:length]):
+                    return
+                request = LoggerRequest.decode(buffer[:length])
+                self.frames += 1  # counted before the reply releases the caller
+                if request.sync:
+                    reply = LoggerResponse(ok=True, entries=1, corr_id=request.corr_id)
+                    framing.send_frame(sock, reply.encode())
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+class TestLoggerLinkSendsNoFrameCopy:
+    """The client sends a large record without building a frame-sized
+    buffer; joining the request and prefixing the preamble copied it
+    twice (2.0)."""
+
+    @pytest.fixture()
+    def link(self):
+        sink = _DiscardSink(2 * RECORD_BYTES)
+        client = RemoteLogger(sink.address)
+        yield sink, client
+        client.close()
+        sink.close()
+
+    def test_fire_and_forget(self, link):
+        sink, client = link
+        record = _record(1)
+        client.submit_batch([b"warm-up"])  # connect outside the trace
+
+        def submit():
+            client.submit_batch([record])
+            assert wait_for(lambda: sink.frames == 2, timeout=30.0)
+
+        _, peak, _ = _traced(submit)
+        assert peak <= TRANSIENT_BUDGET * len(record)
+        assert client.stats()["dropped"] == 0
+
+    def test_acknowledged(self, link):
+        sink, client = link
+        record = _record(1)
+        client.submit_batch_sync([b"warm-up"])
+
+        _, peak, count = _traced(lambda: client.submit_batch_sync([record]))
+        assert count == 1 and sink.frames == 2
+        assert peak <= TRANSIENT_BUDGET * len(record)
+
+
+class TestEndpointKeepsNoFrame:
+    """A pre-framed 4 MiB submit written raw to the endpoint: after
+    dispatch the endpoint keeps the stored record and nothing of the frame
+    it arrived in, and at no time holds more than the frame's buffer, the
+    record's copy and the ingest's transient."""
+
+    @pytest.fixture()
+    def endpoint(self):
+        server = LogServer()
+        endpoint = LogServerEndpoint(server)
+        sock = socket.create_connection(endpoint.address[1:])
+        yield server, endpoint, sock
+        sock.close()
+        endpoint.close()
+
+    @pytest.mark.parametrize("sync", [False, True])
+    def test_dispatch(self, endpoint, sync):
+        server, _, sock = endpoint
+        record = _record(1)
+        frame = framing.encode_frame(
+            LoggerRequest(
+                op=OP_SUBMIT_BATCH, entry_batch=[record], sync=sync, corr_id=7
+            ).encode()
+        )
+
+        def submit():
+            sock.sendall(frame)
+            if sync:
+                reply = LoggerResponse.decode(framing.recv_frame(sock))
+                assert reply.ok and reply.corr_id == 7
+            assert wait_for(lambda: len(server) == 1, timeout=30.0)
+
+        retained, peak, _ = _traced(submit)
+        assert retained <= (1 + RETAINED_BUDGET) * len(record)
+        assert peak <= ENDPOINT_PEAK_BUDGET * len(record)
+        assert server.raw_records() == [record]

@@ -1,6 +1,7 @@
 """Fleet-scale fan-in soak: 1000+ concurrent clients against ONE
 event-loop endpoint, every submission acknowledged, zero acked-evidence
-loss, and a clean store audit afterwards.
+loss, and a clean store audit afterwards.  About one client in fifty
+sends 1 MiB records.
 
 Deselected from tier-1 (see pyproject's addopts); run with
 ``pytest -m soak tests/core/test_fanin_soak.py``.
@@ -17,16 +18,22 @@ pytestmark = pytest.mark.soak
 
 CLIENTS = 1000
 ENTRIES_PER_CLIENT = 3
+#: One client in this many sends camera-sized (1 MiB) records, so the
+#: endpoint reassembles large frames in their own buffers while the other
+#: connections' small frames interleave with them.
+LARGE_CLIENT_EVERY = 50
+LARGE_RECORD = 1 << 20
 
 
 def _entries(client_index: int):
+    size = LARGE_RECORD if client_index % LARGE_CLIENT_EVERY == 0 else 64
     return [
         LogEntry(
             component_id=f"/node{client_index}",
             topic=f"/t{client_index % 32}",
             seq=seq,
             scheme=Scheme.ADLP,
-            data=b"x" * 64,
+            data=b"x" * size,
         )
         for seq in range(1, ENTRIES_PER_CLIENT + 1)
     ]

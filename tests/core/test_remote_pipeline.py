@@ -25,6 +25,7 @@ from repro.middleware.transport.base import (
     Connection,
     ConnectionClosed,
     Transport,
+    join_frame,
 )
 from repro.middleware.transport.tcp import TcpTransport
 from repro.serialization import (
@@ -242,10 +243,10 @@ class _FlipConnection(Connection):
         self._closed = False
         self._peer_gone = False
 
-    def send_frame(self, frame: bytes) -> None:
+    def send_frame(self, frame) -> None:
         if self._closed:
             raise ConnectionClosed("closed")
-        self.frames.append(frame)
+        self.frames.append(join_frame(frame))
         self._peer_gone = True  # the server reaped us mid-send
 
     def recv_frame(self, timeout=None):
@@ -267,10 +268,10 @@ class _GoodConnection(Connection):
         self.frames = []
         self._closed = False
 
-    def send_frame(self, frame: bytes) -> None:
+    def send_frame(self, frame) -> None:
         if self._closed:
             raise ConnectionClosed("closed")
-        self.frames.append(frame)
+        self.frames.append(join_frame(frame))
 
     def recv_frame(self, timeout=None):
         return None
