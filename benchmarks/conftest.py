@@ -3,7 +3,8 @@
 Benchmarks run with the paper's cryptographic parameters (RSA-1024,
 SHA-256).  Key pairs are seeded so repeated runs measure the same keys.
 Results print as paper-style tables and are captured into
-``bench_results.json`` (see ``repro.bench.reporting``).
+``bench_results.json`` (see :mod:`benchmarks.harness`, the timing, CPU,
+rate and reporting helpers the benchmarks share).
 """
 
 from __future__ import annotations

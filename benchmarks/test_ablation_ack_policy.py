@@ -11,8 +11,7 @@ import time
 
 import pytest
 
-from repro.bench.reporting import Table, save_results
-from repro.bench.workloads import payload_of_size
+from benchmarks.harness import Table, save_results, payload_of_size
 from repro.core import AdlpProtocol, LogServer
 from repro.core.policy import AdlpConfig
 from repro.middleware import Master, Node

@@ -14,7 +14,7 @@ import pytest
 
 from repro.apps.selfdriving import SelfDrivingApp
 from repro.apps.selfdriving.app import seeded_keypairs
-from repro.bench.reporting import Table, save_results
+from benchmarks.harness import Table, save_results
 from repro.core import DedupLogStore, LogServer
 from repro.core.policy import AdlpConfig
 

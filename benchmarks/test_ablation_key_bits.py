@@ -9,8 +9,7 @@ signature bytes grow linearly (64/128/256).
 
 import pytest
 
-from repro.bench.reporting import Table, save_results
-from repro.bench.timing import measure
+from benchmarks.harness import Table, save_results, measure
 from repro.core.protocol import AdlpMessage, message_digest
 from repro.crypto.keys import generate_keypair
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import threading
 
-from repro.bench.reporting import Table, host_cpu_count, save_results
+from benchmarks.harness import Table, host_cpu_count, save_results
 from repro.core.entries import LogEntry, Scheme
 from repro.core.log_server import LogServer
 from repro.core.remote import LogServerEndpoint, RemoteLogger

@@ -10,7 +10,7 @@ seconds.
 import pytest
 
 from repro.audit import Auditor, Topology
-from repro.bench.reporting import Table, save_results
+from benchmarks.harness import Table, save_results
 from repro.core import LogServer
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.protocol import message_digest

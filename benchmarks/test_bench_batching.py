@@ -27,7 +27,7 @@ import time
 
 import pytest
 
-from repro.bench.reporting import Table, save_results
+from benchmarks.harness import Table, save_results
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.log_server import LogServer
 from repro.core.log_store import InMemoryLogStore

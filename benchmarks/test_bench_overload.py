@@ -44,7 +44,13 @@ import tempfile
 import threading
 import time
 
-from repro.bench.reporting import Table, host_cpu_count, save_results
+from benchmarks.harness import (
+    Table,
+    honest_records,
+    host_cpu_count,
+    save_results,
+    workload_keys,
+)
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 CLIENTS = (8,) if SMOKE else (8, 64)
@@ -58,7 +64,7 @@ WINDOW_BYTES = 1 << 20
 #: Bound on the wait for the endpoint to go idle after the window.
 IDLE_TIMEOUT = 900.0
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _results: dict = {}
 
@@ -71,10 +77,10 @@ def _percentile(values, q: float) -> float:
 
 
 def _build_pool(path: str, batches: int) -> None:
-    from repro.resilience.matrix import _build_records, _cell_keys
-
     rng = random.Random(7)
-    records = _build_records(rng, _cell_keys(7), ["/probe/a", "/probe/b"], batches * BATCH // 2)
+    records = honest_records(
+        rng, workload_keys(7), ["/probe/a", "/probe/b"], batches * BATCH // 2
+    )
     with open(path, "wb") as fh:
         pickle.dump([records[i:i + BATCH] for i in range(0, len(records), BATCH)], fh)
 
@@ -209,7 +215,10 @@ def _run_one(shape: str, k: int, window: bool, seconds: float, pool_path: str) -
 
 def _run_subprocess(shape: str, k: int, window: bool, pool_path: str) -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    # src for repro, the repository root for benchmarks.harness
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(_ROOT, "src"), _ROOT, env.get("PYTHONPATH", "")]
+    )
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), shape, str(k),
          "on" if window else "off", str(SECONDS), pool_path],

@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro.bench.reporting import Table, save_results
+from benchmarks.harness import Table, save_results
 from repro.core import LogServer
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.crypto.merkle import MerkleFrontier, MerkleTree

@@ -30,7 +30,7 @@ import threading
 
 import pytest
 
-from repro.bench.reporting import Table, host_cpu_count, save_results
+from benchmarks.harness import Table, host_cpu_count, save_results
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.sharding import ShardRouter, ShardedLogServer
 from repro.sharding.router import _ROUTE_PREFIX  # the routing hash domain

@@ -12,15 +12,17 @@ import time
 
 import pytest
 
-from repro.bench.reporting import Table, save_results
-from repro.bench.workloads import payload_of_size
+from benchmarks.harness import (
+    LATENCY_SWEEP_SIZES,
+    Table,
+    payload_of_size,
+    save_results,
+)
 from repro.core import AdlpProtocol, LogServer, NaiveProtocol
 from repro.middleware import Master, Node
 from repro.middleware.msgtypes import RawBytes
 from repro.middleware.transport import TcpTransport
 
-#: payload sizes measured (paper sweeps small..~1MB)
-SIZES = [20, 1024, 8705, 65536, 262144, 921641]
 MESSAGES_PER_SIZE = 30
 
 _results = {}
@@ -63,7 +65,7 @@ def _measure_scheme(scheme: str, keys) -> dict:
     latencies = {}
     try:
         probe = _LatencyProbe(sub_node, pub_node, RawBytes)
-        for size in SIZES:
+        for size in LATENCY_SWEEP_SIZES:
             payload = payload_of_size(size)
             msg = RawBytes(data=payload)
             samples = []
@@ -117,7 +119,7 @@ def test_report_fig13(benchmark, bench_keys):
         "Figure 13 -- avg message latency pub->sub over TCP (ms)",
         ["Size (B)", "Baseline", "ADLP", "ADLP - Baseline"],
     )
-    for size in SIZES:
+    for size in LATENCY_SWEEP_SIZES:
         base = _results["naive"][str(size)]
         adlp = _results["adlp"][str(size)]
         table.add_row(size, base, adlp, adlp - base)
@@ -125,13 +127,14 @@ def test_report_fig13(benchmark, bench_keys):
     save_results("fig13", _results)
 
     # Shape 1: ADLP is slower than baseline at every size.
-    for size in SIZES:
+    for size in LATENCY_SWEEP_SIZES:
         assert _results["adlp"][str(size)] > _results["naive"][str(size)]
     # Shape 2: the ADLP-baseline gap is on the order of 2x(hash+sign) --
     # we accept 0.5x..8x of two signing operations (~2 x ~1.7 ms) to keep
     # the check robust on shared machines.
     gaps = [
-        _results["adlp"][str(size)] - _results["naive"][str(size)] for size in SIZES
+        _results["adlp"][str(size)] - _results["naive"][str(size)]
+        for size in LATENCY_SWEEP_SIZES
     ]
     for gap in gaps:
         assert 0.5 < gap < 30.0

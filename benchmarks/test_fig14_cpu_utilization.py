@@ -16,9 +16,13 @@ import time
 
 import pytest
 
-from repro.bench.cpu import ThreadGroupCpuSampler, threads_matching
-from repro.bench.reporting import Table, save_results
-from repro.bench.workloads import payload_of_size
+from benchmarks.harness import (
+    ThreadGroupCpuSampler,
+    threads_matching,
+    Table,
+    save_results,
+    payload_of_size,
+)
 from repro.core import AdlpProtocol, LogServer, NaiveProtocol
 from repro.core.policy import AdlpConfig
 from repro.middleware import Master, Node

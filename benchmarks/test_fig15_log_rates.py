@@ -15,9 +15,12 @@ import time
 
 import pytest
 
-from repro.bench.rates import measure_log_rate
-from repro.bench.reporting import Table, save_results
-from repro.bench.workloads import payload_of_size
+from benchmarks.harness import (
+    measure_log_rate,
+    Table,
+    save_results,
+    payload_of_size,
+)
 from repro.core import AdlpProtocol, LogServer, NaiveProtocol
 from repro.core.policy import AdlpConfig
 from repro.middleware import Master, Node

@@ -24,9 +24,14 @@ import os
 
 import pytest
 
-from repro.bench.reporting import Table, host_cpu_count, save_results
-from repro.bench.timing import measure
-from repro.bench.workloads import PAPER_SIZES, paper_payloads
+from benchmarks.harness import (
+    Table,
+    host_cpu_count,
+    save_results,
+    measure,
+    PAPER_SIZES,
+    paper_payloads,
+)
 from repro.crypto.hashing import data_digest
 from repro.crypto.keys import generate_keypair
 

@@ -13,8 +13,7 @@ import pytest
 
 from repro.apps.selfdriving import SelfDrivingApp
 from repro.apps.selfdriving.app import seeded_keypairs
-from repro.bench.cpu import ProcessCpuSampler
-from repro.bench.reporting import Table, save_results
+from benchmarks.harness import ProcessCpuSampler, Table, save_results
 from repro.core.policy import AdlpConfig
 
 MEASURE_S = 4.0

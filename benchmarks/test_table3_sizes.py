@@ -16,8 +16,7 @@ and measures their encoded sizes.
 
 import pytest
 
-from repro.bench.reporting import Table, save_results
-from repro.bench.workloads import PAPER_SIZES, paper_payloads
+from benchmarks.harness import Table, save_results, PAPER_SIZES, paper_payloads
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.protocol import AdlpAck, AdlpMessage, message_digest
 from repro.middleware.transport import framing

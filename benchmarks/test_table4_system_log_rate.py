@@ -25,8 +25,7 @@ import pytest
 
 from repro.apps.selfdriving import SelfDrivingApp
 from repro.apps.selfdriving.app import seeded_keypairs
-from repro.bench.rates import measure_log_rate
-from repro.bench.reporting import Table, save_results
+from benchmarks.harness import measure_log_rate, Table, save_results
 from repro.core.policy import AdlpConfig
 
 MEASURE_S = 3.0

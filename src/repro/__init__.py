@@ -15,8 +15,11 @@ including every substrate the paper depends on:
   collusion analysis;
 - :mod:`repro.adversary` -- injectable unfaithful behaviors;
 - :mod:`repro.apps.selfdriving` -- the paper's demo application on a
-  simulated track;
-- :mod:`repro.bench` -- the measurement harness behind ``benchmarks/``.
+  simulated track.
+
+The measurement harness lives beside the benchmarks that use it
+(``benchmarks/harness.py``), and the fault injector and scenario matrix
+beside the tests (``tests/sim/``).
 
 Quickstart::
 

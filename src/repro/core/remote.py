@@ -38,6 +38,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from typing import Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.entries import LogEntry
@@ -340,10 +341,11 @@ class _EventConn:
     The loop thread owns the socket and the frame reassembly buffers:
     ``rbuf`` for whatever arrives, or ``frame`` (``filled`` bytes in so
     far) while one large frame body is read into a buffer of its exact
-    size; dispatch workers own ``pending`` (under ``lock``) and append framed
-    response bytes to ``out``, which only the loop thread writes to the
-    socket.  ``running`` guarantees at most one dispatch worker drains
-    this connection at a time -- per-connection FIFO execution is
+    size; dispatch workers own ``pending`` (under ``lock``) and append each
+    response's preamble and encoded parts to ``out``, which only the loop
+    thread writes to the socket.  ``running`` guarantees at most one
+    dispatch worker drains this connection at a time -- per-connection
+    FIFO execution is
     load-bearing (credit syncs and the count reconcile of acknowledged
     submits both assume this connection's frames are ingested in
     order)."""
@@ -370,7 +372,7 @@ class _EventConn:
         self.rbuf = bytearray()
         self.frame: Optional[bytearray] = None
         self.filled = 0
-        self.out: Deque[memoryview] = deque()
+        self.out: Deque[Union[bytes, memoryview]] = deque()
         self.lock = threading.Lock()
         self.pending: Deque[Tuple[LoggerRequest, float]] = deque()
         self.running = False
@@ -396,10 +398,10 @@ class LogServerEndpoint:
     -- queue wait behind other connections counts against the budget,
     exactly as §13's overload discipline requires.
 
-    Transports whose connections do not expose a raw socket (in-process
-    and fault-injection wrappers) fall back to the classic
-    thread-per-connection serve loop; both paths share the same dispatch
-    logic, so verdicts and commitments are identical.
+    The event loop is the only serve path: a transport whose connections
+    carry no socket (a test double, say) is not served, and each such
+    connection is closed at accept.  The in-process transport's
+    connections are loopback sockets, so it is served like TCP.
     """
 
     def __init__(
@@ -456,8 +458,8 @@ class LogServerEndpoint:
     @staticmethod
     def _raw_socket(connection: Connection) -> Optional[socket.socket]:
         """The connection's underlying socket, when it has one the event
-        loop can own (TCP connections); ``None`` sends the
-        connection down the thread-per-connection fallback."""
+        loop can own (TCP and in-process connections); ``None`` if the
+        connection cannot be served."""
         sock = getattr(connection, "_sock", None)
         return sock if isinstance(sock, socket.socket) else None
 
@@ -466,22 +468,23 @@ class LogServerEndpoint:
             connection = self._listener.accept(timeout=0.1)
             if connection is None:
                 continue
+            sock = self._raw_socket(connection)
+            if sock is None:
+                logger.warning(
+                    "closing %s at accept: it has no socket to serve",
+                    type(connection).__name__,
+                )
+                connection.close()
+                continue
             with self._lock:
                 self._connections.append(connection)
-            sock = self._raw_socket(connection)
-            if sock is not None:
-                sock.setblocking(False)
-                state = _EventConn(connection, sock)
-                with self._dirty_lock:
-                    self._new_states.append(state)
-                self._wake()
-                continue
-            worker = StoppableThread(
-                "logserver-conn", target=lambda c=connection: self._serve(c)
-            )
-            worker.start()
+            sock.setblocking(False)
+            state = _EventConn(connection, sock)
+            with self._dirty_lock:
+                self._new_states.append(state)
+            self._wake()
 
-    # -- event loop (socket-backed connections) ---------------------------
+    # -- event loop --------------------------------------------------------
 
     def _wake(self) -> None:
         try:
@@ -685,21 +688,23 @@ class LogServerEndpoint:
         with state.lock:
             if state.read_paused and len(state.pending) <= _READ_RESUME_DEPTH:
                 state.read_paused = False
+        out = state.out
         try:
-            while state.out:
+            while out:
                 with state.lock:
-                    if not state.out:
-                        break
-                    buf = state.out[0]
+                    buffers = list(islice(out, framing._IOV_MAX))
                 try:
-                    sent = state.sock.send(buf)
+                    sent = state.sock.sendmsg(buffers)
                 except (BlockingIOError, InterruptedError):
                     break
+                # Only this thread removes from ``out`` (dispatch workers
+                # append at the tail), so its head is what was just sent.
                 with state.lock:
-                    if sent < len(buf):
-                        state.out[0] = buf[sent:]
+                    while out and sent >= len(out[0]):
+                        sent -= len(out.popleft())
+                    if sent:
+                        out[0] = memoryview(out[0])[sent:]
                         break
-                    state.out.popleft()
         except OSError:
             self._loop_close(state)
             return
@@ -710,9 +715,8 @@ class LogServerEndpoint:
             state.closing = True
             # pending is NOT cleared: frames already reassembled off the
             # socket are accepted work, and a client disconnect racing
-            # dispatch must not silently drop fire-and-forget evidence
-            # (the thread-fallback path drains buffered frames to EOF the
-            # same way).  Queued responses are undeliverable, so they go.
+            # dispatch must not silently drop fire-and-forget evidence.
+            # Queued responses are undeliverable, so they go.
             state.out.clear()
         try:
             self._selector.unregister(state.sock)
@@ -752,17 +756,19 @@ class LogServerEndpoint:
                 response = None
             if response is None:
                 continue
-            try:
-                payload = framing.encode_frame(response.encode())
-            except Exception:  # oversized response: drop, keep serving
-                continue
+            # the parts go out as they are: a fetched record is not copied
+            parts = response.encode_parts()
+            size = sum(map(len, parts))
+            if size > framing.MAX_FRAME_SIZE:
+                continue  # oversized response: drop, keep serving
             with state.lock:
                 if state.closing:
                     continue  # undeliverable, but keep draining pending
-                state.out.append(memoryview(payload))
+                state.out.append(_PREAMBLE.pack(size))
+                state.out.extend(parts)
             self._mark_dirty(state)
 
-    # -- shared dispatch (event loop + thread fallback) --------------------
+    # -- dispatch -----------------------------------------------------------
 
     def _dispatch(
         self, request: LoggerRequest, arrival: float
@@ -789,49 +795,6 @@ class LogServerEndpoint:
             response = self._answer(request)
         response.corr_id = request.corr_id
         return response
-
-    # -- thread-per-connection fallback (non-socket transports) ------------
-
-    def _serve(self, connection: Connection) -> None:
-        try:
-            self._serve_loop(connection)
-        finally:
-            connection.close()
-            with self._lock:
-                if connection in self._connections:
-                    self._connections.remove(connection)
-
-    def _serve_loop(self, connection: Connection) -> None:
-        last_active = time.monotonic()
-        while not self._acceptor.stopped():
-            try:
-                frame = connection.recv_frame(timeout=0.1)
-            except ConnectionClosed:
-                return
-            if frame is None:
-                if (
-                    self._idle_timeout is not None
-                    and time.monotonic() - last_active > self._idle_timeout
-                ):
-                    # Reap the connection: a wedged or leaked client must
-                    # not pin a worker thread forever.  A live component
-                    # reconnects transparently on its next submit.
-                    with self._lock:
-                        self.reaped += 1
-                    return
-                continue
-            last_active = time.monotonic()
-            try:
-                request = LoggerRequest.decode(frame)
-            except Exception:
-                continue  # a malformed frame must not kill the server
-            response = self._dispatch(request, arrival=last_active)
-            if response is None:
-                continue
-            try:
-                connection.send_frame(response.encode())
-            except ConnectionClosed:
-                return
 
     def _submit_tagged(self, batch: List[bytes], shard_tag: int) -> None:
         """Ingest ``batch``, honoring a shard tag.

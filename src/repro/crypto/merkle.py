@@ -183,14 +183,6 @@ class MerkleTree:
         self._size = index + 1
         return index
 
-    def truncate(self, size: int) -> None:
-        """Drop leaves beyond ``size`` (rollback of a failed append)."""
-        if not 0 <= size <= self._size:
-            raise IndexError("truncation size out of range")
-        for height, row in enumerate(self._rows):
-            del row[(size >> height) * HASH_LEN:]
-        self._size = size
-
     def __len__(self) -> int:
         return self._size
 

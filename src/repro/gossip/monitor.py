@@ -38,10 +38,6 @@ class TreeHeadMonitor:
         self._evidence: List[EquivocationEvidence] = []
         self._lock = threading.Lock()
 
-    def set_key(self, public_key: PublicKey) -> None:
-        with self._lock:
-            self._key = public_key
-
     def verified_head(self, scope: int = 0) -> Optional[SignedTreeHead]:
         with self._lock:
             return self._verified.get(scope)

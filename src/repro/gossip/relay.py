@@ -82,10 +82,6 @@ class GossipRelay:
         with self._lock:
             self._keys[log_id] = public_key
 
-    def set_consistency_prover(self, prover: Optional[ConsistencyProver]) -> None:
-        with self._lock:
-            self._prover = prover
-
     def add_listener(self, callback: Callable[[EquivocationEvidence], None]) -> None:
         """Invoke ``callback`` for every *new* piece of evidence."""
         with self._lock:

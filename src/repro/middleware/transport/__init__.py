@@ -3,14 +3,13 @@
 ROS delivers topic data over per-subscriber TCP connections ("TCPROS") with
 a 4-byte length preamble per frame; ADLP additionally uses the *return*
 direction of the same connection for acknowledgement messages.  Both
-transports here expose the same bidirectional framed-connection interface:
+transports here expose the same bidirectional framed-connection interface
+over the same socket code:
 
 - :mod:`repro.middleware.transport.tcp` -- real TCP sockets on localhost.
-- :mod:`repro.middleware.transport.inproc` -- queue pairs inside one
-  process, deterministic and fast, used by most tests.
-- :mod:`repro.middleware.transport.faulty` -- a fault-injection decorator
-  over either of the above: seeded, deterministic drop/dup/delay/reorder/
-  truncate/disconnect faults for chaos and resilience testing.
+- :mod:`repro.middleware.transport.inproc` -- a private network of named
+  listeners inside one process whose connections are loopback socket
+  pairs, used by most tests.
 """
 
 from repro.middleware.transport.base import (
@@ -23,20 +22,10 @@ from repro.middleware.transport.base import (
     SubscriberProtocol,
     PlainProtocol,
 )
-from repro.middleware.transport.faulty import (
-    FaultProfile,
-    FaultSchedule,
-    FaultStats,
-    FaultyTransport,
-)
 from repro.middleware.transport.inproc import InprocTransport
 from repro.middleware.transport.tcp import TcpTransport
 
 __all__ = [
-    "FaultProfile",
-    "FaultSchedule",
-    "FaultStats",
-    "FaultyTransport",
     "Connection",
     "ConnectionClosed",
     "Listener",

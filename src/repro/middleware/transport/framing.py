@@ -26,6 +26,8 @@ _LEN_STRUCT = struct.Struct("<I")
 #: Buffers per ``sendmsg`` call (Linux's ``IOV_MAX``).
 _IOV_MAX = 1024
 
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+
 
 def frame_overhead() -> int:
     """Per-frame byte overhead added by the framing layer."""
@@ -47,6 +49,8 @@ def send_frame(sock: socket.socket, frame: Frame) -> None:
     frame-sized buffer is built; a partial send resumes where it stopped.
     """
     parts = frame if isinstance(frame, list) else [frame]
+    if not all(isinstance(part, _BYTES_LIKE) for part in parts):
+        raise TransportError("frames must be bytes")
     size = sum(map(len, parts))
     if size > MAX_FRAME_SIZE:
         raise TransportError(f"frame of {size} bytes exceeds maximum")

@@ -1,75 +1,44 @@
-"""In-process transport: connections are pairs of thread-safe queues.
+"""In-process transport: each connection is a connected loopback TCP pair.
 
-Used by unit and protocol tests: same interface as TCP, no sockets, no
-nondeterministic connection setup.  Frames are still ``bytes`` so the full
-serialization path is exercised.
+Used by unit and protocol tests.  One :class:`InprocTransport` is one
+private "network" of named listeners, so no port is published and a
+connect never races another test's listener; the connection itself is a
+:class:`~repro.middleware.transport.tcp.TcpConnection`, so every
+in-process link runs the same framing and socket code as TCP (and a
+:class:`~repro.core.remote.LogServerEndpoint` serves it from its event
+loop).
 """
 
 from __future__ import annotations
 
 import queue
+import socket
 import threading
 from typing import Dict, Optional, Tuple
 
 from repro.errors import TransportError
-from repro.middleware.transport.base import (
-    Connection,
-    ConnectionClosed,
-    Frame,
-    Listener,
-    Transport,
-    join_frame,
-)
+from repro.middleware.transport.base import Connection, Listener, Transport
+from repro.middleware.transport.tcp import TcpConnection
 from repro.util.idgen import unique_id
 
-_CLOSE = object()  # sentinel placed on a queue when the peer closes
 
+def connection_pair() -> Tuple[TcpConnection, TcpConnection]:
+    """Two connected endpoints over loopback TCP.
 
-class InprocConnection(Connection):
-    """One endpoint of an in-process connection."""
-
-    def __init__(self, inbox: "queue.Queue", outbox: "queue.Queue"):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._closed = threading.Event()
-        self._peer_closed = threading.Event()
-
-    @classmethod
-    def pair(cls) -> Tuple["InprocConnection", "InprocConnection"]:
-        """Create two connected endpoints."""
-        a_to_b: "queue.Queue" = queue.Queue()
-        b_to_a: "queue.Queue" = queue.Queue()
-        a = cls(inbox=b_to_a, outbox=a_to_b)
-        b = cls(inbox=a_to_b, outbox=b_to_a)
-        a._peer = b  # type: ignore[attr-defined]
-        b._peer = a  # type: ignore[attr-defined]
-        return a, b
-
-    def send_frame(self, frame: Frame) -> None:
-        if self._closed.is_set() or self._peer_closed.is_set():
-            raise ConnectionClosed("connection is closed")
-        self._outbox.put(join_frame(frame))
-
-    def recv_frame(self, timeout: Optional[float] = None) -> Optional[bytes]:
-        if self._closed.is_set():
-            raise ConnectionClosed("connection is closed")
+    Not an AF_UNIX ``socketpair``: its fixed ~200 KB buffer stalls a
+    sender that writes a frame of an image's size before its peer reads,
+    where loopback TCP grows its buffers to fit.
+    """
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
+        server.bind(("127.0.0.1", 0))
+        server.listen(1)
+        client = socket.create_connection(server.getsockname())
         try:
-            item = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        if item is _CLOSE:
-            self._peer_closed.set()
-            raise ConnectionClosed("peer closed the connection")
-        return item
-
-    def close(self) -> None:
-        if not self._closed.is_set():
-            self._closed.set()
-            self._outbox.put(_CLOSE)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
+            accepted, _ = server.accept()
+        except OSError:
+            client.close()
+            raise
+    return TcpConnection(client), TcpConnection(accepted)
 
 
 class InprocListener(Listener):
@@ -85,7 +54,7 @@ class InprocListener(Listener):
     def address(self) -> Tuple:
         return ("inproc", self._key)
 
-    def _enqueue(self, connection: InprocConnection) -> None:
+    def _enqueue(self, connection: Connection) -> None:
         if self._closed.is_set():
             raise TransportError("listener is closed")
         self._pending.put(connection)
@@ -101,6 +70,12 @@ class InprocListener(Listener):
     def close(self) -> None:
         self._closed.set()
         self._transport._unregister(self._key)
+        # like a closed TCP listener: connections never accepted are reset
+        while True:
+            try:
+                self._pending.get_nowait().close()
+            except queue.Empty:
+                return
 
 
 class InprocTransport(Transport):
@@ -124,8 +99,13 @@ class InprocTransport(Transport):
             listener = self._listeners.get(address[1])
         if listener is None:
             raise TransportError(f"no listener at {address!r}")
-        local, remote = InprocConnection.pair()
-        listener._enqueue(remote)
+        local, remote = connection_pair()
+        try:
+            listener._enqueue(remote)
+        except TransportError:
+            local.close()
+            remote.close()
+            raise
         return local
 
     def _unregister(self, key: str) -> None:

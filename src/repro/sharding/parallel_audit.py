@@ -35,7 +35,7 @@ from repro.audit.causality import (
     ChainHop,
     check_chain_precedence,
 )
-from repro.audit.verdicts import AuditReport, HiddenRecord
+from repro.audit.verdicts import AuditReport
 from repro.core.log_server import LogCommitment
 from repro.errors import LogIntegrityError
 from repro.sharding.sharded_server import ShardedLogServer, ShardSetCommitment
@@ -79,15 +79,6 @@ class ShardedAuditResult:
     def flagged_shards(self) -> List[int]:
         """Shards implicated by tampering or commitment mismatch."""
         return sorted(set(self.tampered_shards) | set(self.mismatched_shards))
-
-    def shard_of_hidden(self, hidden: HiddenRecord) -> int:
-        """Which shard a proven-hidden entry should have lived in (the
-        shard whose audit inferred it; topics never span shards, so this
-        is also where the missing entry's topic routes)."""
-        for outcome in self.outcomes:
-            if outcome.report is not None and hidden in outcome.report.hidden:
-                return outcome.shard
-        raise ValueError(f"hidden record {hidden} was not produced by this audit")
 
     @property
     def clean(self) -> bool:

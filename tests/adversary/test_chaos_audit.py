@@ -19,7 +19,7 @@ from repro.audit import Auditor, Topology
 from repro.core import AdlpConfig, AdlpProtocol, LogServer
 from repro.middleware import Master, Node, handshake
 from repro.middleware.msgtypes import StringMsg
-from repro.middleware.transport import FaultProfile, FaultSchedule, FaultyTransport
+from tests.sim.faulty import FaultProfile, FaultSchedule, FaultyTransport
 from repro.middleware.transport.tcp import TcpTransport
 from repro.util.concurrency import wait_for
 

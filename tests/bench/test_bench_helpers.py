@@ -4,11 +4,15 @@ import time
 
 import pytest
 
-from repro.bench.cpu import ProcessCpuSampler, ThreadGroupCpuSampler, threads_matching
-from repro.bench.rates import measure_log_rate
-from repro.bench.reporting import Table, save_results
-from repro.bench.timing import TimingStats, measure
-from repro.bench.workloads import (
+from benchmarks.harness import (
+    ProcessCpuSampler,
+    ThreadGroupCpuSampler,
+    threads_matching,
+    measure_log_rate,
+    Table,
+    save_results,
+    TimingStats,
+    measure,
     LATENCY_SWEEP_SIZES,
     PAPER_SIZES,
     paper_payloads,
@@ -140,7 +144,7 @@ class TestReporting:
 
     def test_save_results_merges(self, tmp_path, monkeypatch):
         path = tmp_path / "results.json"
-        monkeypatch.setattr("repro.bench.reporting._RESULTS_PATH", str(path))
+        monkeypatch.setattr("benchmarks.harness._RESULTS_PATH", str(path))
         save_results("exp1", {"a": 1})
         save_results("exp2", {"b": 2})
         data = json.loads(path.read_text())

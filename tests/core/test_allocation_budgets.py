@@ -13,7 +13,8 @@ copied) more than once:
 * the logger link -- ``RemoteLogger`` sends a record's encoded request as
   parts, so it builds no frame-sized buffer, and ``LogServerEndpoint``
   reads a large frame into one buffer, copies each record out once and
-  keeps nothing of the frame after dispatch.
+  keeps nothing of the frame after dispatch; its ``OP_FETCH`` answer goes
+  out as parts too, so a served record is not copied.
 
 Budgets are ratios of the payload size, so they are deterministic: no
 timing, no sleeps (waits are on counters).
@@ -33,7 +34,12 @@ import pytest
 from repro.core import AdlpConfig, AdlpProtocol, LogServer, LogServerEndpoint
 from repro.core import RemoteLogger
 from repro.core.entries import Direction, LogEntry, Scheme
-from repro.core.remote import OP_SUBMIT_BATCH, LoggerRequest, LoggerResponse
+from repro.core.remote import (
+    OP_FETCH,
+    OP_SUBMIT_BATCH,
+    LoggerRequest,
+    LoggerResponse,
+)
 from repro.middleware import Master, Node
 from repro.middleware.msgtypes import RawBytes
 from repro.middleware.transport import framing
@@ -294,6 +300,16 @@ class TestPublisherWindow:
 ENDPOINT_PEAK_BUDGET = 2.5
 
 
+def _read(sock: socket.socket, view: memoryview) -> bool:
+    """Fill ``view`` from ``sock``; ``False`` if the peer closed first."""
+    while view:
+        received = sock.recv_into(view)
+        if not received:
+            return False
+        view = view[received:]
+    return True
+
+
 class _DiscardSink:
     """A logger endpoint that reads every frame into one buffer it
     allocated up front (``recv_into``), answers acknowledged requests and
@@ -307,20 +323,12 @@ class _DiscardSink:
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
-    def _read(self, sock: socket.socket, view: memoryview) -> bool:
-        while view:
-            received = sock.recv_into(view)
-            if not received:
-                return False
-            view = view[received:]
-        return True
-
     def _serve(self) -> None:
         sock, _ = self._listener.accept()
         with sock, memoryview(self._buffer) as buffer:
-            while self._read(sock, buffer[: framing.PREAMBLE_SIZE]):
+            while _read(sock, buffer[: framing.PREAMBLE_SIZE]):
                 length = int.from_bytes(buffer[: framing.PREAMBLE_SIZE], "little")
-                if not self._read(sock, buffer[:length]):
+                if not _read(sock, buffer[:length]):
                     return
                 request = LoggerRequest.decode(buffer[:length])
                 self.frames += 1  # counted before the reply releases the caller
@@ -404,3 +412,28 @@ class TestEndpointKeepsNoFrame:
         assert retained <= (1 + RETAINED_BUDGET) * len(record)
         assert peak <= ENDPOINT_PEAK_BUDGET * len(record)
         assert server.raw_records() == [record]
+
+    def test_fetch_reply_is_not_copied(self, endpoint):
+        """The ``OP_FETCH`` answer is queued as its parts: the endpoint
+        holds the stored record and no joined or framed copy of it (the
+        join and the preamble's concatenation read 2.0)."""
+        server, _, sock = endpoint
+        record = _record(1)
+        server.submit(record)
+        request = framing.encode_frame(
+            LoggerRequest(op=OP_FETCH, start=0, count=1, corr_id=9).encode()
+        )
+        reply = bytearray(len(record) + 4096)  # allocated outside the trace
+
+        def fetch():
+            sock.sendall(request)
+            with memoryview(reply) as view:
+                assert _read(sock, view[: framing.PREAMBLE_SIZE])
+                length = int.from_bytes(view[: framing.PREAMBLE_SIZE], "little")
+                assert _read(sock, view[:length])
+            return length
+
+        _, peak, length = _traced(fetch)
+        assert peak <= TRANSIENT_BUDGET * len(record)
+        response = LoggerResponse.decode(bytes(reply[:length]))
+        assert response.corr_id == 9 and response.records == [record]

@@ -1,6 +1,8 @@
 """The remote log server: registration, submission, failure tolerance."""
 
+import queue
 import random
+import threading
 
 import pytest
 
@@ -17,6 +19,12 @@ from repro.core.remote import BATCH_FRAME_BYTES
 from repro.errors import LoggingError
 from repro.middleware import Master, Node
 from repro.middleware.msgtypes import StringMsg
+from repro.middleware.transport import (
+    Connection,
+    InprocTransport,
+    Listener,
+    Transport,
+)
 from repro.storage.durable_store import DurableLogStore
 from repro.util.concurrency import wait_for
 
@@ -582,3 +590,86 @@ class TestCloseDrains:
         client.close()
         assert wait_for(lambda: len(server) == 3, timeout=5.0)
         assert [e.seq for e in server.entries()] == [0, 1, 2]
+
+
+class _SocketlessConnection(Connection):
+    """A connection with no socket: it records what the endpoint does
+    with it."""
+
+    def __init__(self):
+        self.reads = 0
+        self.closed_event = threading.Event()
+
+    def send_frame(self, frame):
+        raise AssertionError("an unserved connection is never written")
+
+    def recv_frame(self, timeout=None):
+        self.reads += 1
+        return None
+
+    def close(self):
+        self.closed_event.set()
+
+    @property
+    def closed(self):
+        return self.closed_event.is_set()
+
+
+class _OneConnectionTransport(Transport):
+    """A listener that hands out one socketless connection."""
+
+    def __init__(self, connection):
+        self._accepts = queue.Queue()
+        self._accepts.put(connection)
+
+    def listen(self):
+        accepts = self._accepts
+
+        class _Listener(Listener):
+            address = ("socketless",)
+
+            def accept(self, timeout=None):
+                try:
+                    return accepts.get(timeout=timeout)
+                except queue.Empty:
+                    return None
+
+            def close(self):
+                pass
+
+        return _Listener()
+
+
+class TestOneServePath:
+    """Every connection the endpoint serves runs its event loop; there
+    is no thread per connection."""
+
+    def test_inproc_connection_is_served_by_the_event_loop(self):
+        server = LogServer()
+        transport = InprocTransport()
+        endpoint = LogServerEndpoint(server, transport=transport)
+        client = RemoteLogger(endpoint.address, transport=transport)
+        try:
+            batch = [
+                LogEntry(component_id="/a", topic="/t", seq=seq).encode()
+                for seq in (1, 2)
+            ]
+            assert client.submit_batch_sync(batch) == 2
+            names = [thread.name for thread in threading.enumerate()]
+            assert not any(name.startswith("logserver-conn") for name in names)
+            assert len(endpoint._states) == 1
+        finally:
+            client.close()
+            endpoint.close()
+
+    def test_connection_without_a_socket_is_closed_unserved(self):
+        connection = _SocketlessConnection()
+        endpoint = LogServerEndpoint(
+            LogServer(), transport=_OneConnectionTransport(connection)
+        )
+        try:
+            assert connection.closed_event.wait(timeout=5.0)
+            assert connection.reads == 0
+            assert endpoint._connections == [] and endpoint._states == {}
+        finally:
+            endpoint.close()

@@ -16,7 +16,7 @@ from repro.core import AdlpConfig, AdlpProtocol, LogServer
 from repro.core.entries import Direction
 from repro.middleware import Master, Node, handshake
 from repro.middleware.msgtypes import StringMsg
-from repro.middleware.transport import FaultSchedule, FaultyTransport
+from tests.sim.faulty import FaultSchedule, FaultyTransport
 from repro.util.concurrency import wait_for
 
 

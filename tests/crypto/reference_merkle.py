@@ -67,12 +67,6 @@ class ReferenceMerkleTree:
         self._leaves.append(leaf_hash(payload))
         return len(self._leaves) - 1
 
-    def truncate(self, size: int) -> None:
-        """Drop leaves beyond ``size`` (rollback of a failed append)."""
-        if not 0 <= size <= len(self._leaves):
-            raise IndexError("truncation size out of range")
-        del self._leaves[size:]
-
     def frontier(self) -> "MerkleFrontier":
         """The compact O(log n) frontier equivalent of this tree."""
         return MerkleFrontier.from_leaf_hashes(self._leaves)

@@ -148,23 +148,6 @@ class TestConsistencyProofs:
             proof = lie.prove_consistency(old, n)
             assert not proof.verify(honest.root_at(old), lie.root()), old
 
-    def test_truncate_round_trip(self, rng):
-        """truncate() rewinds to an exact historical state: roots, proofs
-        and consistency all match the never-extended tree."""
-        n = rng.randrange(3, 40)
-        payloads = _payloads(n)
-        tree = MerkleTree(payloads)
-        size = rng.randrange(1, n)
-        tree.truncate(size)
-        assert len(tree) == size
-        assert tree.root() == MerkleTree(payloads[:size]).root()
-        # Regrow with the same suffix: full history is restored.
-        for payload in payloads[size:]:
-            tree.append(payload)
-        assert tree.root() == MerkleTree(payloads).root()
-        proof = tree.prove_consistency(size, n)
-        assert proof.verify(tree.root_at(size), tree.root())
-
     def test_out_of_range_pairs_refused(self):
         tree = MerkleTree(_payloads(6))
         with pytest.raises(ProofError):

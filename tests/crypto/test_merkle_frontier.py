@@ -91,16 +91,6 @@ class TestCopy:
 
 
 class TestTreeRollbackHelpers:
-    def test_truncate_reverts_append(self):
-        tree = MerkleTree(payloads(8))
-        root = tree.root()
-        tree.append(b"doomed")
-        tree.truncate(8)
-        assert len(tree) == 8
-        assert tree.root() == root
-        with pytest.raises(IndexError):
-            tree.truncate(9)
-
     def test_frontier_snapshot_of_tree(self):
         tree = MerkleTree(payloads(11))
         assert tree.frontier().root() == tree.root()

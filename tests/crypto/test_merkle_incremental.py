@@ -3,8 +3,8 @@ hash-count complexity, and proofs bound to their position.
 
 Three claims, three kinds of test:
 
-- *Differential.*  For any interleaving of ``append`` and ``truncate``, every
-  root, historical root, inclusion proof, consistency proof and frontier
+- *Differential.*  After any sequence of ``append`` calls, every root,
+  historical root, inclusion proof, consistency proof and frontier
   serialisation equals what ``tests/crypto/reference_merkle.py`` (the O(n)
   recursion this tree replaced) computes over the same leaves.
 - *Complexity.*  Counted in ``node_hash`` / ``leaf_hash`` calls, not seconds:
@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import repro.crypto.merkle as merkle
 from repro.crypto.merkle import MerkleProof, MerkleTree
@@ -73,45 +72,9 @@ class TestDifferential:
             tree.append(payload(n))
             reference.append(payload(n))
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(
-        steps=st.lists(
-            st.one_of(
-                st.tuples(st.just("append"), st.integers(1, 40)),
-                st.tuples(st.just("truncate"), st.integers(0, 100)),
-            ),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_interleaved_append_and_truncate(self, steps):
-        tree, reference = MerkleTree(), ReferenceMerkleTree()
-        serial = 0
-        for action, amount in steps:
-            if action == "append":
-                for _ in range(min(amount, 160 - len(reference))):
-                    # a fresh payload each time: a stale node surviving a
-                    # truncate would otherwise hash to the right value
-                    assert tree.append(payload(serial)) == reference.append(payload(serial))
-                    serial += 1
-            else:
-                size = len(reference) * amount // 100
-                tree.truncate(size)
-                reference.truncate(size)
-            assert tree.root() == reference.root()
-        assert_same_tree(tree, reference)
-
     def test_constructor_takes_any_iterable(self):
         payloads = [payload(i) for i in range(21)]
         assert MerkleTree(iter(payloads)).root() == ReferenceMerkleTree(payloads).root()
-
-    def test_truncate_out_of_range(self):
-        tree = MerkleTree(payload(i) for i in range(5))
-        for size in (-1, 6):
-            with pytest.raises(IndexError):
-                tree.truncate(size)
-        assert len(tree) == 5
-
 
 class _HashCounter:
     """Counts calls to the module's two hash primitives."""

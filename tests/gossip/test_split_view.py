@@ -19,7 +19,7 @@ from repro.crypto.keystore import KeyStore
 from repro.core.policy import ReplicationConfig
 from repro.gossip import EquivocationEvidence, GossipRelay, gossip_round
 from repro.replication import ReplicatedLogger
-from repro.resilience.matrix import EQUIVOCATION_ROUND_BOUND
+from tests.sim.matrix import EQUIVOCATION_ROUND_BOUND
 
 FAST = ReplicationConfig(
     breaker_failure_threshold=2,

@@ -10,13 +10,13 @@ import time
 
 import pytest
 
-from repro.middleware.transport import (
+from repro.middleware.transport.base import ConnectionClosed
+from tests.sim.faulty import (
+    FAULT_KINDS,
     FaultProfile,
     FaultSchedule,
     FaultyTransport,
 )
-from repro.middleware.transport.base import ConnectionClosed
-from repro.middleware.transport.faulty import FAULT_KINDS
 
 
 def connected_pair(transport):

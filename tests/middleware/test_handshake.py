@@ -2,12 +2,12 @@ import pytest
 
 from repro.errors import TopicTypeError, TransportError
 from repro.middleware import handshake
-from repro.middleware.transport.inproc import InprocConnection
+from repro.middleware.transport.inproc import connection_pair
 
 
 class TestHandshake:
     def test_roundtrip(self):
-        a, b = InprocConnection.pair()
+        a, b = connection_pair()
         handshake.send_header(a, "/sub", "/t", "std/String", "subscriber")
         header = handshake.recv_header(b, timeout=1.0)
         assert header.node_id == "/sub"
@@ -16,11 +16,11 @@ class TestHandshake:
         assert header.role == "subscriber"
 
     def test_timeout_returns_none(self):
-        a, b = InprocConnection.pair()
+        a, b = connection_pair()
         assert handshake.recv_header(b, timeout=0.05) is None
 
     def test_malformed_header_raises(self):
-        a, b = InprocConnection.pair()
+        a, b = connection_pair()
         a.send_frame(b"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")
         with pytest.raises(TransportError):
             handshake.recv_header(b, timeout=1.0)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import TransportError
 from repro.middleware.transport.base import ConnectionClosed
-from repro.middleware.transport.inproc import InprocConnection, InprocTransport
+from repro.middleware.transport.inproc import InprocTransport, connection_pair
 from repro.middleware.transport.tcp import TcpTransport
 
 
@@ -95,19 +95,21 @@ class TestConnectionContract:
         with pytest.raises(TransportError):
             transport.connect(("bogus",))
 
+    def test_rejects_non_bytes(self, transport):
+        listener, client, server = connected_pair(transport)
+        for frame in ("text", ["text"], [b"ok", 7]):
+            with pytest.raises(TransportError):
+                client.send_frame(frame)
+        listener.close()
+
 
 class TestInprocSpecifics:
     def test_pair_is_symmetric(self):
-        a, b = InprocConnection.pair()
+        a, b = connection_pair()
         a.send_frame(b"x")
         assert b.recv_frame(timeout=1.0) == b"x"
         b.send_frame(b"y")
         assert a.recv_frame(timeout=1.0) == b"y"
-
-    def test_rejects_non_bytes(self):
-        a, b = InprocConnection.pair()
-        with pytest.raises(TransportError):
-            a.send_frame("text")
 
     def test_listener_accept_timeout(self):
         transport = InprocTransport()

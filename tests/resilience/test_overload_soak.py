@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.resilience.matrix import enumerate_cells, run_matrix
+from tests.sim.matrix import enumerate_cells, run_matrix
 
 pytestmark = pytest.mark.overload
 

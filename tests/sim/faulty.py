@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import TransportError
 from repro.middleware.transport.base import (
     Connection,
     ConnectionClosed,
@@ -45,7 +46,7 @@ from repro.middleware.transport.base import (
     Transport,
     join_frame,
 )
-from repro.middleware.transport.inproc import InprocTransport
+from repro.middleware.transport.inproc import InprocTransport, connection_pair
 
 #: Recognized fault kinds, in the order they are evaluated per frame.
 FAULT_KINDS = ("disconnect", "drop", "truncate", "reorder", "dup", "delay")
@@ -387,3 +388,69 @@ class FaultyTransport(Transport):
 
     def connect(self, address: Tuple) -> Connection:
         return self._wrap(self.inner.connect(address), "connect")
+
+
+# -- serving a faulty transport from a LogServerEndpoint -------------------
+
+
+def _pump(source: Connection, sink: Connection) -> None:
+    """Forward frames from ``source`` to ``sink`` until either end
+    closes, then close both."""
+    try:
+        while not (source.closed or sink.closed):
+            frame = source.recv_frame(timeout=0.1)
+            if frame is not None:
+                sink.send_frame(frame)
+    except TransportError:
+        pass
+    finally:
+        source.close()
+        sink.close()
+
+
+class _RelayListener(Listener):
+    """Accepts from ``inner`` and hands out the far end of a socket pair
+    whose near end is relayed both ways to the accepted connection, so
+    the frames the far end's owner sends still pass the accepted
+    connection's faults."""
+
+    def __init__(self, inner: Listener):
+        self._inner = inner
+
+    @property
+    def address(self) -> Tuple:
+        return self._inner.address
+
+    def accept(self, timeout: Optional[float] = None) -> Optional[Connection]:
+        connection = self._inner.accept(timeout=timeout)
+        if connection is None:
+            return None
+        near, far = connection_pair()
+        for source, sink in ((connection, near), (near, connection)):
+            threading.Thread(
+                target=_pump, args=(source, sink), name="fault-relay", daemon=True
+            ).start()
+        return far
+
+    def close(self) -> None:
+        self._inner.close()
+
+
+class RelayedTransport(Transport):
+    """``inner`` as a :class:`~repro.core.remote.LogServerEndpoint` can
+    serve it.
+
+    The endpoint serves only connections that carry a socket, and a
+    :class:`FaultyConnection` does not; this transport's listener relays
+    each accepted one onto a socket pair.  Connections made through
+    ``inner`` (the clients') are unchanged.
+    """
+
+    def __init__(self, inner: Transport):
+        self.inner = inner
+
+    def listen(self) -> Listener:
+        return _RelayListener(self.inner.listen())
+
+    def connect(self, address: Tuple) -> Connection:
+        return self.inner.connect(address)

@@ -9,7 +9,7 @@ into an executable grid.  A :class:`ScenarioCell` names one combination of
 - **backend**: ``plain`` (one in-memory ``LogServer`` behind an
   endpoint), ``sharded`` (the shard set behind one endpoint),
   ``replicated`` (fan-out over two endpoints with spill + catch-up);
-- **fault**: a transport fault profile from the PR-1 fault injector
+- **fault**: a transport fault profile of :mod:`tests.sim.faulty`
   (``drop`` / ``delay`` / ``disconnect`` / ``truncate``), ``none``,
   or ``equivocation``: a *compromised logger*
   (:class:`~repro.adversary.forking.ForkingLogServer`) serving a forked
@@ -40,8 +40,10 @@ replicated path excludes silent frame loss (``drop`` / ``truncate``):
 an unacked dropped frame is invisible to the client, so "no acked
 loss" would hold vacuously while evidence leaked.
 
-Sits in its own module (NOT re-exported from ``repro.resilience``) so
-that ``repro.core`` can import the package without a cycle.
+Every endpoint runs its one serve path, the event loop: a faulty
+transport reaches it through :class:`~tests.sim.faulty.RelayedTransport`,
+so the endpoint's replies still pass the ``accept`` side's faults, and
+:attr:`CellResult.accept_frames` counts them.
 """
 
 from __future__ import annotations
@@ -51,22 +53,28 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from benchmarks.harness import (
+    honest_records,
+    host_cpu_count,
+    save_results,
+    workload_keys,
+)
 from repro.adversary.forking import ForkingLogServer
 from repro.audit import Topology
 from repro.audit.auditor import Auditor
 from repro.audit.verdicts import EntryClass
-from repro.core.entries import Direction, LogEntry, Scheme
+from repro.core.entries import LogEntry
 from repro.core.log_server import LogServer
-from repro.core.protocol import message_digest
+from repro.core.policy import ReplicationConfig
 from repro.core.remote import LogServerEndpoint, RemoteLogger
 from repro.crypto.keys import KeyPair, generate_keypair
 from repro.errors import LoggingError
 from repro.gossip import GossipRelay, gossip_round
-from repro.middleware.transport.faulty import FaultyTransport
+from repro.middleware.transport.base import Transport
 from repro.middleware.transport.inproc import InprocTransport
 from repro.replication import ReplicatedLogger
-from repro.core.policy import ReplicationConfig
 from repro.sharding.sharded_server import ShardedLogServer
+from tests.sim.faulty import FaultyTransport, RelayedTransport
 
 BACKENDS = ("plain", "sharded", "replicated")
 FAULTS = ("none", "drop", "delay", "disconnect", "truncate", "equivocation")
@@ -160,6 +168,10 @@ class CellResult:
     hidden: int = 0
     equivocation_evidence: int = 0
     gossip_rounds: int = 0
+    #: frames the endpoints sent (their replies) through the fault layer,
+    #: and the faults injected on them
+    accept_frames: int = 0
+    accept_faults: int = 0
     elapsed: float = 0.0
     failures: List[str] = None  # type: ignore[assignment]
 
@@ -195,6 +207,8 @@ class CellResult:
             "hidden": self.hidden,
             "equivocation_evidence": self.equivocation_evidence,
             "gossip_rounds": self.gossip_rounds,
+            "accept_frames": self.accept_frames,
+            "accept_faults": self.accept_faults,
             "elapsed_s": round(self.elapsed, 3),
             "throughput_eps": round(self.throughput, 1),
             "failures": list(self.failures),
@@ -230,62 +244,30 @@ def enumerate_cells(full: bool = False) -> List[ScenarioCell]:
 # -- workload ---------------------------------------------------------------
 
 
-def _cell_keys(seed: int) -> Tuple[KeyPair, KeyPair]:
-    return (
-        generate_keypair(512, seed=seed + 1),
-        generate_keypair(512, seed=seed + 2),
-    )
-
-
-def _honest_pair(
-    keys: Tuple[KeyPair, KeyPair], topic: str, seq: int, payload: bytes
-) -> Tuple[bytes, bytes]:
-    """Encoded publisher OUT + subscriber IN for one honest transmission
-    (same shape the sharding battery's workload builder produces)."""
-    digest = message_digest(seq, payload)
-    s_x = keys[0].private.sign_digest(digest)
-    s_y = keys[1].private.sign_digest(digest)
-    pub = LogEntry(
-        component_id="/pub", topic=topic, type_name="std/String",
-        direction=Direction.OUT, seq=seq, scheme=Scheme.ADLP,
-        data=payload, own_sig=s_x,
-        peer_id="/sub", peer_hash=digest, peer_sig=s_y,
-    )
-    sub = LogEntry(
-        component_id="/sub", topic=topic, type_name="std/String",
-        direction=Direction.IN, seq=seq, scheme=Scheme.ADLP,
-        data_hash=digest, own_sig=s_y, peer_id="/pub", peer_sig=s_x,
-    )
-    return pub.encode(), sub.encode()
-
-
-def _build_records(
-    rng: random.Random,
-    keys: Tuple[KeyPair, KeyPair],
-    topics: Sequence[str],
-    transmissions: int,
-) -> List[bytes]:
-    """A shuffled honest workload."""
-    seqs = {t: 0 for t in topics}
-    records: List[bytes] = []
-    for _ in range(transmissions):
-        topic = rng.choice(list(topics))
-        seqs[topic] += 1
-        payload = bytes(
-            rng.getrandbits(8) for _ in range(rng.randrange(4, 24))
-        )
-        pub, sub = _honest_pair(keys, topic, seqs[topic], payload)
-        records.append(pub)
-        records.append(sub)
-    rng.shuffle(records)
-    return records
-
-
 def _topology(topics: Sequence[str]) -> Topology:
     return Topology(
         publisher_of={t: "/pub" for t in topics},
         subscribers_of={t: ["/sub"] for t in topics},
     )
+
+
+def _fault_transports(cell: ScenarioCell, seed: int) -> Tuple[Transport, Transport]:
+    """The cell's network: the transport its clients connect through and
+    the one its endpoints listen on (the same faults, relayed onto
+    sockets the endpoint's event loop can serve)."""
+    profile = FAULT_PROFILES[cell.fault]
+    if not profile:
+        transport = InprocTransport()
+        return transport, transport
+    faulty = FaultyTransport(InprocTransport(), seed=seed, **profile)
+    return faulty, RelayedTransport(faulty)
+
+
+def _count_accept_side(result: CellResult, transport: Transport) -> None:
+    if isinstance(transport, FaultyTransport):
+        accepted = [c for c in transport.connections if c.side == "accept"]
+        result.accept_frames = sum(c._send_index for c in accepted)
+        result.accept_faults = sum(len(c.applied) for c in accepted)
 
 
 # -- invariant checking -----------------------------------------------------
@@ -481,9 +463,9 @@ def _run_equivocation_cell(
     arrive within :data:`EQUIVOCATION_ROUND_BOUND` ring rounds, yielding
     evidence that verifies under the logger's own key."""
     rng = random.Random(seed)
-    keys = _cell_keys(seed)
+    keys = workload_keys(seed)
     logger_keys = generate_keypair(512, seed=seed + 3)
-    records = _build_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
+    records = honest_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
     result.submitted = len(records)
 
     fork = ForkingLogServer(logger_keys.private, fork_at=len(records) // 2)
@@ -590,8 +572,8 @@ def _run_endpoint_cell(
         _run_equivocation_cell(cell, seed, result)
         return
     rng = random.Random(seed)
-    keys = _cell_keys(seed)
-    records = _build_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
+    keys = workload_keys(seed)
+    records = honest_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
     result.submitted = len(records)
 
     if cell.backend == "sharded":
@@ -615,15 +597,10 @@ def _run_endpoint_cell(
         )
         honest_gossip.register_key(server.log_id, logger_keys.public)
         honest_gossip.observe(server.signed_tree_head(), source="anchor")
-    profile = FAULT_PROFILES[cell.fault]
-    transport = (
-        FaultyTransport(InprocTransport(), seed=seed, **profile)
-        if profile
-        else InprocTransport()
-    )
+    transport, served = _fault_transports(cell, seed)
 
     state: Dict[str, object] = {}
-    state["endpoint"] = LogServerEndpoint(server, transport=transport)
+    state["endpoint"] = LogServerEndpoint(server, transport=served)
 
     def new_client() -> RemoteLogger:
         return RemoteLogger(
@@ -639,7 +616,7 @@ def _run_endpoint_cell(
     def churn() -> None:
         client_ref["client"].close()
         state["endpoint"].close()  # type: ignore[attr-defined]
-        state["endpoint"] = LogServerEndpoint(server, transport=transport)
+        state["endpoint"] = LogServerEndpoint(server, transport=served)
         client_ref["client"] = new_client()
 
     deadline = time.monotonic() + CELL_TIMEOUT
@@ -686,6 +663,7 @@ def _run_endpoint_cell(
         client_ref["client"].close()
         state["endpoint"].close()  # type: ignore[attr-defined]
         server.close()
+        _count_accept_side(result, transport)
 
 
 def _run_replicated_cell(
@@ -695,21 +673,16 @@ def _run_replicated_cell(
     flush, and catch-up.  At-least-once is the contract here, so
     duplicates are tolerated (and counted); loss is not."""
     rng = random.Random(seed)
-    keys = _cell_keys(seed)
-    records = _build_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
+    keys = workload_keys(seed)
+    records = honest_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
     result.submitted = len(records)
 
     servers = [LogServer(), LogServer()]
     for server in servers:
         server.register_key("/pub", keys[0].public)
         server.register_key("/sub", keys[1].public)
-    profile = FAULT_PROFILES[cell.fault]
-    transport = (
-        FaultyTransport(InprocTransport(), seed=seed, **profile)
-        if profile
-        else InprocTransport()
-    )
-    endpoints = [LogServerEndpoint(s, transport=transport) for s in servers]
+    transport, served = _fault_transports(cell, seed)
+    endpoints = [LogServerEndpoint(s, transport=served) for s in servers]
     shared = ReplicatedLogger(
         [e.address for e in endpoints],
         config=ReplicationConfig(
@@ -743,7 +716,7 @@ def _run_replicated_cell(
                         break
                     time.sleep(0.01)
                 endpoints[1].close()
-                endpoints[1] = LogServerEndpoint(servers[1], transport=transport)
+                endpoints[1] = LogServerEndpoint(servers[1], transport=served)
                 shared.reset_replica(1, endpoints[1].address)
             shared.submit(record)
         result.acked = len(records)
@@ -788,6 +761,7 @@ def _run_replicated_cell(
         shared.close()
         for endpoint in endpoints:
             endpoint.close()
+        _count_accept_side(result, transport)
 
 
 _RUNNERS = {
@@ -823,8 +797,6 @@ def run_matrix(
         run_cell(cell, seed=seed + 101 * i) for i, cell in enumerate(chosen)
     ]
     if record:
-        from repro.bench.reporting import host_cpu_count, save_results
-
         save_results(
             "resilience_matrix",
             {

@@ -1,5 +1,7 @@
 """The package's public face: exports, versioning, error hierarchy."""
 
+import importlib
+
 import pytest
 
 import repro
@@ -51,3 +53,22 @@ class TestErrorHierarchy:
     def test_single_catch_all(self):
         with pytest.raises(errors.ReproError):
             raise errors.StaleSequenceError("x")
+
+
+class TestHarnessCodeIsNotInTheLibrary:
+    """The benchmark harness lives in ``benchmarks/harness.py`` and the
+    fault injector and scenario matrix in ``tests/sim/``: none of them is
+    part of the installed package."""
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.bench",
+            "repro.resilience",
+            "repro.resilience.matrix",
+            "repro.middleware.transport.faulty",
+        ],
+    )
+    def test_not_importable(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
