@@ -2,12 +2,15 @@
 
 The paper's prototype uses PyCrypto (RSA-1024 + SHA-256 + PKCS#1 v1.5).  That
 library is not available offline, so this package implements the same
-primitives from scratch:
+primitives itself; as in PyCrypto, only the bignum arithmetic runs in C:
 
 - :mod:`repro.crypto.hashing` -- SHA-256 digests, including the paper's
   ``h(seq || D)`` construction.
 - :mod:`repro.crypto.primes` -- Miller-Rabin probabilistic primality testing
   and prime generation for RSA key material.
+- :mod:`repro.crypto.bignum` -- modular exponentiation on OpenSSL's bignum
+  library (the libcrypto ``hashlib`` links), with built-in ``pow`` where it
+  cannot be loaded.
 - :mod:`repro.crypto.rsa` -- textbook RSA key generation and modular
   exponentiation primitives.
 - :mod:`repro.crypto.pkcs1` -- EMSA-PKCS1-v1_5 signature encoding

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from repro.crypto.bignum import modexp
+
 # Small primes for cheap pre-filtering before Miller-Rabin.
 _SMALL_PRIMES = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -52,7 +54,7 @@ def is_probable_prime(n: int, rng: Optional[random.Random] = None) -> bool:
 
     for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = modexp(a, d, n, secret=True)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

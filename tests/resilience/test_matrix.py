@@ -49,6 +49,8 @@ def test_smoke_cell_holds_the_invariant(cell, deterministic_seed):
         # (the replicated path is fire-and-forget: how many health probes
         # it sends, and so whether any reply exists, depends on timing)
         assert result.accept_frames > 0
+        # and at least the scripted reply fault was injected
+        assert result.accept_faults >= 1
 
 
 class TestScenarioCellValidation:

@@ -260,6 +260,10 @@ def _fault_transports(cell: ScenarioCell, seed: int) -> Tuple[Transport, Transpo
         transport = InprocTransport()
         return transport, transport
     faulty = FaultyTransport(InprocTransport(), seed=seed, **profile)
+    if cell.backend != "replicated":
+        # the seeded stream rarely reaches a reply frame: fault the
+        # endpoint's second reply on its first connection for certain
+        faulty.schedule.script("accept", 1, cell.fault, conn_index=0)
     return faulty, RelayedTransport(faulty)
 
 
