@@ -15,7 +15,8 @@ Two traffic shapes, ``k`` clients each, for a timed window:
   of 64 entries (the logging thread's traffic), beside one acknowledged
   probe client that submits 2-entry batches.
 
-Each run is its own subprocess, so ``peak_rss_mb`` is that run's alone.
+Each run is its own subprocess and reads its own ``VmHWM``, so
+``peak_rss_mb`` is that run's alone.
 After the window every client re-sends anything it parked and passes a
 FIFO ``health()`` barrier.
 Entries still missing at that point are counted as late landings.  The
@@ -35,7 +36,6 @@ import json
 import os
 import pickle
 import random
-import resource
 import shutil
 import statistics
 import subprocess
@@ -99,6 +99,15 @@ def _wait_idle(server, endpoint) -> None:
         elif time.perf_counter() - stable_since >= 2.0:
             return
         time.sleep(0.25)
+
+
+def _peak_rss_mb() -> float:
+    """This process's own peak RSS (``VmHWM``).  ``ru_maxrss`` would not
+    do: Linux starts a child's at the RSS of the process that forked it,
+    so every run would report the parent pytest's size."""
+    with open("/proc/self/status") as status:
+        kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    return kb / 1024.0
 
 
 def _run_one(shape: str, k: int, window: bool, seconds: float, pool_path: str) -> dict:
@@ -196,7 +205,7 @@ def _run_one(shape: str, k: int, window: bool, seconds: float, pool_path: str) -
             "goodput_eps": goodput / seconds,
             "ack_p50_ms": _percentile(latencies, 0.50) * 1e3,
             "ack_p99_ms": _percentile(latencies, 0.99) * 1e3,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "peak_rss_mb": _peak_rss_mb(),
             "credit_syncs": sum(s.get("credit_syncs", 0) for s in stats),
             "spill_retries": sum(s["spill_retries"] for s in stats),
             "sync_errors": counts["sync_errors"],

@@ -50,12 +50,6 @@ from repro.core import (
 )
 from repro.crypto import generate_keypair
 from repro.middleware import Master, Node
-from repro.sharding import (
-    ShardedLogServer,
-    ShardRouter,
-    ShardSetCommitment,
-    audit_sharded,
-)
 
 __version__ = "1.0.0"
 
@@ -63,10 +57,6 @@ __all__ = [
     "Master",
     "Node",
     "LogServer",
-    "ShardedLogServer",
-    "ShardRouter",
-    "ShardSetCommitment",
-    "audit_sharded",
     "LogEntry",
     "Direction",
     "Scheme",

@@ -212,7 +212,7 @@ class OnlineAuditor:
         finding = OnlineFinding(
             kind="equivocation",
             component_id=evidence.log_id,
-            topic=f"sth-scope-{evidence.scope}",
+            topic="sth",
             seq=evidence.second.entries,
             detail=evidence.describe(),
         )

@@ -176,21 +176,11 @@ class ReplicationConfig:
     #: Records fetched per anti-entropy batch during catch-up.
     fetch_batch: int = 1024
 
-    #: Shard count of the replicated servers (each replica a
-    #: :class:`~repro.sharding.sharded_server.ShardedLogServer` with the
-    #: same count).  ``0`` means unsharded replicas.  Sharding changes
-    #: catch-up only: record indexes and chain heads are per shard, so
-    #: anti-entropy replays each shard's gap separately and the final
-    #: commitment comparison uses the shard-set root.
-    shards: int = 0
-
     #: Credit window of every replica handle: outstanding fire-and-forget
     #: bytes before a credit sync (see ``RemoteLogger``).  ``None`` = off.
     window_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.shards < 0:
-            raise ValueError("shards must be non-negative")
         if self.window_bytes is not None and self.window_bytes < 1:
             raise ValueError("window_bytes must be >= 1")
         if self.quorum is not None and self.quorum < 1:

@@ -112,7 +112,7 @@ OP_DEADLINE_EXPIRED = 11
 #: Proof-plane ops (split-view detection): ``OP_STH`` fetches the signed
 #: tree head, ``OP_PROVE_INCLUSION`` / ``OP_PROVE_CONSISTENCY`` fetch
 #: Merkle proofs a client verifies against the heads it holds.  All three
-#: are shard-tagged and deadline-aware like every other sync op.
+#: are deadline-aware like every other sync op.
 OP_STH = 12
 OP_PROVE_INCLUSION = 13
 OP_PROVE_CONSISTENCY = 14
@@ -139,8 +139,8 @@ CREDIT_SYNC_TIMEOUT = 30.0
 
 
 #: Bytes an ``OP_SUBMIT_BATCH`` frame carrying one record spends besides
-#: the record: its tag and length, the op, shard tag, sync flag, deadline
-#: and correlation id take 42 at most.
+#: the record: its tag and length, the op, sync flag, deadline and
+#: correlation id take 42 at most.
 _REQUEST_OVERHEAD = 64
 
 
@@ -241,11 +241,9 @@ class LoggerRequest(WireMessage):
     start = uint64(5)  # OP_FETCH: first record index
     count = uint64(6)  # OP_FETCH: max records to return
     entry_batch = repeated(bytes_(7))  # OP_SUBMIT_BATCH: N entries, 1 frame
-    #: Shard targeting for SUBMIT_BATCH/FETCH/HEALTH against a
-    #: sharded server, encoded as ``shard_index + 1`` so the wire default
-    #: ``0`` means "untargeted" and frames from pre-sharding clients keep
-    #: their old meaning.
-    shard = uint64(8)
+    #: Field 8 carried the retired shard tag of topic sharding.  It is
+    #: never reused: the decoder skips it, so a tagged frame is served as
+    #: an untagged one.
     #: SUBMIT_BATCH: when set, the server answers with a
     #: :class:`LoggerResponse` whose ``entries`` is its post-ingest entry
     #: count -- the acknowledged submission mode (the wire default ``0``
@@ -286,9 +284,8 @@ class LoggerResponse(WireMessage):
     records = repeated(bytes_(7))  # OP_FETCH
     key_ids = repeated(string(8))  # OP_KEYS (parallel with key_blobs)
     key_blobs = repeated(bytes_(9))  # OP_KEYS
-    #: OP_HEALTH: shard count of a sharded server (0 = not sharded); lets
-    #: a client discover the shard layout before tagging frames.
-    shards = uint64(10)
+    #: Field 10 carried the retired shard count of topic sharding.  It is
+    #: never reused: the decoder skips it.
     #: OP_STATS: the server's flat counters as a JSON object (a schema
     #: field per counter would couple the wire format to every backend's
     #: counter set; stats are observability, not evidence).
@@ -784,11 +781,9 @@ class LogServerEndpoint:
             with self._lock:
                 self.submissions += len(batch)
             if not request.sync:
-                self._ingest_batch(batch, request.shard)
+                self._ingest_batch(batch)
                 return None
-            response = self._ingest_sync(
-                batch, request.shard, int(request.deadline_ms), arrival
-            )
+            response = self._ingest_sync(batch, int(request.deadline_ms), arrival)
         elif request.op in (OP_STH, OP_PROVE_INCLUSION, OP_PROVE_CONSISTENCY):
             response = self._answer_proof(request, arrival=arrival)
         else:
@@ -796,38 +791,17 @@ class LogServerEndpoint:
         response.corr_id = request.corr_id
         return response
 
-    def _submit_tagged(self, batch: List[bytes], shard_tag: int) -> None:
-        """Ingest ``batch``, honoring a shard tag.
-
-        A tag against a sharded server goes through
-        ``submit_batch_to_shard``, which verifies the tag against the
-        router before anything is mutated (a client holding a stale shard
-        count must not scatter a topic across shards).  A plain server is
-        treated as a one-shard set: tag 1 targets the whole log, any other
-        tag is rejected.
-        """
-        if shard_tag:
-            to_shard = getattr(self.server, "submit_batch_to_shard", None)
-            if to_shard is not None:
-                to_shard(shard_tag - 1, batch)
-                return
-            if shard_tag != 1:
-                raise LoggingError(
-                    f"shard {shard_tag - 1} targeted on an unsharded server"
-                )
-        self.server.submit_batch(batch)
-
-    def _ingest_batch(self, batch: List[bytes], shard_tag: int) -> None:
+    def _ingest_batch(self, batch: List[bytes]) -> None:
         """Fire-and-forget group commit: a refusal is counted, never
         answered.
 
         The server's batch ingest is all-or-nothing, so when it refuses a
-        batch (an undecodable entry, a misrouted tag) the records are
-        re-submitted one at a time -- only the poison entry is rejected,
-        its batchmates are ingested exactly once.
+        batch (an undecodable entry) the records are re-submitted one at a
+        time -- only the poison entry is rejected, its batchmates are
+        ingested exactly once.
         """
         try:
-            self._submit_tagged(batch, shard_tag)
+            self.server.submit_batch(batch)
             return
         except LoggingError:
             if len(batch) == 1:
@@ -836,7 +810,7 @@ class LogServerEndpoint:
                 return
         for record in batch:
             try:
-                self._submit_tagged([record], shard_tag)
+                self.server.submit_batch([record])
             except LoggingError:
                 with self._lock:
                     self.rejected += 1
@@ -863,7 +837,7 @@ class LogServerEndpoint:
         )
 
     def _ingest_sync(
-        self, batch: List[bytes], shard_tag: int, deadline_ms: int, arrival: float
+        self, batch: List[bytes], deadline_ms: int, arrival: float
     ) -> LoggerResponse:
         """Acknowledged ingest: all-or-nothing, with the post-ingest entry
         count in the response.
@@ -888,7 +862,7 @@ class LogServerEndpoint:
             expired.entries = len(self.server)
             return expired
         try:
-            self._submit_tagged(batch, shard_tag)
+            self.server.submit_batch(batch)
         except Exception as exc:
             # Includes store failures: the server's batch ingest rolled
             # back, so the count we report is still exact.
@@ -908,10 +882,22 @@ class LogServerEndpoint:
                 )
                 return LoggerResponse(ok=True)
             if request.op == OP_HEALTH:
-                return self._health_response(request.shard)
+                commitment = self.server.commitment()
+                return LoggerResponse(
+                    ok=True,
+                    entries=commitment.entries,
+                    chain_head=commitment.chain_head,
+                    merkle_root=commitment.merkle_root,
+                    total_bytes=commitment.total_bytes,
+                )
             if request.op == OP_FETCH:
+                # At most BATCH_FRAME_BYTES (but at least one record): a
+                # fetch of image-sized records must fit a frame; clients
+                # loop on short batches.
                 count = min(request.count or FETCH_BATCH_LIMIT, FETCH_BATCH_LIMIT)
-                records = self._fetch_records(request.shard, request.start, count)
+                records = self.server.raw_records(
+                    request.start, count, max_bytes=BATCH_FRAME_BYTES
+                )
                 return LoggerResponse(ok=True, records=list(records))
             if request.op == OP_KEYS:
                 keys = self.server.keys_snapshot()
@@ -945,76 +931,6 @@ class LogServerEndpoint:
         except Exception as exc:
             return LoggerResponse(ok=False, error=str(exc))
 
-    def _health_response(self, shard_tag: int) -> LoggerResponse:
-        """Commitment probe, shard-aware.
-
-        Untargeted against a sharded server, the probe reports the
-        aggregate: total entries/bytes, the *set root* in both hash slots,
-        and the shard count (how a client discovers the layout).  A shard
-        tag selects one shard's ordinary commitment; a plain server
-        answers tag 1 as "the whole log" and rejects any other tag.
-        """
-        shard_commitment = getattr(self.server, "shard_commitment", None)
-        if shard_tag:
-            if shard_commitment is not None:
-                commitment = shard_commitment(shard_tag - 1)
-            elif shard_tag == 1:
-                commitment = self.server.commitment()
-            else:
-                return LoggerResponse(
-                    ok=False,
-                    error=f"shard {shard_tag - 1} probed on an unsharded server",
-                )
-            return LoggerResponse(
-                ok=True,
-                entries=commitment.entries,
-                chain_head=commitment.chain_head,
-                merkle_root=commitment.merkle_root,
-                total_bytes=commitment.total_bytes,
-            )
-        commitment = self.server.commitment()
-        shards = 0
-        if hasattr(commitment, "root"):  # ShardSetCommitment
-            shards = commitment.shards
-            commitment = commitment.as_log_commitment()
-        return LoggerResponse(
-            ok=True,
-            entries=commitment.entries,
-            chain_head=commitment.chain_head,
-            merkle_root=commitment.merkle_root,
-            total_bytes=commitment.total_bytes,
-            shards=shards,
-        )
-
-    def _fetch_records(self, shard_tag: int, start: int, count: int) -> List[bytes]:
-        """Raw-record range, shard-aware, of at most
-        :data:`BATCH_FRAME_BYTES` (but at least one record) -- a fetch
-        of image-sized records must fit a frame; clients loop on short
-        batches.
-
-        A sharded server's record indexes are per shard, so fetches
-        against one MUST carry a shard tag -- an untargeted fetch would
-        need a merged index space that is not stable while shards ingest
-        concurrently.  A plain server ignores sharding (tag 1 = the whole
-        log) for symmetry with :meth:`_submit_tagged`.
-        """
-        shard_fetch = getattr(self.server, "shard_raw_records", None)
-        limit = BATCH_FRAME_BYTES
-        if shard_tag:
-            if shard_fetch is not None:
-                return shard_fetch(shard_tag - 1, start, count, limit)
-            if shard_tag == 1:
-                return self.server.raw_records(start, count, max_bytes=limit)
-            raise LoggingError(
-                f"shard {shard_tag - 1} fetched from an unsharded server"
-            )
-        if shard_fetch is not None:
-            raise LoggingError(
-                "a sharded log server requires a shard id for FETCH "
-                "(per-shard record indexes; fetch each shard separately)"
-            )
-        return self.server.raw_records(start, count, max_bytes=limit)
-
     # -- proof plane (signed tree heads + Merkle proofs) -------------------
 
     def _answer_proof(
@@ -1029,15 +945,14 @@ class LogServerEndpoint:
             return expired
         try:
             if request.op == OP_STH:
-                sth = self._issue_sth(request.shard)
+                sth = self.server.signed_tree_head()
                 return LoggerResponse(
                     ok=True, entries=sth.entries, sth_bytes=sth.to_bytes()
                 )
             if request.op == OP_PROVE_INCLUSION:
-                proof = self._prove_inclusion(
-                    request.shard,
-                    int(request.proof_index),
-                    int(request.proof_tree_size),
+                # wire size 0 = the current tree
+                proof = self.server.prove_inclusion(
+                    int(request.proof_index), int(request.proof_tree_size) or None
                 )
                 return LoggerResponse(
                     ok=True,
@@ -1048,10 +963,8 @@ class LogServerEndpoint:
                     proof_index=proof.leaf_index,
                     proof_tree_size=proof.tree_size,
                 )
-            proof = self._prove_consistency(
-                request.shard,
-                int(request.proof_old_size),
-                int(request.proof_tree_size),
+            proof = self.server.prove_consistency(
+                int(request.proof_old_size), int(request.proof_tree_size) or None
             )
             return LoggerResponse(
                 ok=True,
@@ -1066,66 +979,6 @@ class LogServerEndpoint:
             return LoggerResponse(ok=False, error=str(exc), code=OP_PROOF_RANGE)
         except Exception as exc:
             return LoggerResponse(ok=False, error=str(exc))
-
-    def _issue_sth(self, shard_tag: int) -> SignedTreeHead:
-        """Signed tree head, shard-aware.
-
-        Untargeted against a sharded server returns the signed *set* head
-        (the roll-up over per-shard commitments); a shard tag selects one
-        shard's head.  A plain server answers tag 1 as the whole log.
-        """
-        shard_sth = getattr(self.server, "shard_signed_tree_head", None)
-        if shard_tag:
-            if shard_sth is not None:
-                return shard_sth(shard_tag - 1)
-            if shard_tag == 1:
-                return self.server.signed_tree_head()
-            raise LoggingError(
-                f"shard {shard_tag - 1} STH requested on an unsharded server"
-            )
-        return self.server.signed_tree_head()
-
-    def _prove_inclusion(
-        self, shard_tag: int, index: int, tree_size: int
-    ) -> MerkleProof:
-        """Inclusion proof, shard-aware (per-shard trees, like FETCH)."""
-        size = tree_size or None  # wire 0 = the current tree
-        shard_prove = getattr(self.server, "shard_prove_inclusion", None)
-        if shard_tag:
-            if shard_prove is not None:
-                return shard_prove(shard_tag - 1, index, size)
-            if shard_tag == 1:
-                return self.server.prove_inclusion(index, size)
-            raise LoggingError(
-                f"shard {shard_tag - 1} proof requested on an unsharded server"
-            )
-        if shard_prove is not None:
-            raise LoggingError(
-                "a sharded log server requires a shard id for "
-                "PROVE_INCLUSION (per-shard Merkle trees)"
-            )
-        return self.server.prove_inclusion(index, size)
-
-    def _prove_consistency(
-        self, shard_tag: int, old_size: int, new_size: int
-    ) -> MerkleConsistencyProof:
-        """Consistency proof, shard-aware (per-shard trees)."""
-        size = new_size or None  # wire 0 = the current tree
-        shard_prove = getattr(self.server, "shard_prove_consistency", None)
-        if shard_tag:
-            if shard_prove is not None:
-                return shard_prove(shard_tag - 1, old_size, size)
-            if shard_tag == 1:
-                return self.server.prove_consistency(old_size, size)
-            raise LoggingError(
-                f"shard {shard_tag - 1} proof requested on an unsharded server"
-            )
-        if shard_prove is not None:
-            raise LoggingError(
-                "a sharded log server requires a shard id for "
-                "PROVE_CONSISTENCY (per-shard Merkle trees)"
-            )
-        return self.server.prove_consistency(old_size, size)
 
     def close(self) -> None:
         self._acceptor.stop(join=False)
@@ -1255,18 +1108,11 @@ class RemoteLogger:
         max_reconnect_backoff: float = 2.0,
         spill_path: Optional[str] = None,
         submit_batch_max: int = 64,
-        shard: Optional[int] = None,
         window_bytes: Optional[int] = None,
         rng: Optional[random.Random] = None,
     ):
         if submit_batch_max < 1:
             raise ValueError("submit_batch_max must be at least 1")
-        if shard is not None and shard < 0:
-            raise ValueError("shard must be non-negative")
-        #: Pinned shard: every frame this stub sends is tagged with it.
-        #: Used by the replication layer's per-shard catch-up; ordinary
-        #: components leave it unset (the server routes by topic).
-        self._shard = shard
         self._transport = transport or TcpTransport()
         self._submit_batch_max = submit_batch_max
         self._address = address
@@ -1617,25 +1463,11 @@ class RemoteLogger:
         if not response.ok:
             raise LoggingError(f"key registration rejected: {response.error}")
 
-    def _shard_tag(self, shard: Optional[int]) -> int:
-        """Wire encoding of a shard choice: an explicit ``shard`` wins,
-        then the pinned shard, then 0 (untargeted)."""
-        if shard is None:
-            shard = self._shard
-        return 0 if shard is None else shard + 1
-
-    def health(
-        self, timeout: float = 5.0, shard: Optional[int] = None
-    ) -> LogCommitment:
+    def health(self, timeout: float = 5.0) -> LogCommitment:
         """Probe the server's commitment (entry count, chain head, Merkle
         root).  Raises :class:`LoggingError` when the server is down --
-        the signal a replicated deployment's circuit breaker feeds on.
-        Against a sharded server an untargeted probe reports the aggregate
-        (set root in both hash slots); ``shard`` selects one shard."""
-        response = self._rpc(
-            LoggerRequest(op=OP_HEALTH, shard=self._shard_tag(shard)),
-            timeout=timeout,
-        )
+        the signal a replicated deployment's circuit breaker feeds on."""
+        response = self._rpc(LoggerRequest(op=OP_HEALTH), timeout=timeout)
         if not response.ok:
             raise LoggingError(f"health probe rejected: {response.error}")
         return LogCommitment(
@@ -1645,30 +1477,13 @@ class RemoteLogger:
             total_bytes=int(response.total_bytes),
         )
 
-    def shard_count(self, timeout: float = 5.0) -> int:
-        """The server's shard count (0 = not sharded), via an untargeted
-        health probe -- how callers discover a sharded layout."""
-        response = self._rpc(LoggerRequest(op=OP_HEALTH), timeout=timeout)
-        if not response.ok:
-            raise LoggingError(f"health probe rejected: {response.error}")
-        return int(response.shards)
-
     def fetch_records(
-        self,
-        start: int,
-        count: int,
-        timeout: float = 10.0,
-        shard: Optional[int] = None,
+        self, start: int, count: int, timeout: float = 10.0
     ) -> List[bytes]:
         """Fetch up to ``count`` raw records starting at index ``start``
-        (the donor side of anti-entropy catch-up).  Record indexes on a
-        sharded server are per shard, so pass ``shard`` (or pin one) when
-        fetching from one."""
+        (the donor side of anti-entropy catch-up)."""
         response = self._rpc(
-            LoggerRequest(
-                op=OP_FETCH, start=start, count=count, shard=self._shard_tag(shard)
-            ),
-            timeout=timeout,
+            LoggerRequest(op=OP_FETCH, start=start, count=count), timeout=timeout
         )
         if not response.ok:
             raise LoggingError(f"record fetch rejected: {response.error}")
@@ -1696,16 +1511,11 @@ class RemoteLogger:
             raise LoggingError(f"proof request rejected: {response.error}")
         return response
 
-    def fetch_sth(
-        self, timeout: float = 5.0, shard: Optional[int] = None
-    ) -> SignedTreeHead:
+    def fetch_sth(self, timeout: float = 5.0) -> SignedTreeHead:
         """Fetch the server's signed tree head (unverified -- pair with
         :meth:`enable_sth_verification` / :meth:`verified_sth` to check
-        it).  Untargeted against a sharded server this is the signed *set*
-        head; ``shard`` selects one shard's head."""
-        response = self._proof_rpc(
-            LoggerRequest(op=OP_STH, shard=self._shard_tag(shard)), timeout
-        )
+        it)."""
+        response = self._proof_rpc(LoggerRequest(op=OP_STH), timeout)
         return SignedTreeHead.from_bytes(bytes(response.sth_bytes))
 
     def prove_inclusion(
@@ -1713,7 +1523,6 @@ class RemoteLogger:
         index: int,
         tree_size: Optional[int] = None,
         timeout: float = 5.0,
-        shard: Optional[int] = None,
     ) -> MerkleProof:
         """Fetch an inclusion proof for the entry at ``index``, against the
         current tree or (``tree_size``) the tree a given STH committed to.
@@ -1731,7 +1540,6 @@ class RemoteLogger:
                 op=OP_PROVE_INCLUSION,
                 proof_index=index,
                 proof_tree_size=tree_size or 0,
-                shard=self._shard_tag(shard),
             ),
             timeout,
         )
@@ -1762,7 +1570,6 @@ class RemoteLogger:
         old_size: int,
         new_size: Optional[int] = None,
         timeout: float = 5.0,
-        shard: Optional[int] = None,
     ) -> MerkleConsistencyProof:
         """Fetch an RFC 6962 consistency proof between two sizes of the
         server's log (``new_size`` defaults to the current size)."""
@@ -1776,7 +1583,6 @@ class RemoteLogger:
                 op=OP_PROVE_CONSISTENCY,
                 proof_old_size=old_size,
                 proof_tree_size=new_size or 0,
-                shard=self._shard_tag(shard),
             ),
             timeout,
         )
@@ -1807,9 +1613,7 @@ class RemoteLogger:
     def sth_monitor(self) -> Optional[TreeHeadMonitor]:
         return self._sth_monitor
 
-    def verified_sth(
-        self, timeout: float = 5.0, shard: Optional[int] = None
-    ) -> SignedTreeHead:
+    def verified_sth(self, timeout: float = 5.0) -> SignedTreeHead:
         """Fetch the latest STH and verify it: signature against the
         configured logger key, append-only growth from the cached verified
         head via a consistency-proof challenge to the server.  Raises
@@ -1820,11 +1624,11 @@ class RemoteLogger:
             raise LoggingError(
                 "call enable_sth_verification(public_key) before verified_sth()"
             )
-        sth = self.fetch_sth(timeout=timeout, shard=shard)
+        sth = self.fetch_sth(timeout=timeout)
         return monitor.observe(
             sth,
             prove_consistency=lambda old, new: self.prove_consistency(
-                old, new, timeout=timeout, shard=shard
+                old, new, timeout=timeout
             ),
         )
 
@@ -1833,28 +1637,24 @@ class RemoteLogger:
         record: Union[LogEntry, bytes],
         index: int,
         timeout: float = 5.0,
-        shard: Optional[int] = None,
     ) -> bool:
         """The client-audit primitive: is *my* entry really in the log the
         server is showing everyone?  Fetches and verifies the latest STH,
         then an inclusion proof for ``record`` at ``index`` against that
         exact tree size, and checks it up to the signed root."""
         payload = record.encode() if isinstance(record, LogEntry) else bytes(record)
-        sth = self.verified_sth(timeout=timeout, shard=shard)
+        sth = self.verified_sth(timeout=timeout)
         if index >= sth.entries:
             raise ProofError(
                 f"entry index {index} is not covered by the latest signed "
                 f"tree head (size {sth.entries})"
             )
-        proof = self.prove_inclusion(
-            index, tree_size=sth.entries, timeout=timeout, shard=shard
-        )
+        proof = self.prove_inclusion(index, tree_size=sth.entries, timeout=timeout)
         return proof.verify(payload, sth.merkle_root)
 
     def submit_batch_sync(
         self,
         entries: List[Union[LogEntry, bytes]],
-        shard: Optional[int] = None,
         timeout: float = 30.0,
     ) -> int:
         """Acknowledged group commit: returns the server's entry count
@@ -1887,7 +1687,6 @@ class RemoteLogger:
                     f"record of {len(record)} bytes exceeds the "
                     f"{framing.MAX_FRAME_SIZE}-byte frame cap"
                 )
-        tag = self._shard_tag(shard)
         count = 0
         # an empty batch still round-trips for the count
         chunks = list(_frame_chunks(records)) or [[]]
@@ -1898,7 +1697,6 @@ class RemoteLogger:
             request = LoggerRequest(
                 op=OP_SUBMIT_BATCH,
                 entry_batch=chunk,
-                shard=tag,
                 sync=True,
                 deadline_ms=deadline_ms,
             )
@@ -1951,21 +1749,14 @@ class RemoteLogger:
             self._spill_entry(record)
         return False
 
-    def submit_batch(
-        self,
-        entries: List[Union[LogEntry, bytes]],
-        shard: Optional[int] = None,
-    ) -> List[int]:
+    def submit_batch(self, entries: List[Union[LogEntry, bytes]]) -> List[int]:
         """Fire-and-forget submission; returns 0 per entry (no server-side
         index).  One ``OP_SUBMIT_BATCH`` frame (one send, one server round
         trip's worth of framing) carries every entry.  Never raises; on
         connection trouble the whole batch is spilled in order and re-sent
         later (on a later call or via :meth:`flush_spill`).  A record no
         frame can carry is counted in :attr:`dropped` and its batchmates
-        are sent without it: a retry could only re-send them.  ``shard`` tags
-        the frames for a sharded server (the per-shard anti-entropy replay
-        path); spilled entries are re-sent untagged and route by topic,
-        which lands them identically."""
+        are sent without it: a retry could only re-send them."""
         indexes = [0] * len(entries)
         records = [
             entry.encode() if isinstance(entry, LogEntry) else bytes(entry)
@@ -1989,7 +1780,7 @@ class RemoteLogger:
                 self._spill_entry(record)
             return indexes
         try:
-            self._send_records(connection, records, shard)
+            self._send_records(connection, records)
         except ConnectionClosed:
             for record in records:
                 self._spill_entry(record)
@@ -1999,19 +1790,11 @@ class RemoteLogger:
         self._after_send(records)
         return indexes
 
-    def _send_records(
-        self,
-        connection: Connection,
-        records: List[bytes],
-        shard: Optional[int] = None,
-    ) -> None:
+    def _send_records(self, connection: Connection, records: List[bytes]) -> None:
         """Send records in as few ``OP_SUBMIT_BATCH`` frames as possible."""
-        tag = self._shard_tag(shard)
         for chunk in _frame_chunks(records):
             connection.send_frame(
-                LoggerRequest(
-                    op=OP_SUBMIT_BATCH, entry_batch=chunk, shard=tag
-                ).encode_parts()
+                LoggerRequest(op=OP_SUBMIT_BATCH, entry_batch=chunk).encode_parts()
             )
 
     def _after_send(self, records: List[bytes]) -> None:
@@ -2032,7 +1815,6 @@ class RemoteLogger:
         """
         request = LoggerRequest(
             op=OP_SUBMIT_BATCH,
-            shard=self._shard_tag(None),
             sync=True,
             deadline_ms=int(CREDIT_SYNC_TIMEOUT * 1000),
         )

@@ -266,7 +266,7 @@ _base_mul = _BASE.mul
 
 #: compressed public key -> _Key, least recently used first
 _KEYS: "OrderedDict[bytes, _Key]" = OrderedDict()
-_KEYS_LOCK = threading.Lock()  # shard audits verify on several threads
+_KEYS_LOCK = threading.Lock()  # verifiers run on several threads
 
 
 def _key(public: bytes) -> Optional[_Key]:

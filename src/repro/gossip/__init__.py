@@ -24,19 +24,13 @@ from repro.gossip.evidence import (
 )
 from repro.gossip.monitor import TreeHeadMonitor
 from repro.gossip.relay import GossipRelay, gossip_round
-from repro.gossip.sth import (
-    SCOPE_LOG,
-    SignedTreeHead,
-    issue_sth,
-    require_valid,
-)
+from repro.gossip.sth import SignedTreeHead, issue_sth, require_valid
 
 __all__ = [
     "EquivocationEvidence",
     "GossipRelay",
     "KIND_CONSISTENCY",
     "KIND_FORK",
-    "SCOPE_LOG",
     "SignedTreeHead",
     "TreeHeadMonitor",
     "gossip_round",

@@ -55,10 +55,6 @@ class EquivocationEvidence:
     def log_id(self) -> str:
         return self.first.log_id
 
-    @property
-    def scope(self) -> int:
-        return self.first.scope
-
     def verify(self, public_key: PublicKey) -> bool:
         """Re-derive the conviction from scratch: both signatures must be
         the logger's, and the pair must actually contradict append-only
@@ -66,8 +62,6 @@ class EquivocationEvidence:
         if not self.first.verify(public_key) or not self.second.verify(public_key):
             return False
         if self.first.log_id != self.second.log_id:
-            return False
-        if self.first.scope != self.second.scope:
             return False
         if self.kind == KIND_FORK:
             return self.first.conflicts_with(self.second)

@@ -11,7 +11,7 @@ never enters the cache; a head that contradicts a cached one produces
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.crypto.keys import PublicKey
 from repro.errors import LogIntegrityError
@@ -29,18 +29,17 @@ ConsistencyFetcher = Callable[[int, int], object]
 
 
 class TreeHeadMonitor:
-    """Append-only verification of one log's tree heads, scope by scope."""
+    """Append-only verification of one log's tree heads."""
 
     def __init__(self, public_key: Optional[PublicKey] = None):
         self._key = public_key
-        # scope -> latest verified head
-        self._verified: Dict[int, SignedTreeHead] = {}
+        self._verified: Optional[SignedTreeHead] = None
         self._evidence: List[EquivocationEvidence] = []
         self._lock = threading.Lock()
 
-    def verified_head(self, scope: int = 0) -> Optional[SignedTreeHead]:
+    def verified_head(self) -> Optional[SignedTreeHead]:
         with self._lock:
-            return self._verified.get(scope)
+            return self._verified
 
     def evidence(self) -> List[EquivocationEvidence]:
         with self._lock:
@@ -65,7 +64,7 @@ class TreeHeadMonitor:
                 f"tree head from {sth.log_id!r} failed signature verification"
             )
         with self._lock:
-            held = self._verified.get(sth.scope)
+            held = self._verified
         if held is not None and held.log_id == sth.log_id:
             if held.conflicts_with(sth):
                 self._record(
@@ -85,7 +84,7 @@ class TreeHeadMonitor:
             if sth.entries < held.entries:
                 return held  # verified, but the cache already holds newer
         with self._lock:
-            self._verified[sth.scope] = sth
+            self._verified = sth
         return sth
 
     def _challenge(

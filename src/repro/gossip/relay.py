@@ -31,7 +31,7 @@ from repro.gossip.evidence import (
 )
 from repro.gossip.sth import SignedTreeHead
 
-#: Heads retained per (log, scope); old sizes age out FIFO, like the
+#: Heads retained per log; old sizes age out FIFO, like the
 #: replication divergence detector's snapshot window.
 HISTORY_LIMIT = 256
 
@@ -61,10 +61,8 @@ class GossipRelay:
         self._history_limit = history_limit
         self._prover = consistency_prover
         self._keys: Dict[str, PublicKey] = {}
-        # (log_id, scope) -> entries -> (sth, source)
-        self._pools: Dict[
-            Tuple[str, int], "OrderedDict[int, Tuple[SignedTreeHead, str]]"
-        ] = {}
+        # log_id -> entries -> (sth, source)
+        self._pools: Dict[str, "OrderedDict[int, Tuple[SignedTreeHead, str]]"] = {}
         self._flagged: set = set()
         self._evidence: List[EquivocationEvidence] = []
         self._listeners: List[Callable[[EquivocationEvidence], None]] = []
@@ -98,7 +96,7 @@ class GossipRelay:
             if key is not None and not sth.verify(key):
                 self.rejected_heads += 1
                 return []
-            pool = self._pools.setdefault((sth.log_id, sth.scope), OrderedDict())
+            pool = self._pools.setdefault(sth.log_id, OrderedDict())
             fresh: List[EquivocationEvidence] = []
             existing = pool.get(sth.entries)
             if existing is not None:
@@ -177,7 +175,6 @@ class GossipRelay:
             return []
         dedup = (
             a.log_id,
-            a.scope,
             kind,
             min(a.entries, b.entries),
             max(a.entries, b.entries),
@@ -197,10 +194,10 @@ class GossipRelay:
         with self._lock:
             return [sth for pool in self._pools.values() for sth, _ in pool.values()]
 
-    def latest(self, log_id: str, scope: int = 0) -> Optional[SignedTreeHead]:
-        """The largest head seen for ``(log_id, scope)``, if any."""
+    def latest(self, log_id: str) -> Optional[SignedTreeHead]:
+        """The largest head seen for ``log_id``, if any."""
         with self._lock:
-            pool = self._pools.get((log_id, scope))
+            pool = self._pools.get(log_id)
             if not pool:
                 return None
             return pool[max(pool)][0]

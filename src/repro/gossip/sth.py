@@ -25,9 +25,6 @@ from repro.serialization import WireMessage, bytes_, double, string, uint64
 #: Domain separation for STH signatures; never signs anything else.
 _STH_DOMAIN = b"repro.gossip.sth.v1"
 
-#: Scope value meaning "the whole log" (or the shard-set head on a
-#: sharded deployment).  A per-shard head carries ``shard index + 1``.
-SCOPE_LOG = 0
 
 
 def _packed(blob: bytes) -> bytes:
@@ -42,17 +39,20 @@ class SignedTreeHead(WireMessage):
     chain_head = bytes_(3)
     merkle_root = bytes_(4)
     timestamp = double(5)
-    scope = uint64(6)
+    #: Field 6 carried the retired scope of topic sharding's per-shard
+    #: heads.  It is never reused: the decoder skips it.
     key_fingerprint = string(7)
     signature = bytes_(8)
 
     def signing_payload(self) -> bytes:
-        """The canonical byte string the logger signs."""
+        """The canonical byte string the logger signs.  The zero after
+        ``entries`` is where the retired scope was packed, so heads signed
+        before and after its removal verify against each other."""
         return b"".join(
             (
                 _STH_DOMAIN,
                 _packed(self.log_id.encode("utf-8")),
-                struct.pack(">QQ", self.entries, self.scope),
+                struct.pack(">QQ", self.entries, 0),
                 _packed(self.chain_head),
                 _packed(self.merkle_root),
                 struct.pack(">d", self.timestamp),
@@ -79,10 +79,9 @@ class SignedTreeHead(WireMessage):
         return sth
 
     def conflicts_with(self, other: "SignedTreeHead") -> bool:
-        """Same log, same scope, same size -- different history."""
+        """Same log, same size -- different history."""
         return (
             self.log_id == other.log_id
-            and self.scope == other.scope
             and self.entries == other.entries
             and (
                 self.merkle_root != other.merkle_root
@@ -91,9 +90,8 @@ class SignedTreeHead(WireMessage):
         )
 
     def describe(self) -> str:
-        where = "log" if self.scope == SCOPE_LOG else f"shard {self.scope - 1}"
         return (
-            f"{self.log_id}[{where}] size={self.entries} "
+            f"{self.log_id} size={self.entries} "
             f"root={self.merkle_root.hex()[:16]} head={self.chain_head.hex()[:16]}"
         )
 
@@ -104,7 +102,6 @@ def issue_sth(
     entries: int,
     chain_head: bytes,
     merkle_root: bytes,
-    scope: int = SCOPE_LOG,
     timestamp: Optional[float] = None,
 ) -> SignedTreeHead:
     """Sign a tree head with the logger's key."""
@@ -114,7 +111,6 @@ def issue_sth(
         chain_head=chain_head,
         merkle_root=merkle_root,
         timestamp=time.time() if timestamp is None else timestamp,
-        scope=scope,
         key_fingerprint=signer.public_key.fingerprint(),
     )
     sth.signature = signer.sign(sth.signing_payload())

@@ -469,10 +469,7 @@ class ReplicatedLogger:
         # listener; the membership check below also re-convicts on old
         # evidence (a half-open re-probe of an already-convicted logger).
         relay.observe(sth, source=handle.label)
-        convicted = any(
-            ev.log_id == sth.log_id and ev.scope == sth.scope
-            for ev in relay.evidence()
-        )
+        convicted = any(ev.log_id == sth.log_id for ev in relay.evidence())
         if convicted:
             handle.breaker.force_open()
             handle.last_error = (
@@ -765,15 +762,7 @@ class ReplicatedLogger:
         it: a fork is only provable once the complete fold is compared
         against the donor's head, and by then a submitted record would
         have buried the forked replica's evidence.
-
-        When the replicas are sharded (``config.shards > 0``), chain heads
-        and record indexes are per shard, so the gap is replayed shard by
-        shard instead (``lag_health``/``donor_health`` are then aggregate
-        set commitments and only their entry counts are meaningful here;
-        the per-shard variant refetches per-shard commitments itself).
         """
-        if self.config.shards:
-            return self._replay_gap_sharded(handle, donor)
         expected_head = lag_health.chain_head
         start = lag_health.entries
         suffix: List[bytes] = []
@@ -802,67 +791,6 @@ class ReplicatedLogger:
                 raise LoggingError(f"{handle.label} connection lost mid-replay")
             replayed += len(batch)
         return replayed
-
-    def _replay_gap_sharded(
-        self, handle: _ReplicaHandle, donor: _ReplicaHandle
-    ) -> Optional[int]:
-        """Per-shard analogue of :meth:`_replay_gap` for sharded replicas.
-
-        Each shard is an independent chain, so the fetch-fold-verify-replay
-        cycle runs once per shard against that shard's commitments
-        (``OP_HEALTH``/``OP_FETCH`` with a shard tag); replayed records are
-        submitted with the shard tag too, so the receiving server verifies
-        the routing instead of trusting it.  Returns the total records
-        replayed across shards, or ``None`` on any shard's fork.  A shard
-        where the laggard is *ahead* of the donor is skipped -- the final
-        frozen set-commitment comparison in ``_catch_up_one`` then fails
-        honestly rather than inventing a merge.
-        """
-        total = 0
-        timeout = self.config.health_timeout
-        for shard in range(self.config.shards):
-            donor_health = donor.client.health(timeout=timeout, shard=shard)
-            lag_health = handle.client.health(timeout=timeout, shard=shard)
-            if lag_health.entries >= donor_health.entries:
-                if (
-                    lag_health.entries == donor_health.entries
-                    and lag_health.chain_head != donor_health.chain_head
-                ):
-                    return None  # same length, different history: a fork
-                continue
-            expected_head = lag_health.chain_head
-            start = lag_health.entries
-            suffix: List[bytes] = []
-            while start < donor_health.entries:
-                batch = donor.client.fetch_records(
-                    start,
-                    min(self.config.fetch_batch, donor_health.entries - start),
-                    shard=shard,
-                )
-                if not batch:
-                    raise LoggingError(
-                        f"donor {donor.label} returned no records at "
-                        f"shard {shard} index {start}"
-                    )
-                for record in batch:
-                    expected_head = chain_digest(expected_head, record)
-                suffix.extend(batch)
-                start += len(batch)
-            if expected_head != donor_health.chain_head:
-                return None
-            replayed = 0
-            step = max(1, self.config.fetch_batch)
-            while replayed < len(suffix):
-                batch = suffix[replayed:replayed + step]
-                handle.client.submit_batch(batch, shard=shard)
-                if not handle.client.connected:
-                    raise LoggingError(
-                        f"{handle.label} connection lost mid-replay "
-                        f"(shard {shard})"
-                    )
-                replayed += len(batch)
-            total += replayed
-        return total
 
     def _catch_up_one(
         self,

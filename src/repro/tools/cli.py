@@ -2,33 +2,27 @@
 
 ::
 
-    python -m repro.tools verify  DIR [--shards N]
-    python -m repro.tools inspect DIR [--shards N] [--component C]
-                                  [--topic T] [--limit N] [--shard I]
-    python -m repro.tools audit   DIR [--shards N]
-                                  [--publisher TOPIC=COMPONENT ...]
+    python -m repro.tools verify  DIR
+    python -m repro.tools inspect DIR [--component C] [--topic T] [--limit N]
+    python -m repro.tools audit   DIR [--publisher TOPIC=COMPONENT ...]
     python -m repro.tools trace   DIR TOPIC SEQ
-    python -m repro.tools recover DIR [--shards N | --shard I]
+    python -m repro.tools recover DIR
     python -m repro.tools health  HOST:PORT [HOST:PORT ...]
     python -m repro.tools replicas HOST:PORT [HOST:PORT ...]
                                   [--quorum N] [--audit] [--key KEY_FILE]
-    python -m repro.tools sth     HOST:PORT [HOST:PORT ...]
-                                  [--shard I] [--key KEY_FILE]
-    python -m repro.tools proof   HOST:PORT INDEX [--shard I]
-                                  [--key KEY_FILE]
+    python -m repro.tools sth     HOST:PORT [HOST:PORT ...] [--key KEY_FILE]
+    python -m repro.tools proof   HOST:PORT INDEX [--key KEY_FILE]
 
 ``DIR`` is a :class:`~repro.storage.durable_store.DurableLogStore`
 directory -- a case from :func:`repro.tools.caseio.export_case`, or a
 logger's own, crashed or not -- opened in place by
-:func:`repro.tools.caseio.open_store` (``--shards N``: a sharded layout of
-N of them).  Exit codes: 0 intact/clean, 1 usage error or a flagged
+:func:`repro.tools.caseio.open_store`.  Exit codes: 0 intact/clean, 1 usage error or a flagged
 component, 2 tampered.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -40,61 +34,30 @@ from repro.audit import (
     render_report,
 )
 from repro.core.entries import Direction
-from repro.core.log_server import LogServer
 from repro.core.policy import ReplicationConfig
 from repro.core.remote import RemoteLogger
 from repro.crypto.keys import PublicKey
 from repro.errors import LogIntegrityError, LoggingError, ProofError
 from repro.gossip import GossipRelay
 from repro.replication import DivergenceDetector, ReplicatedLogger
-from repro.sharding import ShardedLogServer, audit_sharded, shard_dirname
 from repro.tools.caseio import load_case, open_store
 
 
-def _load_server(args: argparse.Namespace) -> "LogServer | ShardedLogServer":
-    """The log server in ``DIR``: one store, checked by
-    :func:`~repro.tools.caseio.load_case`, or with ``--shards N`` a
-    sharded layout (checked per shard by the command)."""
-    shards = getattr(args, "shards", None)
-    if shards is None:
-        return load_case(args.dir).server
-    ShardedLogServer.check_layout(args.dir, shards)
-    return ShardedLogServer(
-        shards=shards,
-        store_factory=lambda index: open_store(
-            os.path.join(args.dir, shard_dirname(index))
-        ),
-    )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    server = _load_server(args)
-    if isinstance(server, ShardedLogServer):
-        server.verify_integrity()
+    server = load_case(args.dir).server
     print(f"{args.dir}: INTACT")
     print(f"  entries:     {len(server)}")
     print(f"  components:  {len(server.keystore)}")
     for component_id, label in sorted(server.keystore.describe().items()):
         fingerprint = server.keystore.get(component_id).fingerprint()
         print(f"    {component_id:<24} {label:<10} fp={fingerprint}")
-    if isinstance(server, ShardedLogServer):
-        commitment = server.commitment()
-        print(f"  shards:      {commitment.shards}")
-        print(f"  set root:    {commitment.root.hex()}")
-        for index, shard in enumerate(commitment.shard_commitments):
-            print(
-                f"  shard {index:3}:   entries={shard.entries:<8} "
-                f"head={shard.chain_head.hex()[:16]} "
-                f"root={shard.merkle_root.hex()[:16]}"
-            )
-    else:
-        print(f"  chain head:  {server.store.head().hex()}")
-        print(f"  merkle root: {server.merkle_root().hex()}")
+    print(f"  chain head:  {server.store.head().hex()}")
+    print(f"  merkle root: {server.merkle_root().hex()}")
     return 0
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    server = _load_server(args)
+    server = load_case(args.dir).server
     if args.component:
         key = server.keystore.find(args.component)
         if key is not None:
@@ -102,14 +65,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 f"# {args.component} key: {key.describe()} "
                 f"fp={key.fingerprint()}"
             )
-    if args.shard is not None:
-        if not isinstance(server, ShardedLogServer):
-            raise SystemExit("--shard requires --shards (an unsharded source)")
-        entries = server.entries(
-            component_id=args.component, topic=args.topic, shard=args.shard
-        )
-    else:
-        entries = server.entries(component_id=args.component, topic=args.topic)
+    entries = server.entries(component_id=args.component, topic=args.topic)
     shown = entries[: args.limit] if args.limit else entries
     for i, entry in enumerate(shown):
         direction = "out" if entry.direction is Direction.OUT else "in "
@@ -139,7 +95,7 @@ def _parse_topology(pairs: List[str]) -> Optional[Topology]:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    server = _load_server(args)
+    server = load_case(args.dir).server
     topology = _parse_topology(args.publisher)
     labels = sorted(server.keystore.describe().values())
     if labels:
@@ -148,18 +104,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             f"{label} x{count}" for label, count in counts.items()
         )
         print(f"registered keys: {summary}")
-    if isinstance(server, ShardedLogServer):
-        result = audit_sharded(server, topology=topology)
-        for outcome in result.outcomes:
-            if outcome.tampered:
-                print(f"shard {outcome.shard}: TAMPERED ({outcome.error})")
-            else:
-                print(f"shard {outcome.shard}: {outcome.entries} entries, intact")
-        print(render_report(result.report, max_findings=args.max_findings))
-        if result.tampered_shards:
-            print(f"tampered shards: {result.tampered_shards}")
-            return 2
-        return 1 if result.report.flagged_components() else 0
     auditor = Auditor.for_server(server, topology)
     report = auditor.audit_server(server)
     print(render_report(report, max_findings=args.max_findings))
@@ -167,7 +111,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    server = _load_server(args)
+    server = load_case(args.dir).server
     report = Auditor.for_server(server).audit_server(server)
     valid = [c.entry for c in report.valid_entries()]
     graph = ProvenanceGraph(valid)
@@ -184,9 +128,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recover_one(store_dir: str, label: str) -> int:
+def _cmd_recover(args: argparse.Namespace) -> int:
+    """Replay a durable store's WAL and report what survived the crash."""
+    label = f"store {args.dir}"
     try:
-        store = open_store(store_dir)
+        store = open_store(args.dir)
     except LogIntegrityError as exc:
         print(f"{label}: TAMPERED: {exc}")
         return 2
@@ -200,29 +146,6 @@ def _recover_one(store_dir: str, label: str) -> int:
     print(f"  merkle root:      {store.merkle_root().hex()}")
     store.close()
     return 0
-
-
-def _cmd_recover(args: argparse.Namespace) -> int:
-    """Replay a durable store's WAL and report what survived the crash.
-
-    For a sharded layout, ``--shards N`` recovers every shard directory in
-    turn and ``--shard I`` exactly one -- tamper localization means an
-    investigator usually needs to replay a single shard's wreckage, not
-    the whole set.
-    """
-    if args.shard is not None:
-        shards = [args.shard]
-    elif args.shards is not None:
-        shards = range(args.shards)
-    else:
-        return _recover_one(args.dir, f"store {args.dir}")
-    return max(
-        _recover_one(
-            os.path.join(args.dir, shard_dirname(index)),
-            f"store {args.dir} shard {index}",
-        )
-        for index in shards
-    )
 
 
 def _parse_address(value: str):
@@ -308,7 +231,7 @@ def _cmd_sth(args: argparse.Namespace) -> int:
     for value in args.replica:
         client = RemoteLogger(_parse_address(value))
         try:
-            sth = client.fetch_sth(timeout=args.timeout, shard=args.shard)
+            sth = client.fetch_sth(timeout=args.timeout)
         except LoggingError as exc:
             print(f"{value:<28} UNREACHABLE ({exc})")
             unreachable += 1
@@ -324,7 +247,7 @@ def _cmd_sth(args: argparse.Namespace) -> int:
             verdict = "sig=unverified"
         relay.observe(sth, source=value)
         print(
-            f"{value:<28} log={sth.log_id} scope={sth.scope} "
+            f"{value:<28} log={sth.log_id} "
             f"entries={sth.entries:<8} root={sth.merkle_root.hex()[:16]} "
             f"head={sth.chain_head.hex()[:16]} {verdict}"
         )
@@ -346,7 +269,7 @@ def _cmd_proof(args: argparse.Namespace) -> int:
     client = RemoteLogger(_parse_address(args.replica))
     try:
         try:
-            sth = client.fetch_sth(timeout=args.timeout, shard=args.shard)
+            sth = client.fetch_sth(timeout=args.timeout)
         except LoggingError as exc:
             print(f"cannot fetch STH: {exc}")
             return 2
@@ -363,12 +286,10 @@ def _cmd_proof(args: argparse.Namespace) -> int:
             return 2
         try:
             records = client.fetch_records(
-                start=args.index, count=1, timeout=args.timeout,
-                shard=args.shard,
+                start=args.index, count=1, timeout=args.timeout
             )
             proof = client.prove_inclusion(
-                args.index, tree_size=sth.entries, timeout=args.timeout,
-                shard=args.shard,
+                args.index, tree_size=sth.entries, timeout=args.timeout
             )
         except ProofError as exc:
             print(f"proof REFUSED: {exc}")
@@ -470,13 +391,6 @@ def _add_source_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "dir", metavar="DIR", help="a log-store (or exported case) directory"
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="open DIR as a sharded layout of N shard directories",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,13 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument("--component", default=None)
     p_inspect.add_argument("--topic", default=None)
     p_inspect.add_argument("--limit", type=int, default=50)
-    p_inspect.add_argument(
-        "--shard",
-        type=int,
-        default=None,
-        metavar="I",
-        help="list only shard I's entries (with --shards)",
-    )
     p_inspect.set_defaults(func=_cmd_inspect)
 
     p_audit = sub.add_parser("audit", help="classify all entries")
@@ -517,9 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_trace = sub.add_parser("trace", help="provenance lineage of one datum")
-    p_trace.add_argument(
-        "dir", metavar="DIR", help="a log-store (or exported case) directory"
-    )
+    _add_source_arguments(p_trace)
     p_trace.add_argument("topic")
     p_trace.add_argument("seq", type=int)
     p_trace.set_defaults(func=_cmd_trace)
@@ -528,20 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         "recover", help="replay a durable store's WAL after a crash"
     )
     p_recover.add_argument("dir", metavar="DIR")
-    p_recover.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="recover all N shard directories of a sharded layout",
-    )
-    p_recover.add_argument(
-        "--shard",
-        type=int,
-        default=None,
-        metavar="I",
-        help="recover only shard I's directory",
-    )
     p_recover.set_defaults(func=_cmd_recover)
 
     p_health = sub.add_parser(
@@ -581,13 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sth.add_argument("replica", nargs="+", metavar="HOST:PORT")
     p_sth.add_argument("--timeout", type=float, default=2.0)
     p_sth.add_argument(
-        "--shard",
-        type=int,
-        default=None,
-        metavar="I",
-        help="fetch shard I's head instead of the whole-log/set head",
-    )
-    p_sth.add_argument(
         "--key",
         default=None,
         metavar="KEY_FILE",
@@ -602,13 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_proof.add_argument("replica", metavar="HOST:PORT")
     p_proof.add_argument("index", type=int, metavar="INDEX")
     p_proof.add_argument("--timeout", type=float, default=2.0)
-    p_proof.add_argument(
-        "--shard",
-        type=int,
-        default=None,
-        metavar="I",
-        help="prove within shard I (sharded servers)",
-    )
     p_proof.add_argument(
         "--key",
         default=None,

@@ -16,7 +16,7 @@ from repro.audit.auditor import AuditFold
 @contextmanager
 def per_signature_verification():
     """Inside the block every fold (also those built deep inside
-    ``audit_sharded`` or an ``OnlineAuditor``) verifies signature by
+    ``audit_replica_set`` or an ``OnlineAuditor``) verifies signature by
     signature."""
     batched = AuditFold._verify_batches
     AuditFold._verify_batches = lambda self, triples: None

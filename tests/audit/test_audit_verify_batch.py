@@ -4,8 +4,8 @@ The same contract the auditor's old verify pool pinned, now held by
 ``verify_batch`` under the pool-era test names: results come back in input
 order, malformed key material verifies False (never raises), a batch of
 any size equals the per-signature loop, concurrent batches share the
-key-table cache safely, and ``audit_sharded`` / ``audit_replica_set``
-report what a signature-by-signature audit reports.
+key-table cache safely, and ``audit_replica_set`` reports what a
+signature-by-signature audit reports.
 """
 
 import sys
@@ -124,32 +124,10 @@ class TestPool:
 
 
 class TestAuditIntegration:
-    def test_audit_sharded_with_pool(self, keypool, rng):
-        """Shard auditors, each batching its own verifies, report what
-        signature-by-signature auditing reports."""
-        from repro.sharding.parallel_audit import audit_sharded
-        from repro.sharding.sharded_server import ShardedLogServer
-        from tests.sharding.workload import (
-            build_stream,
-            register_pair,
-            report_summary,
-            topology_for,
-        )
-
-        server = ShardedLogServer(shards=4)
-        register_pair(server, keypool)
-        for record in build_stream(keypool, rng):
-            server.submit(record)
-        batched = audit_sharded(server, topology=topology_for())
-        with per_signature_verification():
-            inline = audit_sharded(server, topology=topology_for())
-        assert report_summary(inline.report) == report_summary(batched.report)
-        assert inline.tampered_shards == batched.tampered_shards == []
-
     def test_audit_replica_set_equals_inline(self, keypool, rng):
         from repro.audit.replica_audit import audit_replica_set
         from repro.core import LogServer, LogServerEndpoint, RemoteLogger
-        from tests.sharding.workload import build_stream, report_summary
+        from tests.audit.workload import build_stream, report_summary
 
         servers = [LogServer() for _ in range(3)]
         for server in servers:

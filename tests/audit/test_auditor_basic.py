@@ -223,7 +223,7 @@ class TestBatchedVerification:
 
     @staticmethod
     def _pairs(keypool, count):
-        from tests.sharding.workload import honest_pair
+        from tests.audit.workload import honest_pair
 
         return [
             entry

@@ -1,33 +1,16 @@
-"""Shared builders for the sharding test battery.
+"""Transmission builders shared by the auditor and proof-plane tests.
 
 One publisher (``/pub`` = keypool[0]) and one subscriber (``/sub`` =
-keypool[1]) exchange transmissions across several topics.  The builders
-produce the same honest-pair shape the auditor tests use, plus the two
-deviations the equivalence suite needs verdicts to disagree on: a
-forged own-signature (invalid) and a subscriber-only transmission whose
-peer proof convicts the publisher of hiding its entry.
+keypool[1]) exchange transmissions across several topics: honest pairs,
+plus the two deviations verdicts must disagree on -- a forged
+own-signature (invalid) and a subscriber-only transmission whose peer
+proof convicts the publisher of hiding its entry.
 """
 
-from repro.audit import Topology
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.protocol import message_digest
 
-#: Eight topics whose sha256 routing at 4 shards covers every shard
-#: (golden mapping asserted in test_router.py).
 TOPICS = ["/a", "/b", "/c", "/d", "/e", "/f", "/g", "/h"]
-
-#: topic -> shard at ``shards=4`` (golden values; recomputed nowhere).
-GOLDEN_SHARDS_4 = {
-    "/a": 3, "/b": 0, "/c": 0, "/d": 1,
-    "/e": 1, "/f": 2, "/g": 3, "/h": 2,
-}
-
-
-def topology_for(topics=TOPICS) -> Topology:
-    return Topology(
-        publisher_of={t: "/pub" for t in topics},
-        subscribers_of={t: ["/sub"] for t in topics},
-    )
 
 
 def register_pair(server, keypool) -> None:

@@ -22,7 +22,6 @@ from repro.core.remote import LogServerEndpoint, RemoteLogger
 from repro.crypto.merkle import leaf_hash
 from repro.errors import LoggingError
 from repro.replication.replicated import ReplicatedLogger
-from repro.sharding.sharded_server import ShardedLogServer
 from repro.storage.durable_store import DurableLogStore
 from repro.util.concurrency import wait_for
 
@@ -47,7 +46,7 @@ def commitment_tuple(server: LogServer):
 
 
 #: Every logger backend with a ``submit``/``submit_batch`` surface.
-BACKENDS = ["log_server", "sharded", "forking", "remote", "replicated"]
+BACKENDS = ["log_server", "forking", "remote", "replicated"]
 
 
 @contextmanager
@@ -58,9 +57,6 @@ def backend(kind: str, signer):
     if kind == "log_server":
         server = LogServer()
         yield server, lambda: None, [server]
-    elif kind == "sharded":
-        sharded = ShardedLogServer(shards=2)
-        yield sharded, lambda: None, [sharded.shard(0), sharded.shard(1)]
     elif kind == "forking":
         fork = ForkingLogServer(signer, fork_at=3)
         yield fork, lambda: None, [fork.honest, fork.forked]
@@ -133,7 +129,7 @@ class TestLogServerSubmitBatch:
             for i in range(1, 21)
         ]
         for i, entry in enumerate(entries):
-            entry.topic = "/t%d" % (i % 4)  # spread over every shard
+            entry.topic = "/t%d" % (i % 4)
         with backend(kind, keypool[0].private) as (
             batched, settle_batched, batched_views
         ), backend(kind, keypool[0].private) as (

@@ -19,10 +19,8 @@ def signer(keypool):
     return keypool[0].private
 
 
-def head(signer, entries, root, log_id="log-1", scope=0, chain=None):
-    return issue_sth(
-        signer, log_id, entries, chain or root, root, scope=scope
-    )
+def head(signer, entries, root, log_id="log-1", chain=None):
+    return issue_sth(signer, log_id, entries, chain or root, root)
 
 
 class TestObserve:
@@ -72,12 +70,11 @@ class TestObserve:
         relay.register_key("log-1", signer.public_key)
         assert relay.observe(head(signer, 5, b"b" * 32))
 
-    def test_scopes_and_logs_are_independent(self, signer, keypool):
+    def test_logs_are_independent(self, signer, keypool):
         relay = GossipRelay("r")
         relay.register_key("log-1", signer.public_key)
         relay.register_key("log-2", keypool[1].private.public_key)
         relay.observe(head(signer, 5, b"a" * 32))
-        assert relay.observe(head(signer, 5, b"b" * 32, scope=1)) == []
         assert relay.observe(head(keypool[1].private, 5, b"b" * 32, log_id="log-2")) == []
 
     def test_listener_fires_once_per_evidence(self, signer):

@@ -10,7 +10,6 @@ from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.log_server import LogServer
 from repro.errors import DecodingError, LoggingError
 from repro.gossip import (
-    SCOPE_LOG,
     EquivocationEvidence,
     SignedTreeHead,
     issue_sth,
@@ -48,18 +47,16 @@ class TestSignedTreeHead:
             ("chain_head", b"x" * 32),
             ("merkle_root", b"x" * 32),
             ("timestamp", 6.0),
-            ("scope", 3),
         ]:
             tampered = SignedTreeHead.from_bytes(base.to_bytes())
             setattr(tampered, field, value)
             assert not tampered.verify(signer.public_key), field
 
     def test_wire_round_trip(self, signer):
-        sth = issue_sth(signer, "log-9", 42, b"h" * 32, b"r" * 32, scope=2)
+        sth = issue_sth(signer, "log-9", 42, b"h" * 32, b"r" * 32)
         back = SignedTreeHead.from_bytes(sth.to_bytes())
         assert back.log_id == "log-9"
         assert back.entries == 42
-        assert back.scope == 2
         assert back.verify(signer.public_key)
 
     def test_malformed_bytes_rejected(self):
@@ -73,12 +70,10 @@ class TestSignedTreeHead:
         forked = issue_sth(signer, "log-1", 5, b"h" * 32, b"R" * 32)
         later = issue_sth(signer, "log-1", 6, b"h" * 32, b"r" * 32)
         other_log = issue_sth(signer, "log-2", 5, b"h" * 32, b"R" * 32)
-        other_scope = issue_sth(signer, "log-1", 5, b"h" * 32, b"R" * 32, scope=1)
         assert a.conflicts_with(forked) and forked.conflicts_with(a)
         assert not a.conflicts_with(a)
         assert not a.conflicts_with(later)
         assert not a.conflicts_with(other_log)
-        assert not a.conflicts_with(other_scope)
 
     def test_require_valid(self, signer, keypool):
         sth = issue_sth(signer, "log-1", 1, b"h" * 32, b"r" * 32)
@@ -95,7 +90,6 @@ class TestLogServerSth:
         sth = server.signed_tree_head(timestamp=1.0)
         assert sth.verify(signer.public_key)
         assert sth.entries == 3
-        assert sth.scope == SCOPE_LOG
         assert sth.chain_head == server.store.head()
         assert sth.merkle_root == server.merkle_root()
 

@@ -3,8 +3,7 @@
 A client must never have to trust the transport or parse a server
 traceback: heads arrive signed, proofs verify locally against those
 heads, and a malformed request comes back as a typed
-:class:`~repro.errors.ProofError` across every backend (plain and
-sharded).
+:class:`~repro.errors.ProofError`.
 """
 
 import pytest
@@ -12,14 +11,8 @@ import pytest
 from repro.core import LogServer, LogServerEndpoint
 from repro.core.remote import RemoteLogger
 from repro.errors import LogIntegrityError, LoggingError, ProofError
-from repro.sharding import ShardedLogServer
 
-from tests.sharding.workload import (
-    GOLDEN_SHARDS_4,
-    TOPICS,
-    honest_pair,
-    register_pair,
-)
+from tests.audit.workload import TOPICS, honest_pair, register_pair
 
 
 def _stream(keypool, count=8, topics=TOPICS):
@@ -33,18 +26,6 @@ def _stream(keypool, count=8, topics=TOPICS):
 @pytest.fixture()
 def plain(keypool):
     server = LogServer(signer=keypool[2].private, log_id="wire-plain")
-    register_pair(server, keypool)
-    endpoint = LogServerEndpoint(server)
-    client = RemoteLogger(endpoint.address)
-    yield server, client
-    client.close()
-    endpoint.close()
-
-
-@pytest.fixture()
-def sharded(keypool):
-    server = ShardedLogServer(shards=4)
-    server.attach_signer(keypool[2].private, log_id="wire-sharded")
     register_pair(server, keypool)
     endpoint = LogServerEndpoint(server)
     client = RemoteLogger(endpoint.address)
@@ -170,49 +151,3 @@ class TestTypedErrorsPlain:
         finally:
             client.close()
             endpoint.close()
-
-
-class TestTypedErrorsSharded:
-    def test_per_shard_proofs_verify(self, sharded, keypool):
-        server, client = sharded
-        records = _stream(keypool)
-        for record in records:
-            server.submit(record)
-        by_shard = {}
-        for i, record in enumerate(records):
-            shard = GOLDEN_SHARDS_4[TOPICS[i % len(TOPICS)]]
-            by_shard.setdefault(shard, []).append(record)
-        for shard, shard_records in by_shard.items():
-            sth = client.fetch_sth(shard=shard)
-            assert sth.verify(keypool[2].public)
-            assert sth.scope == shard + 1
-            for index, record in enumerate(shard_records):
-                proof = client.prove_inclusion(
-                    index, tree_size=sth.entries, shard=shard
-                )
-                assert proof.verify(record, sth.merkle_root)
-
-    def test_untargeted_proof_refused(self, sharded, keypool):
-        server, client = sharded
-        server.submit(_stream(keypool, count=1)[0])
-        with pytest.raises(LoggingError, match="shard id"):
-            client.prove_inclusion(0)
-        with pytest.raises(LoggingError, match="shard id"):
-            client.prove_consistency(0)
-
-    def test_untargeted_sth_is_the_signed_set_head(self, sharded, keypool):
-        server, client = sharded
-        for record in _stream(keypool):
-            server.submit(record)
-        sth = client.fetch_sth()
-        assert sth.verify(keypool[2].public)
-        assert sth.scope == 0
-        assert sth.merkle_root == server.commitment().root
-
-    def test_out_of_range_shard_and_index_are_typed(self, sharded, keypool):
-        server, client = sharded
-        server.submit(_stream(keypool, count=1)[0])
-        with pytest.raises(ProofError):
-            client.prove_inclusion(0, shard=9)
-        with pytest.raises(ProofError):
-            client.prove_inclusion(99, shard=0)

@@ -115,6 +115,22 @@ class TestScriptedFaults:
         assert drain(accept_end) == [b"f0", b"f1"]
         assert connect_end.applied == [(2, "drop"), (3, "drop"), (4, "drop")]
 
+    def test_any_connection_script_fires_once_where_first_reached(self):
+        # connection 0 never reaches frame 1; connection 1 does, and takes
+        # the fault; connection 2 then sends its frame 1 clean
+        schedule = FaultSchedule(seed=7).script("accept", 1, "drop", conn_index=None)
+        transport = FaultyTransport(schedule=schedule)
+        ends = [connected_pair(transport) for _ in range(3)]
+        ends[0][0].send_frame(b"only")
+        for accept_end, _ in ends[1:]:
+            accept_end.send_frame(b"a")
+            accept_end.send_frame(b"b")
+        assert [accept_end.applied for accept_end, _ in ends] == [
+            [], [(1, "drop")], []
+        ]
+        assert drain(ends[1][1]) == [b"a"]
+        assert drain(ends[2][1]) == [b"a", b"b"]
+
     def test_faults_are_per_side(self):
         # scripted on the accept side: the connect side stays clean
         schedule = FaultSchedule(seed=7).script("accept", 0, "drop")

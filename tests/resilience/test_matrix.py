@@ -76,14 +76,12 @@ class TestScenarioCellValidation:
         with pytest.raises(ValueError):
             ScenarioCell("plain", "equivocation", "restart", "light")
         with pytest.raises(ValueError):
-            ScenarioCell("sharded", "equivocation", "none", "light")
-        with pytest.raises(ValueError):
             ScenarioCell("replicated", "equivocation", "none", "light")
 
     def test_full_grid_enumerates_only_sound_cells(self):
         cells = enumerate_cells(full=True)
         assert len(cells) == len(set(cells))  # no duplicates
-        assert len(cells) == 54
+        assert len(cells) == 34
         for cell in cells:
             assert ScenarioCell(
                 cell.backend, cell.fault, cell.churn, cell.load

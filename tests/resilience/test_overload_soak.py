@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from tests.sim.matrix import enumerate_cells, run_matrix
+from tests.sim.matrix import FAULT_PROFILES, enumerate_cells, run_matrix
 
 pytestmark = pytest.mark.overload
 
@@ -27,3 +27,13 @@ def test_full_grid_holds_the_invariant(deterministic_seed):
         f"{r.cell.name}: {r.failures}" for r in failed[:10]
     )
     assert not failed, f"{len(failed)}/{len(results)} cells failed: {detail}"
+    # every non-replicated transport-fault cell faulted an endpoint reply
+    # (its scripted one at least), so none passes without testing one
+    unfaulted = [
+        r.cell.name
+        for r in results
+        if FAULT_PROFILES[r.cell.fault]
+        and r.cell.backend != "replicated"
+        and r.accept_faults < 1
+    ]
+    assert not unfaulted, f"no reply fault injected in {unfaulted}"

@@ -27,6 +27,9 @@ from .test_schema import Color, Inner, Sample
 
 MUTATIONS_PER_CLASS = 3_500
 
+#: ``LoggerRequest`` field 8 (the retired shard tag) as varint 3.
+RETIRED_SHARD_TAG = b"\x40\x03"
+
 
 def _entry(rng: random.Random, seq: int, aggregated: bool = False) -> LogEntry:
     entry = LogEntry(
@@ -61,8 +64,9 @@ def _seeds(rng: random.Random):
         LoggerRequest: [
             LoggerRequest(op=9, component_id="/camera", entry_batch=[records[0]],
                           sync=True, corr_id=7).encode(),
-            LoggerRequest(op=9, entry_batch=records, shard=3, deadline_ms=250,
-                          corr_id=300).encode(),
+            # a frame still carrying the retired shard tag (field 8)
+            LoggerRequest(op=9, entry_batch=records).encode() + RETIRED_SHARD_TAG
+            + LoggerRequest(deadline_ms=250, corr_id=300).encode(),
             LoggerRequest(op=5, start=128, count=64, proof_index=1 << 40).encode(),
         ],
         LoggerResponse: [
@@ -194,6 +198,19 @@ def test_unknown_fields_are_skipped():
     unknown = b"\xf8\x01\x96\x01" + b"\xf9\x01" + bytes(8) + b"\xfa\x01\x02hi" + b"\xfd\x01" + bytes(4)
     data = unknown + known[:2] + unknown + known[2:] + unknown
     assert Sample.decode(data) == reference_decode(Sample, data) == Sample(count=3, name="n")
+
+
+def test_retired_shard_tag_is_skipped():
+    """A frame from a client that still tags shards (bytes encoded when
+    field 8 existed) decodes as the untagged request, in both decoders."""
+    tagged = bytes.fromhex("08063a057265632d31400350fa0170ac02")
+    untagged = LoggerRequest(
+        op=6, entry_batch=[b"rec-1"], deadline_ms=250, corr_id=300
+    )
+    assert RETIRED_SHARD_TAG in tagged
+    assert LoggerRequest.decode(tagged) == untagged
+    assert reference_decode(LoggerRequest, tagged) == untagged
+    assert untagged.encode() == tagged.replace(RETIRED_SHARD_TAG, b"")
 
 
 def test_repeated_field_appends_to_a_private_list():

@@ -144,8 +144,9 @@ class FaultSchedule:
         self.seed = seed
         self.accept_side = accept_side or FaultProfile()
         self.connect_side = connect_side or FaultProfile()
-        # (side, conn_index, frame_index) -> kind
-        self._scripted: Dict[Tuple[str, int, int], str] = {}
+        # (side, conn_index, frame_index) -> kind; conn_index None = the
+        # first connection of that side to send that frame, once
+        self._scripted: Dict[Tuple[str, Optional[int], int], str] = {}
         # (side, conn_index) -> list of (start_index, kind)
         self._ranges: Dict[Tuple[str, int], List[Tuple[int, str]]] = {}
         self._lock = threading.Lock()
@@ -158,9 +159,12 @@ class FaultSchedule:
     # -- scripted one-shot faults ---------------------------------------
 
     def script(
-        self, side: str, frame_index: int, kind: str, conn_index: int = 0
+        self, side: str, frame_index: int, kind: str,
+        conn_index: Optional[int] = 0,
     ) -> "FaultSchedule":
-        """Force ``kind`` on exactly one frame of one connection."""
+        """Force ``kind`` on exactly one frame of one connection
+        (``conn_index=None``: of whichever connection of ``side`` sends
+        frame ``frame_index`` first)."""
         self._check(side, kind)
         with self._lock:
             self._scripted[(side, conn_index, frame_index)] = kind
@@ -198,6 +202,8 @@ class FaultSchedule:
     ) -> Optional[str]:
         with self._lock:
             kind = self._scripted.get((side, conn_index, frame_index))
+            if kind is None:
+                kind = self._scripted.pop((side, None, frame_index), None)
             if kind is not None:
                 return kind
             for start, range_kind in self._ranges.get((side, conn_index), ()):

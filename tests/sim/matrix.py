@@ -7,8 +7,8 @@ audit never produces a false verdict**.  This module turns that sentence
 into an executable grid.  A :class:`ScenarioCell` names one combination of
 
 - **backend**: ``plain`` (one in-memory ``LogServer`` behind an
-  endpoint), ``sharded`` (the shard set behind one endpoint),
-  ``replicated`` (fan-out over two endpoints with spill + catch-up);
+  endpoint) or ``replicated`` (fan-out over two endpoints with spill +
+  catch-up);
 - **fault**: a transport fault profile of :mod:`tests.sim.faulty`
   (``drop`` / ``delay`` / ``disconnect`` / ``truncate``), ``none``,
   or ``equivocation``: a *compromised logger*
@@ -73,10 +73,9 @@ from repro.gossip import GossipRelay, gossip_round
 from repro.middleware.transport.base import Transport
 from repro.middleware.transport.inproc import InprocTransport
 from repro.replication import ReplicatedLogger
-from repro.sharding.sharded_server import ShardedLogServer
 from tests.sim.faulty import FaultyTransport, RelayedTransport
 
-BACKENDS = ("plain", "sharded", "replicated")
+BACKENDS = ("plain", "replicated")
 FAULTS = ("none", "drop", "delay", "disconnect", "truncate", "equivocation")
 CHURNS = ("none", "restart")
 LOADS = ("light", "flood")
@@ -89,7 +88,6 @@ LOADS = ("light", "flood")
 #: exercise the gossip detection path the fault exists to test.
 FAULTS_BY_BACKEND: Dict[str, Tuple[str, ...]] = {
     "plain": FAULTS,
-    "sharded": ("none", "drop", "delay", "disconnect", "truncate"),
     "replicated": ("none", "delay", "disconnect"),
 }
 
@@ -225,8 +223,8 @@ def enumerate_cells(full: bool = False) -> List[ScenarioCell]:
         return [
             ScenarioCell("plain", "drop", "none", "light"),
             ScenarioCell("plain", "equivocation", "none", "light"),
-            ScenarioCell("sharded", "truncate", "none", "flood"),
-            ScenarioCell("sharded", "none", "restart", "light"),
+            ScenarioCell("plain", "truncate", "none", "flood"),
+            ScenarioCell("plain", "none", "restart", "light"),
             ScenarioCell("replicated", "disconnect", "none", "light"),
         ]
     cells: List[ScenarioCell] = []
@@ -262,8 +260,10 @@ def _fault_transports(cell: ScenarioCell, seed: int) -> Tuple[Transport, Transpo
     faulty = FaultyTransport(InprocTransport(), seed=seed, **profile)
     if cell.backend != "replicated":
         # the seeded stream rarely reaches a reply frame: fault the
-        # endpoint's second reply on its first connection for certain
-        faulty.schedule.script("accept", 1, cell.fault, conn_index=0)
+        # endpoint's second reply for certain, on the first connection
+        # that sends one (a seeded client-side fault may end the first
+        # connection before it is answered at all)
+        faulty.schedule.script("accept", 1, cell.fault, conn_index=None)
     return faulty, RelayedTransport(faulty)
 
 
@@ -570,8 +570,8 @@ def _run_equivocation_cell(
 def _run_endpoint_cell(
     cell: ScenarioCell, seed: int, result: CellResult
 ) -> None:
-    """The plain and sharded backends: one endpoint, one
-    acknowledged client, transport faults and churn."""
+    """The plain backend: one endpoint, one acknowledged client,
+    transport faults and churn."""
     if cell.fault == "equivocation":
         _run_equivocation_cell(cell, seed, result)
         return
@@ -580,27 +580,22 @@ def _run_endpoint_cell(
     records = honest_records(rng, keys, _TOPICS, TRANSMISSIONS[cell.load])
     result.submitted = len(records)
 
-    if cell.backend == "sharded":
-        server = ShardedLogServer(shards=4)
-    else:
-        server = LogServer()
+    server = LogServer()
     server.register_key("/pub", keys[0].public)
     server.register_key("/sub", keys[1].public)
-    honest_gossip: Optional[GossipRelay] = None
-    if cell.backend == "plain":
-        # False-positive bar: an *honest* logger under this cell's fault
-        # and load, observed through the full gossip machinery (signed
-        # heads, consistency challenges), must yield zero evidence.
-        logger_keys = generate_keypair(512, seed=seed + 3)
-        server.attach_signer(logger_keys.private)
-        honest_gossip = GossipRelay(
-            "honest-watch",
-            consistency_prover=lambda old, new: server.prove_consistency(
-                old.entries, new.entries
-            ),
-        )
-        honest_gossip.register_key(server.log_id, logger_keys.public)
-        honest_gossip.observe(server.signed_tree_head(), source="anchor")
+    # False-positive bar: an *honest* logger under this cell's fault and
+    # load, observed through the full gossip machinery (signed heads,
+    # consistency challenges), must yield zero evidence.
+    logger_keys = generate_keypair(512, seed=seed + 3)
+    server.attach_signer(logger_keys.private)
+    honest_gossip = GossipRelay(
+        "honest-watch",
+        consistency_prover=lambda old, new: server.prove_consistency(
+            old.entries, new.entries
+        ),
+    )
+    honest_gossip.register_key(server.log_id, logger_keys.public)
+    honest_gossip.observe(server.signed_tree_head(), source="anchor")
     transport, served = _fault_transports(cell, seed)
 
     state: Dict[str, object] = {}
@@ -635,14 +630,7 @@ def _run_endpoint_cell(
         result.acked = acked
         result.elapsed = time.monotonic() - started
 
-        if cell.backend == "sharded":
-            delivered = [
-                bytes(r)
-                for s in range(server.shard_count)
-                for r in server.shard_raw_records(s)
-            ]
-        else:
-            delivered = [bytes(r) for r in server.raw_records()]
+        delivered = [bytes(r) for r in server.raw_records()]
         deduped = _check_delivery(
             result, records[:acked], records, delivered, allow_duplicates=False
         )
@@ -650,17 +638,14 @@ def _run_endpoint_cell(
             server.verify_integrity()
         except Exception as exc:
             result.failures.append(f"store failed verification: {exc}")
-        if honest_gossip is not None:
-            honest_gossip.observe(server.signed_tree_head(), source="final")
-            result.equivocation_evidence = len(honest_gossip.evidence())
-            if result.equivocation_evidence:
-                result.failures.append(
-                    "honest cell produced equivocation evidence "
-                    "(false positive): "
-                    + "; ".join(
-                        ev.describe() for ev in honest_gossip.evidence()
-                    )
-                )
+        honest_gossip.observe(server.signed_tree_head(), source="final")
+        result.equivocation_evidence = len(honest_gossip.evidence())
+        if result.equivocation_evidence:
+            result.failures.append(
+                "honest cell produced equivocation evidence "
+                "(false positive): "
+                + "; ".join(ev.describe() for ev in honest_gossip.evidence())
+            )
         _audit(result, keys, _TOPICS, deduped)
         _check_budget(result)
     finally:
@@ -770,7 +755,6 @@ def _run_replicated_cell(
 
 _RUNNERS = {
     "plain": _run_endpoint_cell,
-    "sharded": _run_endpoint_cell,
     "replicated": _run_replicated_cell,
 }
 

@@ -72,3 +72,41 @@ class TestHarnessCodeIsNotInTheLibrary:
     def test_not_importable(self, module):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
+
+
+class TestTopicShardingIsGone:
+    """One trusted logger, as in the paper: the topic-sharded logger and
+    every option that reached it are deleted, not merely unused."""
+
+    def test_package_not_importable(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.sharding")
+
+    def test_replication_config_has_no_shards(self):
+        from repro.core.policy import ReplicationConfig
+
+        with pytest.raises(TypeError):
+            ReplicationConfig(shards=2)
+
+    def test_remote_logger_has_no_shard(self):
+        from repro.core.remote import RemoteLogger
+
+        with pytest.raises(TypeError):
+            RemoteLogger(("tcp", "127.0.0.1", 1), shard=0)
+        assert not hasattr(RemoteLogger, "shard_count")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "DIR", "--shards", "2"],
+            ["recover", "DIR", "--shard", "0"],
+            ["sth", "127.0.0.1:1", "--shard", "0"],
+        ],
+    )
+    def test_cli_rejects_shard_options(self, argv, capsys):
+        from repro.tools.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
