@@ -166,6 +166,30 @@ def measure(
     return TimingStats.from_samples(durations)
 
 
+class CallTimer:
+    """A callable handed to ``pytest-benchmark`` that times each of its own
+    calls with ``time.perf_counter``.
+
+    Saved figures come from :meth:`stats`, not from ``benchmark.stats``,
+    which is ``None`` under ``--benchmark-disable`` (the callable then runs
+    once, and that one call is the figure).
+    """
+
+    def __init__(self, fn: Callable[..., Any]):
+        self._fn = fn
+        self._durations: List[float] = []
+
+    def __call__(self, *args: Any, **kwargs: Any) -> Any:
+        t0 = time.perf_counter()
+        try:
+            return self._fn(*args, **kwargs)
+        finally:
+            self._durations.append(time.perf_counter() - t0)
+
+    def stats(self) -> TimingStats:
+        return TimingStats.from_samples(self._durations)
+
+
 # -- CPU utilization -----------------------------------------------------------
 #
 # The paper's Figure 14 reports the *publisher's* CPU utilization and

@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import threading
 
-from benchmarks.harness import Table, host_cpu_count, save_results
+from benchmarks.harness import CallTimer, Table, host_cpu_count, save_results
 from repro.core.entries import LogEntry, Scheme
 from repro.core.log_server import LogServer
 from repro.core.remote import LogServerEndpoint, RemoteLogger
@@ -83,13 +83,12 @@ def _bench_one_socket(benchmark, label, hammer):
         worlds.append((server, endpoint, client))
         return (server, client), {}
 
-    benchmark.pedantic(
-        hammer, setup=setup, rounds=RPC_ROUNDS, warmup_rounds=0
-    )
+    timed = CallTimer(hammer)
+    benchmark.pedantic(timed, setup=setup, rounds=RPC_ROUNDS, warmup_rounds=0)
     for server, endpoint, client in worlds:
         client.close()
         endpoint.close()
-    _results[label] = ENTRIES / benchmark.stats.stats.min
+    _results[label] = ENTRIES / timed.stats().min
 
 
 def test_serial_rpc(benchmark):
@@ -191,10 +190,11 @@ def test_fanin_connections(benchmark):
             for client in clients:
                 client.close()
 
-    benchmark.pedantic(fan_in, setup=setup, rounds=ROUNDS, warmup_rounds=0)
+    timed = CallTimer(fan_in)
+    benchmark.pedantic(timed, setup=setup, rounds=ROUNDS, warmup_rounds=0)
     for server, endpoint in worlds:
         endpoint.close()
-    _results["fanin_seconds"] = benchmark.stats.stats.mean
+    _results["fanin_seconds"] = timed.stats().mean
 
 
 # -- report -------------------------------------------------------------------

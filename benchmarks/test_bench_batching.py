@@ -27,7 +27,7 @@ import time
 
 import pytest
 
-from benchmarks.harness import Table, save_results
+from benchmarks.harness import CallTimer, Table, save_results
 from repro.core.entries import Direction, LogEntry, Scheme
 from repro.core.log_server import LogServer
 from repro.core.log_store import InMemoryLogStore
@@ -73,8 +73,8 @@ def _spin_until(predicate, timeout=30.0):
             raise AssertionError("benchmark sink never ingested the workload")
 
 
-def _record(label, benchmark):
-    _results[label] = ENTRIES / benchmark.stats.stats.mean
+def _record(label, timed):
+    _results[label] = ENTRIES / timed.stats().mean
 
 
 # -- local sinks (LogServer over a store) ------------------------------------
@@ -99,15 +99,16 @@ def _bench_local(benchmark, tmp_path_factory, label, make_store, batched):
         for batch in batches:
             server.submit_batch(batch)
 
+    timed = CallTimer(grouped if batched else per_entry)
     benchmark.pedantic(
-        grouped if batched else per_entry,
+        timed,
         setup=setup,
         rounds=ROUNDS,
         warmup_rounds=0,
     )
     for server in open_servers:
         server.close()
-    _record(label, benchmark)
+    _record(label, timed)
 
 
 @pytest.mark.parametrize("mode", ["per_entry", "batched"])
@@ -171,8 +172,9 @@ def test_remote(benchmark, tmp_path_factory, backing, mode):
             client.submit_batch(batch)
         _spin_until(lambda: len(server) == ENTRIES)
 
+    timed = CallTimer(grouped if mode == "batched" else per_entry)
     benchmark.pedantic(
-        grouped if mode == "batched" else per_entry,
+        timed,
         setup=setup,
         rounds=ROUNDS,
         warmup_rounds=0,
@@ -182,7 +184,7 @@ def test_remote(benchmark, tmp_path_factory, backing, mode):
         endpoint.close()
         server.close()
     label = "remote" if backing == "durable" else "remote_volatile"
-    _record(f"{label}_{mode}", benchmark)
+    _record(f"{label}_{mode}", timed)
 
 
 # -- replicated sink (3 replicas) ---------------------------------------------
@@ -213,8 +215,9 @@ def test_replicated(benchmark, mode):
             rlogger.submit_batch(batch)
         _spin_until(lambda: all(len(s) == ENTRIES for s in servers))
 
+    timed = CallTimer(grouped if mode == "batched" else per_entry)
     benchmark.pedantic(
-        grouped if mode == "batched" else per_entry,
+        timed,
         setup=setup,
         rounds=ROUNDS,
         warmup_rounds=0,
@@ -223,7 +226,7 @@ def test_replicated(benchmark, mode):
         rlogger.close()
         for endpoint in endpoints:
             endpoint.close()
-    _record(f"replicated_{mode}", benchmark)
+    _record(f"replicated_{mode}", timed)
 
 
 # -- report -------------------------------------------------------------------

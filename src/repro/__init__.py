@@ -4,8 +4,8 @@ A full reproduction of *"ADLP: Accountable Data Logging Protocol for
 Publish-Subscribe Communication Systems"* (Yoon & Shao, ICDCS 2019),
 including every substrate the paper depends on:
 
-- :mod:`repro.crypto` -- SHA-256 digests, pure-Python RSA-1024 with
-  PKCS#1 v1.5 signatures, hash chains, Merkle trees;
+- :mod:`repro.crypto` -- SHA-256 digests, RSA-1024 with PKCS#1 v1.5
+  signatures (Ed25519 as the upgrade path), hash chains, Merkle trees;
 - :mod:`repro.serialization` -- a protobuf-style wire format;
 - :mod:`repro.middleware` -- a ROS-like pub/sub middleware with TCP and
   in-process transports;

@@ -299,8 +299,7 @@ class AuditFold:
     def _verify_batches(self, triples) -> None:
         """Verify the triples the fold has not verified yet, one batch per
         signature scheme."""
-        # scheme name -> its triples, first-seen order (the Ed25519 batch
-        # coefficients depend on it: same log, same batch, same booleans)
+        # scheme name -> its distinct triples, first-seen order
         wanted: Dict[str, Dict[_Triple, None]] = {}
         for key, digest, signature in triples:
             if key is not None and digest and signature:

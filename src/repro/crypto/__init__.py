@@ -2,21 +2,22 @@
 
 The paper's prototype uses PyCrypto (RSA-1024 + SHA-256 + PKCS#1 v1.5).  That
 library is not available offline, so this package implements the same
-primitives itself; as in PyCrypto, only the bignum arithmetic runs in C:
+primitives itself; as in PyCrypto, only the bignum arithmetic runs in C,
+and the Ed25519 upgrade path is libcrypto's:
 
 - :mod:`repro.crypto.hashing` -- SHA-256 digests, including the paper's
   ``h(seq || D)`` construction.
 - :mod:`repro.crypto.primes` -- Miller-Rabin probabilistic primality testing
   and prime generation for RSA key material.
-- :mod:`repro.crypto.bignum` -- modular exponentiation on OpenSSL's bignum
-  library (the libcrypto ``hashlib`` links), with built-in ``pow`` where it
-  cannot be loaded.
+- :mod:`repro.crypto.bignum` -- the one binding of the libcrypto ``hashlib``
+  links: modular exponentiation on its bignum library (built-in ``pow``
+  where it cannot be loaded) and the Ed25519 calls.
 - :mod:`repro.crypto.rsa` -- textbook RSA key generation and modular
   exponentiation primitives.
 - :mod:`repro.crypto.pkcs1` -- EMSA-PKCS1-v1_5 signature encoding
   (RFC 8017), the signature scheme the paper uses.
-- :mod:`repro.crypto.ed25519` -- pure-Python RFC 8032 Ed25519 with batch
-  verification, the upgrade path.
+- :mod:`repro.crypto.ed25519` -- RFC 8032 Ed25519 through libcrypto's EVP
+  calls (bound by :mod:`repro.crypto.bignum`), the upgrade path.
 - :mod:`repro.crypto.schemes` -- the pluggable :class:`SignatureScheme`
   registry binding the two backends to scheme-tagged key encodings.
 - :mod:`repro.crypto.keys` -- key pair objects with serialization.

@@ -4,8 +4,8 @@ The paper fixes RSA-1024 PKCS#1 v1.5; SNIPPETS' protocol plan explicitly
 leaves room to "upgrade to Ed25519 without changing message semantics".
 This module is that seam: a :class:`SignatureScheme` interface (key
 generation, digest/message sign and verify, key serialization) with two
-registered backends -- the paper-faithful RSA and a pure-Python Ed25519
-(:mod:`repro.crypto.ed25519`) -- selected by name.
+registered backends -- the paper-faithful RSA and Ed25519 on OpenSSL's
+libcrypto (:mod:`repro.crypto.ed25519`) -- selected by name.
 
 **Wire encoding.**  A scheme-tagged public key is::
 
@@ -92,8 +92,8 @@ class SignatureScheme(abc.ABC):
     ) -> List[bool]:
         """:meth:`verify_digest` for every ``(public material, digest,
         signature)`` in ``items``, in input order -- the auditor's one
-        verify path.  Schemes with a cheaper combined check override
-        this; the booleans must equal the loop's on every input."""
+        verify path.  It is the loop, so a batch's booleans are the
+        single checks' by construction."""
         return [
             self.verify_digest(material, digest, signature)
             for material, digest, signature in items
@@ -198,17 +198,17 @@ class Ed25519Public:
 
 @dataclass(frozen=True)
 class Ed25519Private:
-    """The RFC 8032 32-byte secret plus its cached public point."""
+    """The RFC 8032 32-byte secret plus its public point."""
 
     secret: bytes
-    point: bytes  # compressed public, cached so signing skips a base mul
+    point: bytes  # compressed public, derived once at generation
 
     def __repr__(self) -> str:  # never leak the secret into logs
         return f"Ed25519Private(point={self.point.hex()[:16]}...)"
 
 
 class Ed25519Scheme(SignatureScheme):
-    """RFC 8032 Ed25519 (pure Python, :mod:`repro.crypto.ed25519`).
+    """RFC 8032 Ed25519 on libcrypto (:mod:`repro.crypto.ed25519`).
 
     Digest-level signing signs the 32-byte SHA-256 digest as the Ed25519
     message (EdDSA hashes internally with SHA-512), so ADLP's
@@ -230,33 +230,19 @@ class Ed25519Scheme(SignatureScheme):
         return Ed25519Public(point=private_material.point)
 
     def sign_digest(self, private_material: Ed25519Private, digest: bytes) -> bytes:
-        return ed25519.sign(
-            private_material.secret, digest, public=private_material.point
-        )
+        return ed25519.sign(private_material.secret, digest)
 
     def verify_digest(
         self, public_material: Ed25519Public, digest: bytes, signature: bytes
     ) -> bool:
         return ed25519.verify(public_material.point, digest, signature)
 
-    def verify_batch(
-        self, items: Sequence[Tuple[Ed25519Public, bytes, bytes]]
-    ) -> List[bool]:
-        return ed25519.verify_batch(
-            [(material.point, digest, signature) for material, digest, signature in items]
-        )
-
     def public_to_bytes(self, public_material: Ed25519Public) -> bytes:
         return public_material.point
 
     def public_from_bytes(self, payload: bytes) -> Ed25519Public:
-        if len(payload) != ed25519.PUBLIC_SIZE:
-            raise DecodingError(
-                f"ed25519 public key must be {ed25519.PUBLIC_SIZE} bytes, "
-                f"got {len(payload)}"
-            )
         if not ed25519.is_valid_public(payload):
-            raise DecodingError("ed25519 public key is not a canonical curve point")
+            raise DecodingError("ed25519 key: no canonical point of large order")
         return Ed25519Public(point=bytes(payload))
 
     def signature_size(self, material: Any) -> int:

@@ -3,15 +3,15 @@
 The same contract the auditor's old verify pool pinned, now held by
 ``verify_batch`` under the pool-era test names: results come back in input
 order, malformed key material verifies False (never raises), a batch of
-any size equals the per-signature loop, concurrent batches share the
-key-table cache safely, and ``audit_replica_set`` reports what a
-signature-by-signature audit reports.
+any size equals the per-signature loop, a fleet of keys in rotation costs
+no correctness, threads verifying one batch at once all get its booleans,
+and ``audit_replica_set`` reports what a signature-by-signature audit
+reports.
 """
 
 import sys
 import threading
 
-from repro.crypto import ed25519
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import generate_keypair
 from repro.crypto.rsa import RsaPublicNumbers
@@ -19,11 +19,11 @@ from repro.crypto.schemes import Ed25519Public, get_scheme
 from tests.audit.reference import per_signature_verification
 
 
-def _triples(keypool, count, tamper_every=0):
-    """(public material, digest, signature) under the suite's scheme."""
+def _triples(keypool, count, tamper_every=0, rotation=3):
+    """(public material, digest, signature), the keys taken in turn."""
     triples, expected = [], []
     for i in range(count):
-        pair = keypool[i % 3]
+        pair = keypool[i % rotation]
         digest = sha256(b"payload-%d" % i)
         sig = pair.private.sign_digest(digest)
         ok = True
@@ -62,20 +62,18 @@ class TestChunkKernel:
             sig = bytes(numbers.byte_size)
             assert get_scheme("rsa").verify_batch([(numbers, digest, sig)]) == [False]
 
-    def test_key_cache_shares_decodes(self, keypool, deterministic_seed):
-        # many triples under few keys: one table per key serves them all
+    def test_twenty_keys_in_rotation(self, keypool, deterministic_seed):
+        # many triples under few keys
         triples, expected = _triples(keypool, 6)
         assert _verify_batch(keypool, triples * 3) == expected * 3
-        # more Ed25519 keys than the cache holds: evicted, rebuilt, bounded
-        digest = sha256(b"evict")
+        # a fleet: 20 Ed25519 keys in rotation, every fifth signature forged
         pairs = [
             generate_keypair(seed=deterministic_seed + i, scheme="ed25519")
-            for i in range(ed25519._KEY_CACHE_SIZE + 2)
+            for i in range(20)
         ]
-        batch = [(p.public.numbers, digest, p.private.sign_digest(digest)) for p in pairs]
+        triples, expected = _triples(pairs, 60, tamper_every=5, rotation=20)
         for _ in range(2):
-            assert get_scheme("ed25519").verify_batch(batch) == [True] * len(batch)
-        assert len(ed25519._KEYS) <= ed25519._KEY_CACHE_SIZE
+            assert get_scheme("ed25519").verify_batch(triples) == expected
 
 
 class TestPool:
@@ -84,15 +82,13 @@ class TestPool:
             assert get_scheme(name).verify_batch([]) == []
 
     def test_small_batch_inline(self, keypool):
-        # below the bisection leaf: judged one by one, same booleans
         triples, expected = _triples(keypool, 5, tamper_every=2)
-        assert len(triples) < ed25519._BISECT_LEAF
         assert _verify_batch(keypool, triples) == expected
 
     def test_large_batch_across_workers(self, deterministic_seed):
-        """More threads than cores verify the same large Ed25519 batch,
-        racing to fill the module's (emptied) key-table cache; nobody sees
-        a wrong or missing boolean (concurrent auditors share the cache)."""
+        """Four threads -- more than cores -- verify the same large
+        Ed25519 batch at once, each through its own OpenSSL contexts;
+        nobody sees a wrong or missing boolean."""
         pairs = [
             generate_keypair(seed=deterministic_seed + 50 + i, scheme="ed25519")
             for i in range(3)
@@ -106,8 +102,6 @@ class TestPool:
             except Exception as exc:  # surfaced below, with its traceback
                 errors.append(exc)
 
-        with ed25519._KEYS_LOCK:
-            ed25519._KEYS.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

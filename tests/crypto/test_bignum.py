@@ -1,8 +1,10 @@
-"""The OpenSSL modular-exponentiation kernel against built-in ``pow``.
+"""The OpenSSL modular-exponentiation kernel against built-in ``pow``,
+and the one binder it shares with the Ed25519 calls.
 
 ``pow`` is the reference: every test here either compares the kernel to it
-(integers, signatures, keys) or checks what only the kernel can get wrong
-(threads sharing libcrypto, OpenSSL's error queue, freed BIGNUMs).
+(integers, signatures, keys) or checks what only the binding can get wrong
+(threads sharing libcrypto, OpenSSL's error queue, freed BIGNUMs and EVP
+objects, a libcrypto missing some symbols).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.crypto import bignum
+from repro.crypto import bignum, ed25519
 from repro.crypto.bignum import modexp
 from repro.crypto.pkcs1 import sign_digest, verify_digest
 from repro.crypto.rsa import RsaPublicNumbers, generate_rsa_numbers
@@ -39,6 +41,14 @@ def _lib():
     if not bignum._lib:
         pytest.skip("no libcrypto reachable through _hashlib")
     return bignum._lib
+
+
+def _evp():
+    """libcrypto with the Ed25519 calls bound; skips where it has none."""
+    try:
+        return ed25519._libcrypto()
+    except SignatureError:
+        pytest.skip("no Ed25519 in the libcrypto behind _hashlib")
 
 
 def _python(code: str):
@@ -175,6 +185,52 @@ class TestErrorQueue:
         assert lib.ERR_peek_error() == 0
         assert hashlib.sha256(b"abc").hexdigest().startswith("ba7816bf")
 
+    def test_failed_ed25519_calls_leave_no_error(self):
+        lib = _evp()
+        secret = ed25519.generate_secret(3)
+        public = ed25519.public_from_secret(secret)
+        signature = ed25519.sign(secret, b"m")
+        off_curve = (2).to_bytes(32, "little")
+        for key, sig in (
+            (public, signature[:-1] + b"\x80"),  # S >= L
+            (public, bytes(64)),
+            (off_curve, signature),  # a key libcrypto cannot decode
+        ):
+            assert ed25519.verify(key, b"m", sig) is False
+            assert lib.ERR_peek_error() == 0
+        assert ed25519.verify(public, b"m", signature) is True
+
+
+class TestOneBinder:
+    """One ``_bind`` and one symbol table serve both groups, and each group
+    binds whole or not at all."""
+
+    def _rebind(self, monkeypatch, group):
+        _lib()
+        monkeypatch.setitem(bignum._SYMBOLS[group], "no_such_symbol_in_libcrypto", "v")
+        monkeypatch.setattr(bignum, "_lib", None)
+        monkeypatch.setattr(bignum, "_evp", None)
+        bignum._bind()
+
+    def test_missing_evp_symbol_keeps_modexp(self, monkeypatch):
+        self._rebind(monkeypatch, "ed25519")
+        assert bignum._lib and bignum._evp is False
+        assert modexp(3, 65537, 2**127 - 1, secret=True) == pow(3, 65537, 2**127 - 1)
+        # no Ed25519 fallback: the first use says why
+        with pytest.raises(SignatureError, match="no Ed25519"):
+            ed25519.sign(ed25519.generate_secret(1), b"m")
+        with pytest.raises(SignatureError, match="no Ed25519"):
+            ed25519.verify(bytes(32), b"m", bytes(64))
+
+    def test_missing_bignum_symbol_keeps_ed25519(self, monkeypatch):
+        self._rebind(monkeypatch, "bignum")
+        assert bignum._lib is False and bignum._evp
+        # modexp falls back to pow and says nothing
+        assert modexp(3, 65537, 2**127 - 1, secret=True) == pow(3, 65537, 2**127 - 1)
+        secret = ed25519.generate_secret(1)
+        signature = ed25519.sign(secret, b"m")
+        assert ed25519.verify(ed25519.public_from_secret(secret), b"m", signature)
+
 
 # The peak RSS of the child's own address space, VmHWM: ru_maxrss would
 # start at the RSS of the (large) test process that forked it and hide
@@ -192,6 +248,25 @@ for _ in range(2000):
 before = peak_kb()
 for _ in range(20000):
     rsa_private_op(key, c)
+print(peak_kb() - before)
+"""
+
+_ED25519_LEAK_PROBE = """
+from repro.crypto import ed25519
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(l.split()[1]) for l in status if l.startswith("VmHWM:"))
+secret = ed25519.generate_secret(5)
+public = ed25519.public_from_secret(secret)
+def calls(n):
+    for i in range(n):
+        signature = ed25519.sign(secret, b"%d" % i)
+        ed25519.verify(public, b"%d" % i, signature)
+        ed25519.verify(public, b"", signature)
+        ed25519.public_from_secret(secret)
+calls(500)
+before = peak_kb()
+calls(1500)
 print(peak_kb() - before)
 """
 
@@ -216,6 +291,25 @@ class TestKernelIsWhatRuns:
         )
         out = _python(probe)
         assert out == ["True", "False"]
+
+    def test_ed25519_uses_openssl_and_not_cryptography(self):
+        probe = (
+            "import sys, repro\n"
+            "from repro.crypto import bignum\n"
+            "from repro.crypto.keys import generate_keypair\n"
+            "pair = generate_keypair(seed=1, scheme='ed25519')\n"
+            "ok = pair.public.verify_digest(bytes(32), pair.private.sign_digest(bytes(32)))\n"
+            "print(ok, bool(bignum._evp), 'cryptography' in sys.modules)\n"
+        )
+        out = _python(probe)
+        assert out == ["True", "True", "False"]
+
+    def test_ed25519_calls_free_their_keys_and_contexts(self):
+        out = _python(_ED25519_LEAK_PROBE)
+        # leaking one EVP_PKEY and one EVP_MD_CTX per call grows it by
+        # megabytes over these 6 000 calls
+        growth_kb = int(out[-1])
+        assert growth_kb < 1024
 
     def test_binds_on_first_use_only(self):
         probe = (
